@@ -5,7 +5,7 @@ visits per product length, where the last nonzero product sits, and the
 resulting motion-planning bounds.
 
 Usage:
-    python scripts/zcl_table.py --max-m 8 --threads 2
+    python scripts/zcl_table.py --max-m 8
 """
 
 import argparse
@@ -18,13 +18,12 @@ from kleinforge import tensor_zcl as tz
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-m", type=int, default=8)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     print(f"{'m':>3} {'zcl':>4} {'TC lower':>9} {'TC upper':>9} {'checked':>9} {'secs':>7}")
     for m in range(2, args.max_m + 1):
         start = time.perf_counter()
-        bounds = tz.tc_bounds(m, threads=args.threads)
+        bounds = tz.tc_bounds(m)
         checked = sum(
             tz.count_canonical_multisets(m, length)
             for length in range(1, bounds.zcl + 2)

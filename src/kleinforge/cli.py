@@ -151,7 +151,7 @@ def cmd_pi1(args) -> int:
 
 def cmd_zcl(args) -> int:
     if args.max_len is not None:
-        res = tz.zcl_exhaustive(args.n, args.max_len, threads=args.threads)
+        res = tz.zcl_exhaustive(args.n, args.max_len)
         if args.json:
             _emit_json(res.to_json())
         else:
@@ -161,9 +161,7 @@ def cmd_zcl(args) -> int:
                 f"{state} ({res.checked} canonical products checked)"
             )
         return 0
-    value, method = tz.compute_zcl(
-        args.n, threads=args.threads, allow_fallback=not args.exhaustive
-    )
+    value, method = tz.compute_zcl(args.n, allow_fallback=not args.exhaustive)
     if args.json:
         _emit_json({"n": args.n, "zcl": value, "method": method})
     else:
@@ -172,7 +170,7 @@ def cmd_zcl(args) -> int:
 
 
 def cmd_tc(args) -> int:
-    bounds = tz.tc_bounds(args.m, threads=args.threads)
+    bounds = tz.tc_bounds(args.m)
     if args.json:
         _emit_json(bounds.to_json())
     else:
@@ -244,39 +242,9 @@ def cmd_mesh(args) -> int:
     return 0
 
 
-def _load_mesh(path: str) -> geo.Mesh:
-    if not path.endswith(".obj"):
-        return geo.read_mesh_text(path)
-    import numpy as np
-
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0] == "#":
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                if len(idx) != 4:
-                    raise ValueError("scan needs quad faces")
-                faces.append(idx)
-    if not verts:
-        raise ValueError(f"no vertices in {path}")
-    return geo.Mesh(
-        vertices=np.asarray(verts, dtype=np.float64),
-        faces=np.asarray(faces, dtype=np.int64).reshape(-1, 4),
-        t_values=None,
-        spec=None,
-        weld_error=float("nan"),
-    )
-
-
 def cmd_scan(args) -> int:
     if args.infile:
-        mesh = _load_mesh(args.infile)
+        mesh = geo.load_mesh(args.infile)
     elif args.n is not None:
         res_theta, res_t = _parse_res(args.res)
         mesh = geo.build_mesh(geo.MeshSpec(args.n, args.target, res_theta, res_t))
@@ -303,7 +271,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    checks = vf.verify_paper(max_n=args.max_n, threads=args.threads)
+    checks = vf.verify_paper(max_n=args.max_n)
     for c in checks:
         print(f"{c.name}: {'PASS' if c.passed else 'FAIL'} ({c.seconds:.2f}s)", file=sys.stderr)
     payload = {
@@ -332,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cohomology", cmd_cohomology, "mod-2 cohomology basis table with Sq1 pairings")
     p.add_argument("--n", type=int, required=True)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--table", action="store_true", help="plain table (default)")
+    p.add_argument("--json", action="store_true")
 
     p = add("manifold", cmd_manifold, "orientability, span, immersion/embedding dimensions")
     p.add_argument("--n", type=int, required=True)
@@ -361,12 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-len", type=int, help="only test products of this exact length")
     p.add_argument("--exhaustive", action="store_true", help="forbid the witness fallback")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = add("tc", cmd_tc, "topological-complexity bounds for K_m")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = add("genes", cmd_genes, "genetic code of a planar polygon length vector")
@@ -391,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-paper", cmd_verify_paper, "run all cross-checks; JSON report on stdout")
     p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--threads", type=int, default=1)
 
     return parser
 
@@ -414,3 +377,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

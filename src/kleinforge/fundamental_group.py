@@ -146,23 +146,19 @@ def reduce_word(word: GroupWord) -> NormalForm:
 
 
 def abelianization(n: int) -> AbelianGroup:
-    """H_1 = Z x (Z/2)^(n-1), computed from the relations, not asserted.
+    """H_1 = Z x (Z/2)^(n-1), computed from the relators, not asserted.
 
-    Abelianized, a_j a_n = a_n a_j^(-1) becomes 2 a_j = 0 and the commutator
-    relations become trivial rows; Smith normal form of that relation matrix
+    Abelianizing turns each defining relator into the row of its generators'
+    summed exponents: a_j a_n a_j a_n^(-1) gives 2 a_j = 0 and each
+    commutator gives a zero row.  Smith normal form of that relation matrix
     gives the invariant factors.
     """
-    _check_dimension(n)
     rows = []
-    for j in range(n - 1):
+    for rel in defining_relators(n):
         row = [0] * n
-        row[j] = 2
+        for g, e in rel.letters:
+            row[g - 1] += e
         rows.append(row)
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            rows.append([0] * n)
-    if not rows:  # n = 1: free on one generator
-        return AbelianGroup(1, ())
     free, torsion = abelian_invariants(rows, n)
     return AbelianGroup(free, torsion)
 

@@ -412,8 +412,8 @@ def self_intersection_scan(mesh: Mesh, radius: float) -> ScanResult:
     An embedding sampled finely enough yields no pairs; an immersion with
     genuine double points keeps reporting pairs however fine the mesh.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     P = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
     I, J = _candidate_pairs(P, radius)
     if len(I):
@@ -455,7 +455,18 @@ def seam_confinement_radius(result: ScanResult) -> float | None:
     return worst
 
 
-# mesh files: a tiny self-describing text format, plus OBJ export
+# mesh files: a tiny self-describing text format, plus OBJ export and import
+
+
+def _quad_faces(faces: list[list[int]], num_vertices: int) -> np.ndarray:
+    """0-based face ids as an (F, 4) array, each checked against the vertex count."""
+    if any(len(f) != 4 for f in faces):
+        raise ValueError("mesh faces must be quads")
+    out = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
+    if out.size and (out.min() < 0 or out.max() >= num_vertices):
+        raise ValueError(f"face refers to a missing vertex (the file has {num_vertices} vertices)")
+    return out
+
 
 def write_mesh_text(mesh: Mesh, path: str) -> None:
     """Write the documented text format (meta/v/t/f lines, 0-based faces)."""
@@ -503,6 +514,7 @@ def read_mesh_text(path: str) -> Mesh:
     if not verts:
         raise ValueError("mesh file has no vertices")
     vertices = np.asarray(verts, dtype=np.float64)
+    faces_arr = _quad_faces(faces, len(verts))
     if tvals and len(tvals) != len(verts):
         raise ValueError("t lines must match v lines one to one")
     spec = None
@@ -512,7 +524,7 @@ def read_mesh_text(path: str) -> Mesh:
         )
     return Mesh(
         vertices=vertices,
-        faces=np.asarray(faces, dtype=np.int64).reshape(-1, 4),
+        faces=faces_arr,
         t_values=np.asarray(tvals) if tvals else None,
         spec=spec,
         weld_error=float(meta.get("weld_error", "nan")),
@@ -536,3 +548,43 @@ def write_obj(mesh: Mesh, path: str, axes: tuple[int, int, int] | None = None) -
             fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
         for f in mesh.faces:
             fh.write("f " + " ".join(str(int(i) + 1) for i in f) + "\n")
+
+
+def read_obj(path: str) -> Mesh:
+    """Read a quad OBJ file: `v` lines (first three coordinates) and `f` lines.
+
+    Face indices are 1-based; a negative index counts back from the last
+    `v` line read so far, so -1 is the newest vertex.  Only `v/...` index
+    parts are used.  The result carries no grid metadata or t values.
+    """
+    verts: list[list[float]] = []
+    faces: list[list[int]] = []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts or parts[0] == "#":
+                continue
+            if parts[0] == "v":
+                verts.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "f":
+                face = []
+                for p in parts[1:]:
+                    k = int(p.split("/")[0])
+                    if k == 0:
+                        raise ValueError("OBJ face index 0 is invalid (indices start at 1)")
+                    face.append(k - 1 if k > 0 else len(verts) + k)
+                faces.append(face)
+    if not verts:
+        raise ValueError(f"no vertices in {path}")
+    return Mesh(
+        vertices=np.asarray(verts, dtype=np.float64),
+        faces=_quad_faces(faces, len(verts)),
+        t_values=None,
+        spec=None,
+        weld_error=float("nan"),
+    )
+
+
+def load_mesh(path: str) -> Mesh:
+    """Read a mesh file: OBJ for a `.obj` name, the mesh text format otherwise."""
+    return read_obj(path) if path.endswith(".obj") else read_mesh_text(path)

@@ -20,7 +20,6 @@ multiset: Rbar^r * Vbar_1^(e1) * ... with e1 >= e2 >= ...
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -188,27 +187,19 @@ def _generator_keys(n: int, index: int) -> frozenset[tuple[int, int]]:
     return frozenset({(key, 0), (0, key)})
 
 
-def _evaluate_multiset(args: tuple[int, int, tuple[int, ...]]) -> bool:
-    """Whether the product for (n, rbar, v_powers) is nonzero."""
-    n, r, v_powers = args
-    acc: set[tuple[int, int]] = {(0, 0)}
-    factors = [(0, r)] + [(i + 1, e) for i, e in enumerate(v_powers)]
-    for index, count in factors:
-        g = _generator_keys(n, index)
-        for _ in range(count):
-            acc = _mul_keysets(acc, g)
-            if not acc:
-                return False
-    return True
+def _evaluate_multiset(n: int, r: int, v_powers: tuple[int, ...]) -> set[tuple[int, int]]:
+    """Packed key set of Rbar^r * Vbar_1^(v_powers[0]) * ...
 
-
-def _evaluate_multiset_class(n: int, r: int, v_powers: tuple[int, ...]) -> TensorClass:
+    Stops at the first empty partial product: multiplying zero stays zero.
+    """
     acc: set[tuple[int, int]] = {(0, 0)}
     for index, count in [(0, r)] + [(i + 1, e) for i, e in enumerate(v_powers)]:
         g = _generator_keys(n, index)
         for _ in range(count):
             acc = _mul_keysets(acc, g)
-    return TensorClass._from_keys(n, acc)
+            if not acc:
+                return acc
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -267,7 +258,7 @@ class ZclSearchResult:
         }
 
 
-def zcl_exhaustive(n: int, length: int, threads: int = 1) -> ZclSearchResult:
+def zcl_exhaustive(n: int, length: int) -> ZclSearchResult:
     """Check every length-``length`` product of generator zero divisors.
 
     Enumerates canonical exponent multisets (see module docstring) in a fixed
@@ -277,8 +268,6 @@ def zcl_exhaustive(n: int, length: int, threads: int = 1) -> ZclSearchResult:
     _check_dimension(n)
     if length < 1:
         raise ValueError("product length must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     total = count_canonical_multisets(n, length)
     if total > SEARCH_BUDGET:
         raise FeasibilityError(
@@ -286,23 +275,11 @@ def zcl_exhaustive(n: int, length: int, threads: int = 1) -> ZclSearchResult:
         )
     checked = 0
     witness = None
-    jobs = ((n, r, parts) for r, parts in _canonical_multisets(n, length))
-    if threads == 1:
-        for job in jobs:
-            checked += 1
-            if _evaluate_multiset(job):
-                witness = FactorMultiset(n, job[1], job[2])
-                break
-    else:
-        job_list = list(jobs)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for job, nonzero in zip(
-                job_list, pool.map(_evaluate_multiset, job_list, chunksize=8)
-            ):
-                checked += 1
-                if nonzero:
-                    witness = FactorMultiset(n, job[1], job[2])
-                    break
+    for r, parts in _canonical_multisets(n, length):
+        checked += 1
+        if _evaluate_multiset(n, r, parts):
+            witness = FactorMultiset(n, r, parts)
+            break
     return ZclSearchResult(n, length, witness is None, witness, checked)
 
 
@@ -318,7 +295,7 @@ def zcl_witness(n: int) -> tuple[FactorMultiset, TensorClass]:
         raise ValueError("the long witness needs n >= 3")
     powers = (3, 2) + (1,) * (n - 3)
     ms = FactorMultiset(n, 0, powers)
-    value = _evaluate_multiset_class(n, 0, powers)
+    value = TensorClass._from_keys(n, _evaluate_multiset(n, 0, powers))
     if value.is_zero():
         raise RuntimeError(f"maximal zero-divisor product vanished for n={n}")
     left = Monomial(n, 1, (1 << (n - 2)) - 1)  # R V_1 ... V_(n-2)
@@ -348,7 +325,7 @@ class TcBounds:
         }
 
 
-def compute_zcl(m: int, threads: int = 1, allow_fallback: bool = True) -> tuple[int, str]:
+def compute_zcl(m: int, *, allow_fallback: bool = True) -> tuple[int, str]:
     """Zero-divisor cup length of K_m, preferring the exhaustive search.
 
     Scans lengths upward until every product vanishes (monotone: any longer
@@ -363,7 +340,7 @@ def compute_zcl(m: int, threads: int = 1, allow_fallback: bool = True) -> tuple[
     try:
         last_nonzero = 0
         for length in range(1, 2 * m + 2):
-            res = zcl_exhaustive(m, length, threads=threads)
+            res = zcl_exhaustive(m, length)
             if res.all_zero:
                 return last_nonzero, "exhaustive-search"
             last_nonzero = length
@@ -375,9 +352,9 @@ def compute_zcl(m: int, threads: int = 1, allow_fallback: bool = True) -> tuple[
         return m + 2, "witness-plus-cited-vanishing"
 
 
-def tc_bounds(m: int, threads: int = 1) -> TcBounds:
+def tc_bounds(m: int) -> TcBounds:
     """Topological-complexity bounds for K_m: (zcl + 1, 2m + 1)."""
-    z, method = compute_zcl(m, threads=threads)
+    z, method = compute_zcl(m)
     return TcBounds(
         m=m,
         zcl=z,

@@ -353,12 +353,12 @@ def check_tensor_witness(max_n: int = 8) -> Verification:
     return _run("tensor-witness", body)
 
 
-def check_zcl_vanishing(max_n: int = 6, threads: int = 1) -> Verification:
+def check_zcl_vanishing(max_n: int = 6) -> Verification:
     """Every length-(n+3) zero-divisor product vanishes, 3 <= n <= max_n."""
     def body():
         counts = []
         for n in range(3, max_n + 1):
-            res = tz.zcl_exhaustive(n, n + 3, threads=threads)
+            res = tz.zcl_exhaustive(n, n + 3)
             if not res.all_zero:
                 return False, f"nonzero product of {n + 3} zero divisors at n={n}: {res.witness}"
             counts.append(res.checked)
@@ -590,7 +590,7 @@ def check_genetic_codes() -> Verification:
 
 # ------------------------------------------------------------ verify-paper
 
-def verify_paper(max_n: int = 8, threads: int = 1) -> list[Verification]:
+def verify_paper(max_n: int = 8) -> list[Verification]:
     """The end-to-end bundle behind `klein-forge verify-paper`."""
     if max_n < 4:
         raise ValueError("verify-paper needs max_n >= 4")
@@ -601,7 +601,7 @@ def verify_paper(max_n: int = 8, threads: int = 1) -> list[Verification]:
         check_stiefel_whitney(max_n=max_n),
         check_integral_consistency(max_n=max_n),
         check_tensor_witness(max_n=min(max_n, 8)),
-        check_zcl_vanishing(max_n=min(max_n, 6), threads=threads),
+        check_zcl_vanishing(max_n=min(max_n, 6)),
         check_tc_bounds(),
         check_word_oracle(max_n=min(max_n, 4)),
         check_relators_and_h1(max_n=max_n),

@@ -1,7 +1,10 @@
 """Command-line surface: pinned outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
@@ -130,6 +133,13 @@ def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+def test_removed_threads_option_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "zcl", "--n", "4", "--threads", "2")
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
+
+
 # ---------------------------------------------------------- mutation probe
 
 def test_broken_sq_is_caught(monkeypatch):
@@ -196,5 +206,17 @@ def test_mesh_obj_beyond_3d_warns_and_projects(tmp_path, capsys):
 
 def test_console_script_installed():
     proc = subprocess.run(["klein-forge", "tc", "--m", "2"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("TC(K_2) in [4, 5]")
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kleinforge", "tc", "--m", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
     assert proc.returncode == 0
     assert proc.stdout.startswith("TC(K_2) in [4, 5]")

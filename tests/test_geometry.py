@@ -272,8 +272,9 @@ def test_scan_distances_below_radius():
 
 def test_scan_rejects_bad_radius():
     mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", 8, 6))
-    with pytest.raises(ValueError):
-        geo.self_intersection_scan(mesh, 0.0)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            geo.self_intersection_scan(mesh, radius)
 
 
 # ------------------------------------------------------------------- files
@@ -288,6 +289,36 @@ def test_mesh_text_round_trip(tmp_path):
     assert np.array_equal(back.t_values, mesh.t_values)
     assert back.spec == mesh.spec
     assert back.weld_error == mesh.weld_error
+
+
+SQUARE_VERTICES = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
+
+
+def test_obj_negative_indices_count_back_from_newest_vertex(tmp_path):
+    path = tmp_path / "quad.obj"
+    path.write_text(SQUARE_VERTICES + "f -1 -2 -3 -4\n")
+    mesh = geo.load_mesh(str(path))
+    assert mesh.faces.tolist() == [[3, 2, 1, 0]]
+    # all four vertices share the one quad, so none is a non-neighbour pair
+    assert geo.self_intersection_scan(mesh, 10.0).num_pairs == 0
+
+
+@pytest.mark.parametrize(
+    "name, faces",
+    [
+        ("zero.obj", "f 0 1 2 3\n"),
+        ("past-end.obj", "f 1 2 3 5\n"),
+        ("before-first.obj", "f -1 -2 -3 -5\n"),
+        ("triangle.obj", "f 1 2 3\n"),
+        ("past-end.txt", "f 0 1 2 9\n"),
+        ("negative.txt", "f 0 1 2 -1\n"),
+    ],
+)
+def test_mesh_readers_reject_bad_faces(tmp_path, name, faces):
+    path = tmp_path / name
+    path.write_text(SQUARE_VERTICES + faces)
+    with pytest.raises(ValueError):
+        geo.load_mesh(str(path))
 
 
 def test_obj_export_3d(tmp_path):

@@ -95,18 +95,11 @@ def test_canonical_reduction_agrees_with_full_enumeration():
         for r in (0, 1):
             for e1 in range(length - r + 1):
                 e2 = length - r - e1
-                value = tz._evaluate_multiset_class(n, r, (e1, e2))
-                canon = tz._evaluate_multiset_class(n, r, tuple(sorted((e1, e2), reverse=True)))
-                assert value.is_zero() == canon.is_zero(), (r, e1, e2)
-                seen_nonzero |= not value.is_zero()
+                value = tz._evaluate_multiset(n, r, (e1, e2))
+                canon = tz._evaluate_multiset(n, r, tuple(sorted((e1, e2), reverse=True)))
+                assert bool(value) == bool(canon), (r, e1, e2)
+                seen_nonzero |= bool(value)
         assert seen_nonzero == (not tz.zcl_exhaustive(n, length).all_zero)
-
-
-def test_threads_match_serial():
-    for n, length in ((3, 5), (4, 7)):
-        a = tz.zcl_exhaustive(n, length, threads=1)
-        b = tz.zcl_exhaustive(n, length, threads=2)
-        assert (a.all_zero, a.checked, a.witness) == (b.all_zero, b.checked, b.witness)
 
 
 # ----------------------------------------------------------------- witness
