@@ -24,22 +24,23 @@ def wu_classes(n: int) -> list[CohomologyClass]:
     solution exists and is unique.
     """
     _check_dimension(n)
+    coh._check_pairing_budget(n, n // 2)  # the largest pairing used below
     out = [CohomologyClass.one(n)]
     for j in range(1, n + 1):
-        bj = coh.basis(n, j)
-        bnj = coh.basis(n, n - j)
+        bj = coh._basis_keys(n, j)
+        bnj = coh._basis_keys(n, n - j)
         m = coh.duality_pairing(n, j)
         # one equation per degree-(n-j) basis element b: sum_a c_a M[a][b]
         # equals the top coefficient of Sq^j(b)
         rows = []
         rhs = 0
-        for bi, mb in enumerate(bnj):
+        for bi, kb in enumerate(bnj):
             row = 0
             for ai in range(len(bj)):
                 if m[ai][bi]:
                     row |= 1 << ai
             rows.append(row)
-            sqb = coh.sq(j, CohomologyClass(n, frozenset({mb})))
+            sqb = coh.sq(j, CohomologyClass(n, frozenset({kb})))
             if coh.top_coefficient(sqb):
                 rhs |= 1 << bi
         if len(rows) != len(bj):
@@ -49,9 +50,7 @@ def wu_classes(n: int) -> list[CohomologyClass]:
         except ValueError as exc:  # nonsingularity is a theorem; never expected
             raise RuntimeError(f"Wu class v_{j} has no solution for n={n}") from exc
         out.append(
-            CohomologyClass.from_monomials(
-                n, (bj[a] for a in range(len(bj)) if (sol >> a) & 1)
-            )
+            CohomologyClass(n, frozenset(bj[a] for a in range(len(bj)) if (sol >> a) & 1))
         )
     return out
 

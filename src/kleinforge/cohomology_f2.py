@@ -10,12 +10,15 @@ is again a basis monomial or zero:
 zero whenever the R-exponent exceeds one.  That closed form follows from
 Vi^2 = R*Vi (each index shared by S and T contributes one R) and R^2 = 0.
 
-A monomial is stored as a variable bit mask plus the R flag; a class is a
-finite set of monomials (coefficients live in F2, so sets with symmetric
-difference as addition).  Everything here is exact integer arithmetic.
+A monomial is packed into one int key, (mask << 1) | eps, with bit i-1 of
+the mask holding V_i; the keys of K_n are exactly 0 .. 2^n - 1.  A class is
+the frozen set of the keys of its terms (coefficients live in F2, so sets
+with symmetric difference as addition).  `Monomial` is only a readable view
+of one key, for text and JSON.  Everything here is exact integer arithmetic.
 
-The unique top-degree basis monomial is R * V1 ... V_{n-1}; evaluating the
-coefficient of the top monomial gives the pairing used for duality checks.
+The unique top-degree basis monomial is R * V1 ... V_{n-1}, key 2^n - 1;
+evaluating the coefficient of the top monomial gives the pairing used for
+duality checks.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import CapacityError
+from .errors import CapacityError, FeasibilityError
 
 # Variable subsets sit in a machine word: bit i-1 holds V_i.
 MAX_DIMENSION = 63
+# Work budgets, checked from n alone before anything is enumerated.
+BASIS_BUDGET = 1 << 19  # basis monomials of the whole ring, 2^n
+PAIRING_BUDGET = 4_000_000  # entries of one duality pairing matrix
 
 
 def _check_dimension(n: int) -> None:
@@ -39,6 +45,11 @@ def _check_dimension(n: int) -> None:
         raise CapacityError(
             f"dimension {n} exceeds the bit-mask limit of {MAX_DIMENSION}"
         )
+
+
+def _check_keys(n: int, keys) -> None:
+    if keys and (min(keys) < 0 or max(keys) >= 1 << n):
+        raise ValueError(f"monomial key out of range 0 .. 2^{n} - 1")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +83,7 @@ def _key_sq1(key: int) -> int | None:
 
 @dataclass(frozen=True)
 class Monomial:
-    """Basis monomial R^eps * V_S of H^*(K_n; Z2)."""
+    """Readable view of the basis monomial R^eps * V_S of H^*(K_n; Z2)."""
 
     n: int
     eps: int
@@ -107,20 +118,6 @@ class Monomial:
     def from_key(cls, n: int, key: int) -> "Monomial":
         return cls(n, key & 1, key >> 1)
 
-    @classmethod
-    def unit(cls, n: int) -> "Monomial":
-        return cls(n, 0, 0)
-
-    @classmethod
-    def r(cls, n: int) -> "Monomial":
-        return cls(n, 1, 0)
-
-    @classmethod
-    def v(cls, n: int, i: int) -> "Monomial":
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"V_{i} does not exist for n={n}")
-        return cls(n, 0, 1 << (i - 1))
-
     def text(self) -> str:
         parts = (["R"] if self.eps else []) + [f"V{i}" for i in self.variables]
         return "*".join(parts) if parts else "1"
@@ -128,28 +125,17 @@ class Monomial:
     def to_json(self) -> dict:
         return {"eps": self.eps, "vars": list(self.variables)}
 
-    @classmethod
-    def from_json(cls, n: int, obj: dict) -> "Monomial":
-        mask = 0
-        for i in obj["vars"]:
-            if not 1 <= int(i) <= n - 1:
-                raise ValueError(f"V_{i} does not exist for n={n}")
-            mask |= 1 << (int(i) - 1)
-        return cls(n, int(obj["eps"]), mask)
-
 
 @dataclass(frozen=True)
 class CohomologyClass:
-    """An element of H^*(K_n; Z2): a set of basis monomials (F2 coefficients)."""
+    """An element of H^*(K_n; Z2): the packed keys of its terms (F2 coefficients)."""
 
     n: int
-    terms: frozenset[Monomial]
+    keys: frozenset[int]
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        for t in self.terms:
-            if t.n != self.n:
-                raise ValueError("monomial dimension mismatch")
+        _check_keys(self.n, self.keys)
 
     @classmethod
     def zero(cls, n: int) -> "CohomologyClass":
@@ -157,54 +143,86 @@ class CohomologyClass:
 
     @classmethod
     def one(cls, n: int) -> "CohomologyClass":
-        return cls(n, frozenset({Monomial.unit(n)}))
+        return cls(n, frozenset({0}))
 
     @classmethod
     def r(cls, n: int) -> "CohomologyClass":
-        return cls(n, frozenset({Monomial.r(n)}))
+        return cls(n, frozenset({1}))
 
     @classmethod
     def v(cls, n: int, i: int) -> "CohomologyClass":
-        return cls(n, frozenset({Monomial.v(n, i)}))
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"V_{i} does not exist for n={n}")
+        return cls(n, frozenset({1 << i}))
 
     @classmethod
     def from_monomials(cls, n: int, monomials) -> "CohomologyClass":
-        acc: set[Monomial] = set()
+        acc: set[int] = set()
         for m in monomials:
-            acc.symmetric_difference_update({m})
+            if m.n != n:
+                raise ValueError("monomial dimension mismatch")
+            acc.symmetric_difference_update({m.key})
         return cls(n, frozenset(acc))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     def degree(self) -> int | None:
         """Common degree of all terms; None for 0 or inhomogeneous classes."""
-        degrees = {t.degree for t in self.terms}
+        degrees = {_key_degree(k) for k in self.keys}
         return degrees.pop() if len(degrees) == 1 else None
 
     def sorted_terms(self) -> list[Monomial]:
-        return sorted(self.terms, key=Monomial.sort_key)
+        return sorted(
+            (Monomial.from_key(self.n, k) for k in self.keys), key=Monomial.sort_key
+        )
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         if self.n != other.n:
             raise ValueError("cannot add classes of different dimension")
-        return CohomologyClass(self.n, self.terms ^ other.terms)
+        return CohomologyClass(self.n, self.keys ^ other.keys)
 
     def __mul__(self, other: "CohomologyClass") -> "CohomologyClass":
         return cup(self, other)
 
     def text(self) -> str:
-        if not self.terms:
+        if not self.keys:
             return "0"
         return " + ".join(m.text() for m in self.sorted_terms())
 
     def to_json(self) -> dict:
         return {"n": self.n, "terms": [m.to_json() for m in self.sorted_terms()]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CohomologyClass":
-        n = int(obj["n"])
-        return cls.from_monomials(n, (Monomial.from_json(n, t) for t in obj["terms"]))
+
+def _check_pairing_budget(n: int, d: int) -> None:
+    entries = comb(n, d) * comb(n, n - d)  # dim H^d = C(n, d)
+    if entries > PAIRING_BUDGET:
+        raise FeasibilityError(
+            f"the degree-{d} duality pairing of K_{n} has {entries} entries; "
+            f"the budget is {PAIRING_BUDGET}"
+        )
+
+
+def _basis_keys(n: int, d: int) -> list[int]:
+    """Packed keys of the canonical basis of H^d(K_n; Z2); see `basis`."""
+    _check_dimension(n)
+    if 1 << n > BASIS_BUDGET:
+        raise FeasibilityError(
+            f"H^*(K_{n}) has 2^{n} basis monomials; the budget is {BASIS_BUDGET}"
+        )
+    if d < 0 or d > n:
+        return []
+    out: list[int] = []
+    for eps in (0, 1):
+        k = d - eps
+        if not 0 <= k <= n - 1:
+            continue
+        for vs in combinations(range(1, n), k):
+            key = eps
+            for i in vs:
+                key |= 1 << i
+            out.append(key)
+    return out
 
 
 def basis(n: int, d: int) -> list[Monomial]:
@@ -213,20 +231,7 @@ def basis(n: int, d: int) -> list[Monomial]:
     Size C(n-1, d) + C(n-1, d-1): the V-only monomials then the R-carrying
     ones.
     """
-    _check_dimension(n)
-    if d < 0 or d > n:
-        return []
-    out: list[Monomial] = []
-    for eps in (0, 1):
-        k = d - eps
-        if not 0 <= k <= n - 1:
-            continue
-        for vs in combinations(range(1, n), k):
-            mask = 0
-            for i in vs:
-                mask |= 1 << (i - 1)
-            out.append(Monomial(n, eps, mask))
-    return out
+    return [Monomial.from_key(n, k) for k in _basis_keys(n, d)]
 
 
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
@@ -234,13 +239,12 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     if a.n != b.n:
         raise ValueError("cannot multiply classes of different dimension")
     acc: set[int] = set()
-    for ma in a.terms:
-        ka = ma.key
-        for mb in b.terms:
-            k = _key_mul(ka, mb.key)
+    for ka in a.keys:
+        for kb in b.keys:
+            k = _key_mul(ka, kb)
             if k is not None:
                 acc.symmetric_difference_update({k})
-    return CohomologyClass(a.n, frozenset(Monomial.from_key(a.n, k) for k in acc))
+    return CohomologyClass(a.n, frozenset(acc))
 
 
 def sq(j: int, a: CohomologyClass) -> CohomologyClass:
@@ -257,11 +261,11 @@ def sq(j: int, a: CohomologyClass) -> CohomologyClass:
     if j >= 2:
         return CohomologyClass.zero(a.n)
     acc: set[int] = set()
-    for m in a.terms:
-        k = _key_sq1(m.key)
+    for key in a.keys:
+        k = _key_sq1(key)
         if k is not None:
             acc.symmetric_difference_update({k})
-    return CohomologyClass(a.n, frozenset(Monomial.from_key(a.n, k) for k in acc))
+    return CohomologyClass(a.n, frozenset(acc))
 
 
 def poincare_polynomial(n: int) -> list[int]:
@@ -273,12 +277,12 @@ def poincare_polynomial(n: int) -> list[int]:
 def top_monomial(n: int) -> Monomial:
     """The unique basis monomial in degree n: R * V1 ... V_{n-1}."""
     _check_dimension(n)
-    return Monomial(n, 1, (1 << (n - 1)) - 1)
+    return Monomial.from_key(n, (1 << n) - 1)
 
 
 def top_coefficient(a: CohomologyClass) -> int:
     """Coefficient (0 or 1) of the top monomial in a."""
-    return 1 if top_monomial(a.n) in a.terms else 0
+    return 1 if (1 << a.n) - 1 in a.keys else 0
 
 
 def cup_length(n: int) -> tuple[int, list[CohomologyClass]]:
@@ -290,29 +294,26 @@ def cup_length(n: int) -> tuple[int, list[CohomologyClass]]:
     finds the exact maximum.  Returns (length, [factors]) where the factors
     multiply to a nonzero class.
     """
-    _check_dimension(n)
-    gens = basis(n, 1)
+    gens = _basis_keys(n, 1)
     # reachable product monomial -> factor chain (first hit wins; generators
     # are scanned in canonical order so the witness is deterministic)
-    level: dict[int, tuple[int, ...]] = {g.key: (g.key,) for g in gens}
+    level: dict[int, tuple[int, ...]] = {g: (g,) for g in gens}
     best = dict(level)
     length = 1
     while True:
         nxt: dict[int, tuple[int, ...]] = {}
         for prod, chain in sorted(level.items()):
             for g in gens:
-                k = _key_mul(prod, g.key)
+                k = _key_mul(prod, g)
                 if k is not None and k not in nxt:
-                    nxt[k] = chain + (g.key,)
+                    nxt[k] = chain + (g,)
         if not nxt:
             break
         level = nxt
         length += 1
         best = nxt
     witness_chain = best[min(best)]
-    witness = [
-        CohomologyClass(n, frozenset({Monomial.from_key(n, k)})) for k in witness_chain
-    ]
+    witness = [CohomologyClass(n, frozenset({k})) for k in witness_chain]
     return length, witness
 
 
@@ -326,13 +327,10 @@ def duality_pairing(n: int, d: int) -> list[list[int]]:
     _check_dimension(n)
     if d < 0 or d > n:
         raise ValueError(f"degree {d} out of range for n={n}")
-    rows_b = basis(n, d)
-    cols_b = basis(n, n - d)
-    top = top_monomial(n).key
-    out = []
-    for ma in rows_b:
-        row = []
-        for mb in cols_b:
-            row.append(1 if _key_mul(ma.key, mb.key) == top else 0)
-        out.append(row)
-    return out
+    _check_pairing_budget(n, d)
+    cols = _basis_keys(n, n - d)
+    top = (1 << n) - 1
+    return [
+        [1 if _key_mul(ka, kb) == top else 0 for kb in cols]
+        for ka in _basis_keys(n, d)
+    ]

@@ -32,7 +32,12 @@ from itertools import combinations, product
 
 import numpy as np
 
+from .errors import FeasibilityError
+
 MIN_DIRECTRIX_SPEED = 1e-8
+# vertex coordinates one mesh may hold, checked before sampling; building
+# peaks at about 100-130 bytes per coordinate, so about 1 GB at the budget
+MESH_COORDINATE_BUDGET = 1 << 23
 
 
 def base_unit(n: int) -> float:
@@ -242,6 +247,12 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     vertices are kept.  Quads are emitted for every pair of grid axes.
     """
     n, A, T = spec.n, spec.res_theta, spec.res_t
+    coordinates = A ** (n - 1) * (T - 1) * spec.dim
+    if coordinates > MESH_COORDINATE_BUDGET:
+        raise FeasibilityError(
+            f"a {A}x{T} mesh of K_{n} has {coordinates} vertex coordinates; "
+            f"the budget is {MESH_COORDINATE_BUDGET}"
+        )
     point = immersion_point if spec.target == "immersion" else embedding_point
 
     # the fibre stays strictly nested across the whole radius band

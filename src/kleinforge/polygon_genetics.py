@@ -111,27 +111,32 @@ def is_short(prep: PreparedLengths, subset) -> bool:
     return 2 * subset_sum(prep, subset) < prep.total()
 
 
+def _subsets_with_n(prep: PreparedLengths):
+    """Yield (mask, sum) for the 2^(n-1) subsets containing index n.
+
+    Bit j of mask holds index j + 1.  The walk follows a Gray code, so each
+    step updates the running sum by one entry.
+    """
+    lengths = prep.lengths
+    mask = 0
+    cur = lengths[-1]  # subset {n}
+    yield mask, cur
+    for i in range(1, 1 << (prep.n - 1)):
+        bit = (i & -i).bit_length() - 1
+        mask ^= 1 << bit
+        cur += lengths[bit] if mask & (1 << bit) else -lengths[bit]
+        yield mask, cur
+
+
 def is_generic(lengths, epsilon=None) -> bool:
     """No subset sums to exactly half the total.
 
-    Scans the 2^(n-1) subsets containing index n (a subset and its complement
-    split the half-sum property), walking a Gray code so each step updates the
-    running sum by one entry.
+    Scans the subsets containing index n: a subset and its complement split
+    the half-sum property.
     """
     prep = _as_prepared(lengths, epsilon)
-    n = prep.n
     half = prep.total() / 2
-    cur = prep.lengths[n - 1]  # subset {n}
-    if cur == half:
-        return False
-    mask = 0
-    for i in range(1, 1 << (n - 1)):
-        bit = (i & -i).bit_length() - 1
-        mask ^= 1 << bit
-        cur += prep.lengths[bit] if mask & (1 << bit) else -prep.lengths[bit]
-        if cur == half:
-            return False
-    return True
+    return all(cur != half for _, cur in _subsets_with_n(prep))
 
 
 def dominates(a, b) -> bool:
@@ -170,30 +175,17 @@ def genetic_code(lengths, epsilon=None) -> GeneticCode:
     """Compute the genetic code of a generic length vector.
 
     Enumerates the short subsets containing n, then keeps the maximal ones
-    under domination.  Non-generic vectors are rejected.
+    under domination.  Non-generic vectors are rejected in the same pass.
     """
     prep = _as_prepared(lengths, epsilon)
     n = prep.n
-    if not is_generic(prep):
-        raise ValueError("length vector is not generic (a subset sums to half)")
     total = prep.total()
     shorts: list[tuple[int, ...]] = []
-    # Gray-code walk over subsets of {1..n-1}, always including n
-    cur = prep.lengths[n - 1]
-    mask = 0
-    if 2 * cur < total:
-        shorts.append((n,))
-    for i in range(1, 1 << (n - 1)):
-        bit = (i & -i).bit_length() - 1
-        mask ^= 1 << bit
-        cur += prep.lengths[bit] if mask & (1 << bit) else -prep.lengths[bit]
+    for mask, cur in _subsets_with_n(prep):
+        if 2 * cur == total:
+            raise ValueError("length vector is not generic (a subset sums to half)")
         if 2 * cur < total:
-            subset = tuple(
-                sorted(
-                    (j + 1 for j in range(n - 1) if mask & (1 << j)), reverse=True
-                )
-            )
-            shorts.append((n,) + subset)
+            shorts.append((n,) + tuple(j + 1 for j in range(n - 2, -1, -1) if mask >> j & 1))
     # keep the maximal ones; scanning larger-first keeps the antichain small
     shorts.sort(key=lambda s: (-len(s), tuple(-x for x in s)))
     genes: list[tuple[int, ...]] = []

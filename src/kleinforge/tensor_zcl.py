@@ -1,8 +1,9 @@
 """Zero-divisor cup length in H^*(K_m x K_m; Z2) and topological-complexity bounds.
 
 By Kunneth the mod-2 cohomology of the square is the tensor square of the
-ring handled in cohomology_f2; elements here are F2 sets of ordered pairs of
-basis monomials.  For a class x the associated zero divisor is
+ring handled in cohomology_f2; an element here is the F2 set of its terms
+u (x) v, each stored as the pair of packed monomial keys (u, v).  For a
+class x the associated zero divisor is
 
     xbar = x (x) 1 + 1 (x) x,
 
@@ -23,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import cohomology_f2 as coh
-from .cohomology_f2 import CohomologyClass, Monomial, _check_dimension, _key_mul
+from .cohomology_f2 import CohomologyClass, Monomial, _check_dimension, _check_keys, _key_mul
 from .errors import FeasibilityError
 
 # canonical exponent multisets per exhaustive search, not raw products
@@ -33,50 +33,41 @@ SEARCH_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class TensorClass:
-    """An element of H^* (x) H^* for K_n: an F2 set of monomial pairs."""
+    """An element of H^* (x) H^* for K_n: an F2 set of packed key pairs."""
 
     n: int
-    terms: frozenset[tuple[Monomial, Monomial]]
+    keys: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        for left, right in self.terms:
-            if left.n != self.n or right.n != self.n:
-                raise ValueError("monomial dimension mismatch")
-
-    @classmethod
-    def zero(cls, n: int) -> "TensorClass":
-        return cls(n, frozenset())
-
-    @classmethod
-    def one(cls, n: int) -> "TensorClass":
-        u = Monomial.unit(n)
-        return cls(n, frozenset({(u, u)}))
+        _check_keys(self.n, [k for pair in self.keys for k in pair])
 
     @classmethod
     def outer(cls, left: CohomologyClass, right: CohomologyClass) -> "TensorClass":
         if left.n != right.n:
             raise ValueError("dimension mismatch")
-        return cls(
-            left.n, frozenset((a, b) for a in left.terms for b in right.terms)
-        )
+        return cls(left.n, frozenset((a, b) for a in left.keys for b in right.keys))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     def sorted_terms(self) -> list[tuple[Monomial, Monomial]]:
-        return sorted(self.terms, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+        pairs = (
+            (Monomial.from_key(self.n, a), Monomial.from_key(self.n, b))
+            for a, b in self.keys
+        )
+        return sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
 
     def __add__(self, other: "TensorClass") -> "TensorClass":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return TensorClass(self.n, self.terms ^ other.terms)
+        return TensorClass(self.n, self.keys ^ other.keys)
 
     def __mul__(self, other: "TensorClass") -> "TensorClass":
         return tensor_mul(self, other)
 
     def text(self) -> str:
-        if not self.terms:
+        if not self.keys:
             return "0"
         return " + ".join(f"{a.text()} (x) {b.text()}" for a, b in self.sorted_terms())
 
@@ -89,20 +80,8 @@ class TensorClass:
             ],
         }
 
-    def _keys(self) -> set[tuple[int, int]]:
-        return {(a.key, b.key) for a, b in self.terms}
 
-    @classmethod
-    def _from_keys(cls, n: int, keys) -> "TensorClass":
-        return cls(
-            n,
-            frozenset(
-                (Monomial.from_key(n, ka), Monomial.from_key(n, kb)) for ka, kb in keys
-            ),
-        )
-
-
-def _mul_keysets(a: set[tuple[int, int]], b: set[tuple[int, int]]) -> set[tuple[int, int]]:
+def _mul_keysets(a, b) -> set[tuple[int, int]]:
     acc: set[tuple[int, int]] = set()
     for al, ar in a:
         for bl, br in b:
@@ -127,7 +106,7 @@ def tensor_mul(a: TensorClass, b: TensorClass) -> TensorClass:
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    return TensorClass._from_keys(a.n, _mul_keysets(a._keys(), b._keys()))
+    return TensorClass(a.n, frozenset(_mul_keysets(a.keys, b.keys)))
 
 
 def zero_divisor(x: CohomologyClass) -> TensorClass:
@@ -147,11 +126,11 @@ def vbar(n: int, i: int) -> TensorClass:
 def diagonal_restriction(t: TensorClass) -> CohomologyClass:
     """Pull back along the diagonal: u (x) v -> u * v."""
     acc: set[int] = set()
-    for a, b in t.terms:
-        k = _key_mul(a.key, b.key)
+    for a, b in t.keys:
+        k = _key_mul(a, b)
         if k is not None:
             acc.symmetric_difference_update({k})
-    return CohomologyClass(t.n, frozenset(Monomial.from_key(t.n, k) for k in acc))
+    return CohomologyClass(t.n, frozenset(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +274,15 @@ def zcl_witness(n: int) -> tuple[FactorMultiset, TensorClass]:
         raise ValueError("the long witness needs n >= 3")
     powers = (3, 2) + (1,) * (n - 3)
     ms = FactorMultiset(n, 0, powers)
-    value = TensorClass._from_keys(n, _evaluate_multiset(n, 0, powers))
+    value = TensorClass(n, frozenset(_evaluate_multiset(n, 0, powers)))
     if value.is_zero():
         raise RuntimeError(f"maximal zero-divisor product vanished for n={n}")
-    left = Monomial(n, 1, (1 << (n - 2)) - 1)  # R V_1 ... V_(n-2)
-    right = Monomial(n, 1, 1 | (1 << (n - 2)))  # R V_1 V_(n-1)
-    if (left, right) not in value.terms:
+    left = ((1 << (n - 2)) - 1) << 1 | 1  # R V_1 ... V_(n-2)
+    right = (1 | (1 << (n - 2))) << 1 | 1  # R V_1 V_(n-1)
+    if (left, right) not in value.keys:
         raise RuntimeError(
-            f"expected proof term {left.text()} (x) {right.text()} missing for n={n}"
+            f"expected proof term {Monomial.from_key(n, left).text()} (x) "
+            f"{Monomial.from_key(n, right).text()} missing for n={n}"
         )
     return ms, value
 

@@ -63,9 +63,10 @@ def cup_free_reduction(a: coh.CohomologyClass, b: coh.CohomologyClass) -> coh.Co
     """
     if a.n != b.n:
         raise ValueError("mixed ambient dimensions")
-    out: set[coh.Monomial] = set()
-    for ma in a.terms:
-        for mb in b.terms:
+    out = []
+    terms_b = b.sorted_terms()
+    for ma in a.sorted_terms():
+        for mb in terms_b:
             r_exp = ma.eps + mb.eps
             v_exp = {}
             for i in ma.variables + mb.variables:
@@ -82,9 +83,8 @@ def cup_free_reduction(a: coh.CohomologyClass, b: coh.CohomologyClass) -> coh.Co
             mask = 0
             for i in v_exp:
                 mask |= 1 << (i - 1)
-            mono = coh.Monomial(a.n, r_exp, mask)
-            out.symmetric_difference_update({mono})
-    return coh.CohomologyClass(a.n, frozenset(out))
+            out.append(coh.Monomial(a.n, r_exp, mask))
+    return coh.CohomologyClass.from_monomials(a.n, out)
 
 
 def rewrite_word(n: int, letters) -> tuple:
@@ -139,12 +139,13 @@ def word_exponents(n: int, word) -> tuple[tuple[int, ...], int]:
     return tuple(k), m
 
 
-def expand_zero_divisor_product(n: int, factors) -> frozenset:
+def expand_zero_divisor_product(n: int, factors) -> frozenset[tuple[int, int]]:
     """Product of zero divisors by splitting factors between the sides.
 
     Each factor x gives x(x)1 + 1(x)x; distributing the product sends a
     subset S of factor positions to (prod_S x) (x) (prod_notS x).  XOR over
     all 2^len subsets, multiplying each side with the public cup product.
+    Returns the packed key pairs of the product, as `TensorClass.keys`.
     """
     one = coh.CohomologyClass.one(n)
     terms: set = set()
@@ -159,9 +160,9 @@ def expand_zero_divisor_product(n: int, factors) -> frozenset:
                 right = right * x
         if left.is_zero() or right.is_zero():
             continue
-        for ml in left.terms:
-            for mr in right.terms:
-                pair = (ml, mr)
+        for kl in left.keys:
+            for kr in right.keys:
+                pair = (kl, kr)
                 if pair in terms:
                     terms.remove(pair)
                 else:
@@ -233,11 +234,10 @@ def check_ring_oracle(max_n: int = 8, triples: int = 10_000) -> Verification:
     def body():
         pair_count = 0
         for n in range(1, min(4, max_n) + 1):
-            monos = [coh.Monomial.from_key(n, k) for k in range(1 << n)]
-            classes = [coh.CohomologyClass.from_monomials(n, [m]) for m in monos]
+            classes = [coh.CohomologyClass(n, frozenset({k})) for k in range(1 << n)]
             for a in classes:
                 for b in classes:
-                    if (a * b).terms != cup_free_reduction(a, b).terms:
+                    if a * b != cup_free_reduction(a, b):
                         return False, f"oracle mismatch at n={n}: {a.text()} * {b.text()}"
                     pair_count += 1
         rng = np.random.default_rng(RNG_SEED)
@@ -252,15 +252,11 @@ def check_ring_oracle(max_n: int = 8, triples: int = 10_000) -> Verification:
                 for _ in range(3):
                     size = int(rng.integers(1, 5))
                     keys = np.unique(rng.integers(0, nkeys, size=size))
-                    cls.append(
-                        coh.CohomologyClass.from_monomials(
-                            n, [coh.Monomial.from_key(n, int(k)) for k in keys]
-                        )
-                    )
+                    cls.append(coh.CohomologyClass(n, frozenset(int(k) for k in keys)))
                 a, b, c = cls
-                if ((a * b) * c).terms != (a * (b * c)).terms:
+                if (a * b) * c != a * (b * c):
                     return False, f"associativity broke at n={n}"
-                if (a * b).terms != (b * a).terms:
+                if a * b != b * a:
                     return False, f"commutativity broke at n={n}"
                 done += 1
         return True, f"{pair_count} oracle basis pairs, {done} random triples to n={max_n}"
@@ -298,7 +294,7 @@ def check_stiefel_whitney(max_n: int = 10) -> Verification:
             r = coh.CohomologyClass.r(n)
             for k in range(1, n + 1):
                 expect = r if (k == 1 and n % 2 == 0) else coh.CohomologyClass.zero(n)
-                if w[k].terms != expect.terms:
+                if w[k] != expect:
                     return False, f"w_{k} wrong at n={n}: {w[k].text()}"
         return True, f"w_1 = R for even n, all else zero, n<={max_n}"
     return _run("stiefel-whitney", body)
@@ -335,11 +331,9 @@ def check_tensor_witness(max_n: int = 8) -> Verification:
             factors, prod = tz.zcl_witness(n)
             if prod.is_zero() or factors.length() != n + 2:
                 return False, f"witness degenerate at n={n}"
-            anchor = (
-                coh.Monomial(n, 1, (1 << (n - 2)) - 1),
-                coh.Monomial(n, 1, 1 | (1 << (n - 2))),
-            )
-            if anchor not in prod.terms:
+            # R V_1 ... V_(n-2) (x) R V_1 V_(n-1), packed
+            anchor = (((1 << (n - 2)) - 1) << 1 | 1, (1 | (1 << (n - 2))) << 1 | 1)
+            if anchor not in prod.keys:
                 return False, f"anchor term missing at n={n}"
             if n <= 5:
                 classes = []
@@ -347,7 +341,7 @@ def check_tensor_witness(max_n: int = 8) -> Verification:
                 for idx, power in enumerate(factors.v_powers, start=1):
                     classes += [coh.CohomologyClass.v(n, idx)] * power
                 expanded = expand_zero_divisor_product(n, classes)
-                if expanded != prod.terms:
+                if expanded != prod.keys:
                     return False, f"subset-split expansion disagrees at n={n}"
         return True, f"witness nonzero with anchor term for 3<=n<={max_n}"
     return _run("tensor-witness", body)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kleinforge import cli
@@ -115,6 +116,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "verify-paper", "--max-n", "3")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "cohomology")[0] == 2  # --n is required
+    assert run(capsys, "cohomology", "--n", "64")[0] == 2  # bit-mask capacity
 
 
 def test_feasibility_exit_3(capsys):
@@ -122,6 +124,22 @@ def test_feasibility_exit_3(capsys):
     code, _, err = run(capsys, "genes", "--lengths", lengths)
     assert code == 3
     assert "feasibility" in err
+    for argv in (("cohomology", "--n", "30"), ("manifold", "--n", "26")):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "feasibility guard" in err, argv
+
+
+def test_oversized_mesh_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the mesh budget must be checked before sampling")
+
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    out_file = tmp_path / "k6.obj"
+    code, _, err = run(capsys, "mesh", "--n", "6", "--res", "40x40", "--out", str(out_file))
+    assert code == 3
+    assert "feasibility guard" in err
+    assert not out_file.exists()
 
 
 def test_verification_failure_exit_1(capsys, monkeypatch):

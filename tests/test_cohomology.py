@@ -7,10 +7,12 @@ on the reduced basis, so agreement is meaningful.
 
 import math
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kleinforge import cohomology_f2 as coh
+from kleinforge.errors import CapacityError, FeasibilityError
 from kleinforge.verification import cup_free_reduction
 
 
@@ -51,6 +53,27 @@ def test_basis_order_is_v_block_then_r_block():
         "V1*V2", "V1*V3", "V2*V3", "R*V1", "R*V2", "R*V3",
     ]
     assert [m.text() for m in coh.basis(4, 4)] == ["R*V1*V2*V3"]
+
+
+def test_class_keys_must_be_monomials_of_k_n():
+    coh.CohomologyClass(3, frozenset({0, 7}))  # the unit and the top monomial
+    for key in (-1, 8):
+        with pytest.raises(ValueError):
+            coh.CohomologyClass(3, frozenset({key}))
+
+
+def test_from_monomials_rejects_another_dimension():
+    with pytest.raises(ValueError):
+        coh.CohomologyClass.from_monomials(3, [coh.Monomial(4, 0, 1)])
+
+
+def test_enumeration_budgets_are_checked_before_any_work():
+    with pytest.raises(FeasibilityError):
+        coh.basis(30, 1)  # 2^30 basis monomials in the whole ring
+    with pytest.raises(FeasibilityError):
+        coh.duality_pairing(16, 8)  # C(16, 8)^2 entries
+    with pytest.raises(CapacityError):
+        coh.basis(64, 1)
 
 
 # ------------------------------------------------------------ cup product
@@ -94,6 +117,8 @@ def random_class(n):
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(random_class(n), random_class(n))))
 def test_cup_commutes_and_matches_oracle(pair):
     a, b = pair
+    for c in pair:
+        assert coh.CohomologyClass.from_monomials(c.n, c.sorted_terms()) == c
     assert coh.cup(a, b) == coh.cup(b, a)
     assert coh.cup(a, b) == cup_free_reduction(a, b)
 

@@ -22,6 +22,13 @@ def test_outer_products_multiply_componentwise():
     assert lhs == rhs
 
 
+def test_tensor_keys_must_be_monomials_of_k_n():
+    tz.TensorClass(3, frozenset({(0, 7), (7, 0)}))
+    for pair in ((8, 0), (0, 8), (-1, 0)):
+        with pytest.raises(ValueError):
+            tz.TensorClass(3, frozenset({pair}))
+
+
 def random_class(n):
     keys = st.sets(st.integers(0, 2**n - 1), max_size=4)
     return keys.map(
