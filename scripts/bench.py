@@ -1,0 +1,137 @@
+"""Time verify-paper and the self-intersection scans, and write BENCH_<label>.json.
+
+Every measurement runs in a fresh interpreter, so each peak RSS is that
+run's own and no cache carries over between runs.  The file records:
+
+- a machine line: nproc, Python version, numpy version;
+- verify-paper (max_n = 8) wall time, the median of RUNS runs, and the
+  median seconds of each of its checks;
+- for each (n, target) of verification.SCAN_SETTINGS: median seconds of
+  build_mesh and of self_intersection_scan, with vertex and pair counts;
+- the peak RSS of each of those, the largest of its runs.
+
+Only public API is used, so the same script measures any commit.  The
+file is written to the current directory.
+
+Usage:
+    PYTHONPATH=src python scripts/bench.py LABEL
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+RUNS = 3  # runs of each measurement; the file reports their median
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def job_verify_paper() -> dict:
+    from kleinforge.verification import verify_paper
+
+    start = time.perf_counter()
+    checks = verify_paper(8)
+    wall = time.perf_counter() - start
+    return {
+        "wall_s": wall,
+        "passed": all(c.passed for c in checks),
+        "checks": {c.name: c.seconds for c in checks},
+        "peak_rss_mb": peak_rss_mb(),
+    }
+
+
+def job_scan(n: int, target: str) -> dict:
+    from kleinforge import geometry as geo
+    from kleinforge.verification import SCAN_SETTINGS
+
+    s = SCAN_SETTINGS[n]
+    start = time.perf_counter()
+    mesh = geo.build_mesh(geo.MeshSpec(n, target, s["res_theta"], s["res_t"]))
+    built = time.perf_counter()
+    result = geo.self_intersection_scan(mesh, s["radius"])
+    done = time.perf_counter()
+    return {
+        "build_s": built - start,
+        "scan_s": done - built,
+        "vertices": result.num_vertices,
+        "pairs": result.num_pairs,
+        "peak_rss_mb": peak_rss_mb(),
+    }
+
+
+def run_job(*argv: str) -> dict:
+    """Run one job in a fresh interpreter and return its JSON result."""
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--job", *argv],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def median_of(runs: list[dict], key: str) -> float:
+    return round(statistics.median(r[key] for r in runs), 3)
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--job"]:  # one measurement, in the interpreter run_job starts
+        kind, *rest = sys.argv[2:]
+        result = job_verify_paper() if kind == "verify-paper" else job_scan(int(rest[0]), rest[1])
+        print(json.dumps(result))
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("label", help="names the output file, BENCH_<label>.json")
+    args = ap.parse_args()
+
+    import numpy
+
+    from kleinforge.verification import SCAN_SETTINGS
+
+    vp = [run_job("verify-paper") for _ in range(RUNS)]
+    report = {
+        "label": args.label,
+        "machine": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        },
+        "runs": RUNS,
+        "verify_paper": {
+            "wall_s": median_of(vp, "wall_s"),
+            "wall_s_runs": [round(r["wall_s"], 3) for r in vp],
+            "passed": all(r["passed"] for r in vp),
+            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in vp), 1),
+            "checks_s": {
+                name: round(statistics.median(r["checks"][name] for r in vp), 3)
+                for name in vp[0]["checks"]
+            },
+        },
+        "scans": {},
+    }
+    for n in sorted(SCAN_SETTINGS):
+        for target in ("immersion", "embedding"):
+            runs = [run_job("scan", str(n), target) for _ in range(RUNS)]
+            report["scans"][f"n{n}-{target}"] = {
+                "build_s": median_of(runs, "build_s"),
+                "scan_s": median_of(runs, "scan_s"),
+                "vertices": runs[0]["vertices"],
+                "pairs": runs[0]["pairs"],
+                "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
+            }
+    path = f"BENCH_{args.label}.json"
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}: verify-paper {report['verify_paper']['wall_s']} s (median of {RUNS})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,9 +20,11 @@ gives an embedding in R^(n+2).
 
 Meshes sample the parameter grid, welding the t = pi row onto the t = 0
 row through the flip (this needs an even theta resolution).  The
-self-intersection scan hashes vertices into cells of side `radius` and
-reports close pairs that are not mesh neighbours, where "neighbour"
-means graph distance at most 2 in the share-a-quad adjacency.
+self-intersection scan hashes vertices into cells of side `radius`, each
+keyed by one int64, and reports close pairs that are not mesh neighbours,
+where "neighbour" means graph distance at most 2 in the share-a-quad
+adjacency.  Both stages are array code over any quad mesh: grid metadata
+is never used.
 """
 
 from __future__ import annotations
@@ -38,6 +40,22 @@ MIN_DIRECTRIX_SPEED = 1e-8
 # vertex coordinates one mesh may hold, checked before sampling; building
 # peaks at about 100-130 bytes per coordinate, so about 1 GB at the budget
 MESH_COORDINATE_BUDGET = 1 << 23
+# raw candidate pairs (every point pair of two neighbouring cells, a cell with
+# c points counting c^2 with itself) one self-intersection scan may gather, checked
+# before any pair array exists.  The largest scan in use, verify-paper's n = 3
+# immersion, has 1,770,949; `scan --n 2 --res 200x400 --radius 1e6` would have
+# about 3.2e9.  The array stages take about 45 bytes per raw candidate (190 MB
+# at the budget); when the radius exceeds the mesh, nearly every candidate is
+# reported, at about 340 bytes per pair as a ScanResult.
+SCAN_CANDIDATE_BUDGET = 1 << 22
+# entries of the ball table the neighbour filter may build (one row of
+# 1 + 4 * (largest degree) ids per vertex in a candidate pair), checked before
+# building it.  Building peaks at about 17 bytes per entry, so about 570 MB at
+# the budget.  The largest table in use, verify-paper's n = 3 scans, has
+# 10,725,120 (218,880 rows of degree 12); one vertex of degree 1,000 in a mesh
+# file widens every row to 4,001.
+SCAN_BALL_BUDGET = 1 << 25
+_NEAR_BLOCK = 1 << 21  # ball-entry compares per block of the neighbour test
 
 
 def base_unit(n: int) -> float:
@@ -349,71 +367,170 @@ class ScanResult:
         }
 
 
+def _cell_side(extent: float, dim: int, radius: float) -> float:
+    """The side of the hash cells: `radius`, or more where int64 keys need it.
+
+    Cells are counted from the mesh's lowest corner with one spare layer
+    each side (for the neighbour offsets), so an axis of length `extent`
+    spans at most extent/side + 3 cells.  Below 2^(61/dim) cells per axis
+    the box has under 2^61 cells, and every key, plus or minus one offset
+    step, fits in int64.  A side above `radius` still puts every close pair
+    in neighbouring cells, so the result is the same.
+    """
+    cells_per_axis = 2.0 ** (61 / dim) - 4
+    if cells_per_axis <= 0 or not np.isfinite(extent):
+        raise FeasibilityError(f"the cell keys of a scan in R^{dim} do not fit in 64 bits")
+    return max(radius, extent / cells_per_axis)
+
+
+def _cell_pairs(cells: np.ndarray, step: int):
+    """Indices (a, b) into the sorted unique keys with cells[b] == cells[a] + step."""
+    want = cells + step
+    loc = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
+    a = np.flatnonzero(cells[loc] == want)
+    return a, loc[a]
+
+
 def _candidate_pairs(P: np.ndarray, radius: float):
     """All vertex pairs within `radius`, via a uniform spatial hash.
 
-    Cells of side `radius` are keyed by their raw bytes; each pair of
-    points at distance <= radius lands in cells differing by at most one
-    per axis, so scanning a half-space of the 3^dim offsets sees every
-    pair exactly once.
+    Cells have side `radius`, or more where _cell_side needs it.  Each
+    cell is keyed by one int64, the mixed-radix index of its cell
+    coordinates, counted from the mesh's lowest corner and shifted to
+    start at 1, so a neighbour offset is a scalar added to a key.
+    Points at distance <= radius lie in cells differing by at most one
+    per axis, so looking up a half-space of the 3^dim offsets from every
+    occupied cell sees every pair exactly once.  The raw candidates
+    (every point pair of two neighbouring cells) are counted first and
+    checked against SCAN_CANDIDATE_BUDGET; each offset's candidates then
+    go through the exact d^2 test on their own.
     """
     N, dim = P.shape
-    cells = np.floor(P / radius).astype(np.int64)
-    vdt = np.dtype((np.void, cells.dtype.itemsize * dim))
-    keys = np.ascontiguousarray(cells).view(vdt).ravel()
+    lo = P.min(axis=0)
+    # Python floats, so a span beyond the float range is inf without a warning
+    extent = max(h - l for h, l in zip(P.max(axis=0).tolist(), lo.tolist()))
+    side = _cell_side(extent, dim, radius)
+    coords = np.floor((P - lo) / side).astype(np.int64) + 1
+    radix = coords.max(axis=0) + 2
+    strides = np.ones(dim, dtype=np.int64)
+    for a in range(dim - 2, -1, -1):
+        strides[a] = strides[a + 1] * radix[a + 1]
+    keys = coords @ strides
     order = np.argsort(keys)
-    uniq, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    cells, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+
     zero = (0,) * dim
-    out_i, out_j = [], []
+    neighbours = []
+    raw = 0
     for off in product((-1, 0, 1), repeat=dim):
-        if off != zero and off < zero:
+        if off < zero:
             continue
-        shifted = np.ascontiguousarray(cells + np.array(off)).view(vdt).ravel()
-        loc = np.searchsorted(uniq, shifted)
-        ok = loc < len(uniq)
-        ok[ok] = uniq[loc[ok]] == shifted[ok]
-        src = np.flatnonzero(ok)
-        hit = loc[src]
-        reps = counts[hit]
+        a, b = _cell_pairs(cells, int(np.dot(off, strides)))
+        neighbours.append((off == zero, a, b))
+        raw += int(np.dot(counts[a], counts[b]))
+        if raw > SCAN_CANDIDATE_BUDGET:
+            raise FeasibilityError(
+                f"a scan of {N} vertices at radius {radius!r} has over "
+                f"{SCAN_CANDIDATE_BUDGET} candidate pairs (the budget)"
+            )
+
+    out_i, out_j = [], []
+    for same_cell, a, b in neighbours:
+        reps = counts[a] * counts[b]
         total = int(reps.sum())
         if total == 0:
             continue
-        # ragged gather of the run of sorted keys behind each hit cell
-        first = np.repeat(starts[hit], reps)
+        # ragged gather of every point pair of each cell pair (a, b)
+        pair = np.repeat(np.arange(len(a)), reps)
         within = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps)
-        jj = order[first + within]
-        ii = np.repeat(src, reps)
-        keep = (ii < jj) if off == zero else np.ones(total, dtype=bool)
-        out_i.append(ii[keep])
-        out_j.append(jj[keep])
+        width = counts[b][pair]
+        I = order[starts[a][pair] + within // width]
+        J = order[starts[b][pair] + within % width]
+        if same_cell:
+            keep = I < J
+            I, J = I[keep], J[keep]
+        close = np.sum((P[I] - P[J]) ** 2, axis=1) <= radius * radius
+        out_i.append(I[close])
+        out_j.append(J[close])
     if not out_i:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    I = np.concatenate(out_i)
-    J = np.concatenate(out_j)
-    d2 = np.sum((P[I] - P[J]) ** 2, axis=1)
-    close = d2 <= radius * radius
-    return I[close], J[close]
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def _mesh_near_mask(faces: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+def _balls(faces: np.ndarray, vertices: np.ndarray, num_vertices: int):
+    """Padded rows ball(v) = {v} + every vertex sharing a quad with v, and the ball sizes.
+
+    One row per entry of `vertices`, as wide as the widest of their balls.
+    A ball fills the front of its row and repeats its smallest entry after
+    that, so any cut of a row at least as wide as its ball holds that ball
+    and nothing else.  Vertex ids are int32 whenever they fit, which
+    halves the bytes the pair test moves.
+    """
+    ids = np.int32 if num_vertices <= np.iinfo(np.int32).max else np.int64
+    flat = faces.ravel()
+    degree = np.bincount(flat, minlength=num_vertices)
+    first = np.cumsum(degree) - degree
+    incidence = np.argsort(flat, kind="stable")
+    deg = degree[vertices]
+    entries = len(vertices) * (1 + faces.shape[1] * int(deg.max()))
+    if entries > SCAN_BALL_BUDGET:
+        raise FeasibilityError(
+            f"the neighbour test needs {entries} ball entries for {len(vertices)} "
+            f"vertices, over {SCAN_BALL_BUDGET} (the budget)"
+        )
+    # the k-th quad at each vertex, repeating its last quad past its degree;
+    # a vertex in no quad reads some other entry, overwritten below
+    k = np.minimum(np.arange(deg.max()), np.maximum(deg, 1)[:, None] - 1)
+    slot = np.minimum(first[vertices][:, None] + k, max(len(flat) - 1, 0))
+    corners = faces.astype(ids, copy=False)[incidence[slot] // faces.shape[1]]
+    rows = np.empty((len(vertices), 1 + corners[0].size), dtype=ids)
+    rows[:, 0] = vertices
+    rows[:, 1:] = corners.reshape(len(vertices), -1)
+    rows[deg == 0] = vertices[deg == 0, None]
+    # drop repeats: push them past the end of the sorted row, then cut
+    rows.sort(axis=1)
+    dup = np.zeros(rows.shape, dtype=bool)
+    dup[:, 1:] = rows[:, 1:] == rows[:, :-1]
+    sentinel = np.iinfo(ids).max
+    rows[dup] = sentinel
+    rows.sort(axis=1)
+    size = (~dup).sum(axis=1)
+    rows = rows[:, : int(size.max())]
+    return np.where(rows == sentinel, rows[:, :1], rows), size
+
+
+def _mesh_near_mask(
+    faces: np.ndarray, num_vertices: int, I: np.ndarray, J: np.ndarray
+) -> np.ndarray:
     """Which candidate pairs are within graph distance 2 of each other.
 
     Adjacency is "shares a quad".  With ball(v) = {v} + its neighbours,
-    distance <= 2 is exactly ball(i) meeting ball(j); only balls of
-    vertices that occur in candidate pairs are materialised.
+    distance <= 2 is exactly ball(i) meeting ball(j).  Only balls of
+    vertices that occur in candidate pairs are built, and each block of
+    pairs compares every entry of ball(i) with every entry of ball(j).
+    The pairs go in order of their wider ball, cut to that width, so one
+    vertex of high degree slows only its own pairs.  The ball table is
+    checked against SCAN_BALL_BUDGET before it is built.
     """
-    wanted = np.union1d(I, J)
-    mask = np.isin(faces, wanted).any(axis=1)
-    balls: dict[int, set[int]] = {int(v): {int(v)} for v in wanted}
-    for quad in faces[mask]:
-        qs = set(int(v) for v in quad)
-        for v in quad:
-            ball = balls.get(int(v))
-            if ball is not None:
-                ball |= qs
+    seen = np.zeros(num_vertices, dtype=bool)
+    seen[I] = True
+    seen[J] = True
+    wanted = np.flatnonzero(seen)
+    row = np.cumsum(seen) - 1
+    balls, size = _balls(faces, wanted, num_vertices)
+    width = np.maximum(size[row[I]], size[row[J]])
+    order = np.argsort(width, kind="stable")
+    widths, starts, counts = np.unique(width[order], return_index=True, return_counts=True)
     near = np.empty(len(I), dtype=bool)
-    for k in range(len(I)):
-        near[k] = not balls[int(I[k])].isdisjoint(balls[int(J[k])])
+    for w, start, count in zip(widths.tolist(), starts.tolist(), counts.tolist()):
+        # w^2 compares per pair: blocks sized from w keep memory bounded
+        block = max(1, _NEAR_BLOCK // (w * w))
+        for lo in range(start, start + count, block):
+            pick = order[lo : min(lo + block, start + count)]
+            bi = balls[row[I[pick]], :w]
+            bj = balls[row[J[pick]], :w]
+            same = bi[:, :, None] == bj[:, None, :]
+            near[pick] = same.reshape(len(pick), -1).any(axis=1)
     return near
 
 
@@ -426,25 +543,25 @@ def self_intersection_scan(mesh: Mesh, radius: float) -> ScanResult:
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
     P = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
+    if not np.isfinite(P).all():
+        raise ValueError("mesh vertices must have finite coordinates")
+    N = len(P)
     I, J = _candidate_pairs(P, radius)
     if len(I):
-        near = _mesh_near_mask(mesh.faces, I, J)
+        near = _mesh_near_mask(mesh.faces, N, I, J)
         I, J = I[~near], J[~near]
-    lo = np.minimum(I, J)
-    hi = np.maximum(I, J)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(I) else np.empty((0, 2), np.int64)
-    dists = np.sqrt(np.sum((P[pairs[:, 0]] - P[pairs[:, 1]]) ** 2, axis=1))
+    # each pair is found once; one int64 key per pair sorts them by (low, high)
+    lo, hi = np.divmod(np.sort(np.minimum(I, J) * N + np.maximum(I, J)), N)
+    dists = np.sqrt(np.sum((P[lo] - P[hi]) ** 2, axis=1))
     t_pairs = None
     if mesh.t_values is not None:
         tv = mesh.t_values
-        t_pairs = tuple(
-            (float(tv[a]), float(tv[b])) for a, b in pairs
-        )
+        t_pairs = tuple(zip(tv[lo].tolist(), tv[hi].tolist()))
     return ScanResult(
         radius=float(radius),
-        num_vertices=len(P),
-        pairs=tuple((int(a), int(b)) for a, b in pairs),
-        distances=tuple(float(d) for d in dists),
+        num_vertices=N,
+        pairs=tuple(zip(lo.tolist(), hi.tolist())),
+        distances=tuple(dists.tolist()),
         t_pairs=t_pairs,
     )
 

@@ -176,22 +176,33 @@ def genetic_code(lengths, epsilon=None) -> GeneticCode:
 
     Enumerates the short subsets containing n, then keeps the maximal ones
     under domination.  Non-generic vectors are rejected in the same pass.
+    Shortness is closed downward under domination, so a short subset is
+    maximal exactly when none of its covers is short: adding index 1, or
+    raising one index i to i + 1 when i + 1 is not in the subset.
     """
     prep = _as_prepared(lengths, epsilon)
     n = prep.n
     total = prep.total()
-    shorts: list[tuple[int, ...]] = []
+    shorts = set()
     for mask, cur in _subsets_with_n(prep):
         if 2 * cur == total:
             raise ValueError("length vector is not generic (a subset sums to half)")
         if 2 * cur < total:
-            shorts.append((n,) + tuple(j + 1 for j in range(n - 2, -1, -1) if mask >> j & 1))
-    # keep the maximal ones; scanning larger-first keeps the antichain small
-    shorts.sort(key=lambda s: (-len(s), tuple(-x for x in s)))
+            shorts.add(mask)
+    raisable = (1 << (n - 2)) - 1  # index j + 1 may rise to j + 2 only below n
     genes: list[tuple[int, ...]] = []
-    for s in shorts:
-        if not any(dominates(g, s) for g in genes):
-            genes.append(s)
+    for mask in shorts:
+        if not (mask & 1) and (mask | 1) in shorts:
+            continue
+        moves = mask & ~(mask >> 1) & raisable
+        while moves:
+            low = moves & -moves
+            if (mask ^ (low | low << 1)) in shorts:
+                break
+            moves ^= low
+        else:
+            genes.append((n,) + tuple(j + 1 for j in range(n - 2, -1, -1) if mask >> j & 1))
+    genes.sort(key=lambda s: (-len(s), tuple(-x for x in s)))
     return GeneticCode(n, tuple(genes))
 
 

@@ -142,6 +142,18 @@ def test_oversized_mesh_exits_3_before_allocating(tmp_path, capsys, monkeypatch)
     assert not out_file.exists()
 
 
+def test_oversized_scan_exits_3_before_gathering_pairs(capsys, monkeypatch):
+    # every pair of 79,800 vertices, about 3.2e9 raw candidates
+    def no_gather(*args, **kwargs):
+        raise AssertionError("the candidate budget must be checked before the pair gather")
+
+    monkeypatch.setattr(np, "repeat", no_gather)
+    code, out, err = run(capsys, "scan", "--n", "2", "--res", "200x400", "--radius", "1e6")
+    assert code == 3
+    assert "feasibility guard" in err
+    assert out == ""
+
+
 def test_verification_failure_exit_1(capsys, monkeypatch):
     bad = ConsistencyReport(
         n=2, checks=(CheckResult("euler-characteristic-zero", False, "forced"),)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleinforge import geometry as geo
+from kleinforge.errors import FeasibilityError
 
 
 # ------------------------------------------------------- directrix + frame
@@ -239,25 +240,99 @@ def test_scan_excludes_quad_neighbours():
         assert not near[int(i)] & near[int(j)], (i, j)
 
 
-def test_scan_matches_kdtree_oracle():
+def kdtree_oracle_pairs(mesh, radius):
+    """Close pairs from a k-d tree, minus those whose quad balls meet."""
     from scipy.spatial import cKDTree
 
-    mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", 36, 40))
-    radius = 0.15
-    result = geo.self_intersection_scan(mesh, radius)
     tree = cKDTree(mesh.vertices)
     candidates = tree.query_pairs(radius, output_type="set")
     near = {}
     for quad in mesh.faces:
         for a in quad:
             near.setdefault(int(a), {int(a)}).update(int(b) for b in quad)
-    expected = {
+    return {
         (min(i, j), max(i, j))
         for i, j in candidates
         if not near[i] & near[j]
     }
+
+
+def test_scan_matches_kdtree_oracle():
+    mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", 36, 40))
+    radius = 0.15
+    result = geo.self_intersection_scan(mesh, radius)
     got = {(int(i), int(j)) for i, j in result.pairs}
+    assert got == kdtree_oracle_pairs(mesh, radius)
+
+
+def obj_round_trip(mesh, tmp_path):
+    path = tmp_path / "mesh.obj"
+    geo.write_obj(mesh, str(path))
+    return geo.read_obj(str(path))
+
+
+def relabelled(mesh, tmp_path):
+    """The same surface with its vertex ids randomly permuted."""
+    perm = np.random.default_rng(17).permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    return geo.Mesh(vertices, perm[mesh.faces], None, None, float("nan"))
+
+
+@pytest.mark.parametrize(
+    "spec, radius, remake",
+    [
+        (geo.MeshSpec(3, "embedding", 12, 10), 0.5, None),
+        (geo.MeshSpec(2, "immersion", 36, 40), 0.15, obj_round_trip),
+        (geo.MeshSpec(2, "immersion", 36, 40), 0.15, relabelled),
+    ],
+    ids=["n3-embedding", "obj-round-trip", "permuted-ids"],
+)
+def test_scan_matches_kdtree_oracle_without_grid_order(tmp_path, spec, radius, remake):
+    # the neighbour filter reads only the faces: no grid metadata, no id order
+    mesh = geo.build_mesh(spec)
+    if remake is not None:
+        mesh = remake(mesh, tmp_path)
+    result = geo.self_intersection_scan(mesh, radius)
+    got = {(int(i), int(j)) for i, j in result.pairs}
+    expected = kdtree_oracle_pairs(mesh, radius)
+    assert expected
     assert got == expected
+
+
+def two_fans(quads):
+    """Two quad fans 0.01 apart, each around one pole of degree `quads`.
+
+    The pole has the largest id of its fan and the ring has radius 0.03,
+    so the pole is a candidate with every ring vertex of both fans.
+    """
+    angle = np.linspace(0, 2 * np.pi, 2 * quads, endpoint=False)
+    ring = 0.03 * np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
+    fan = np.concatenate([ring, np.zeros((1, 3))])
+    k = np.arange(quads)
+    faces = np.stack([0 * k + 2 * quads, 2 * k, 2 * k + 1, (2 * k + 2) % (2 * quads)], axis=1)
+    vertices = np.concatenate([fan, fan + [0.0, 0.0, 0.01]])
+    return geo.Mesh(vertices, np.concatenate([faces, faces + len(fan)]), None, None, float("nan"))
+
+
+def test_scan_matches_kdtree_oracle_with_a_high_degree_pole():
+    # each pole's ball holds 201 vertices, every other ball at most 7
+    mesh = two_fans(100)
+    result = geo.self_intersection_scan(mesh, 0.05)
+    got = {(int(i), int(j)) for i, j in result.pairs}
+    expected = kdtree_oracle_pairs(mesh, 0.05)
+    assert (200, 401) in expected and (0, 401) in expected
+    assert got == expected
+
+
+def test_ball_table_over_budget_is_infeasible(monkeypatch):
+    mesh = two_fans(100)
+    # 402 vertices in candidate pairs, each row 1 + 4 * 100 wide before dedupe
+    monkeypatch.setattr(geo, "SCAN_BALL_BUDGET", 402 * 401 - 1)
+    with pytest.raises(FeasibilityError, match="ball entries"):
+        geo.self_intersection_scan(mesh, 0.05)
+    monkeypatch.setattr(geo, "SCAN_BALL_BUDGET", 402 * 401)
+    assert geo.self_intersection_scan(mesh, 0.05).num_pairs
 
 
 def test_scan_distances_below_radius():
@@ -270,11 +345,41 @@ def test_scan_distances_below_radius():
         assert np.linalg.norm(P[i] - P[j]) == pytest.approx(d, rel=1e-12)
 
 
+def test_tiny_radius_keeps_cell_keys_in_range(tmp_path):
+    # two unit squares that touch at one corner, each with its own vertex there
+    path = tmp_path / "touching.txt"
+    path.write_text(
+        SQUARE_VERTICES
+        + "v 1 1 0\nv 2 1 0\nv 2 2 0\nv 1 2 0\n"
+        + "f 0 1 2 3\nf 4 5 6 7\n"
+    )
+    mesh = geo.load_mesh(str(path))
+    with np.errstate(invalid="raise"):
+        result = geo.self_intersection_scan(mesh, 1e-200)
+    assert result.pairs == ((2, 4),)
+    assert result.distances == (0.0,)
+
+
 def test_scan_rejects_bad_radius():
     mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", 8, 6))
     for radius in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             geo.self_intersection_scan(mesh, radius)
+
+
+def test_scan_of_a_mesh_wider_than_the_float_range_is_infeasible():
+    vertices = np.array([[-1e308, 0, 0], [1e308, 0, 0], [0, 1, 0], [0, 0, 1]])
+    mesh = geo.Mesh(vertices, np.array([[0, 1, 2, 3]]), None, None, float("nan"))
+    with pytest.raises(FeasibilityError, match="64 bits"):
+        geo.self_intersection_scan(mesh, 1.0)
+
+
+def test_scan_rejects_non_finite_vertices(tmp_path):
+    for bad in ("inf", "nan"):
+        path = tmp_path / f"{bad}.txt"
+        path.write_text(SQUARE_VERTICES.replace("v 1 1 0", f"v 1 {bad} 0") + "f 0 1 2 3\n")
+        with pytest.raises(ValueError, match="finite"):
+            geo.self_intersection_scan(geo.load_mesh(str(path)), 0.5)
 
 
 # ------------------------------------------------------------------- files

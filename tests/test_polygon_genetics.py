@@ -107,6 +107,33 @@ def test_genes_form_a_complete_antichain():
                 assert pg.is_short(prep, g)
 
 
+def quadratic_genes(prep):
+    """Reference filter: keep each short subset no kept one dominates, larger first."""
+    n = prep.n
+    shorts = [
+        (n,) + tuple(reversed(rest))
+        for k in range(n)
+        for rest in itertools.combinations(range(1, n), k)
+        if pg.is_short(prep, (n,) + rest)
+    ]
+    shorts.sort(key=lambda s: (-len(s), tuple(-x for x in s)))
+    genes = []
+    for s in shorts:
+        if not any(pg.dominates(g, s) for g in genes):
+            genes.append(s)
+    return tuple(genes)
+
+
+@given(st.lists(st.integers(1, 60), min_size=3, max_size=11))
+def test_covering_moves_match_quadratic_filter(lengths):
+    prep = pg.prepare_lengths([str(v) for v in lengths])
+    if not pg.is_generic(prep):
+        with pytest.raises(ValueError):
+            pg.genetic_code(prep)
+        return
+    assert pg.genetic_code(prep).genes == quadratic_genes(prep)
+
+
 def test_scale_invariance():
     base = ("1/24", "1/24", "1", "1", "1", "2")
     scaled = tuple(str(Fraction(v) * Fraction(7, 3)) for v in base)
