@@ -22,7 +22,9 @@ scaled total.  Distinct integer subset sums differ by at least 1 while the
 perturbation contributes at most n*epsilon < 1, so shortness of every subset
 of positive entries is preserved and the resulting code is stable for any
 smaller epsilon.  An explicit epsilon (in the original scale) can be supplied
-instead; all arithmetic stays in fractions.Fraction.
+instead.  Prepared lengths stay fractions.Fraction; the subset scan compares
+them as integers after scaling by the lcm of their denominators, so it is
+exact too.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 from .errors import FeasibilityError
 from .tensor_zcl import TcBounds, tc_bounds
@@ -111,21 +115,23 @@ def is_short(prep: PreparedLengths, subset) -> bool:
     return 2 * subset_sum(prep, subset) < prep.total()
 
 
-def _subsets_with_n(prep: PreparedLengths):
-    """Yield (mask, sum) for the 2^(n-1) subsets containing index n.
+def _subset_sums(prep: PreparedLengths) -> tuple[np.ndarray, int]:
+    """Twice the sums of the 2^(n-1) subsets containing index n, and the total.
 
-    Bit j of mask holds index j + 1.  The walk follows a Gray code, so each
-    step updates the running sum by one entry.
+    The lengths are scaled to integers by the lcm of their denominators, so
+    every comparison stays exact: a subset is short when its entry is below
+    the total.  Entry ``mask`` holds the subset whose bit j marks index
+    j + 1; the table doubles once per index.  The entries are int64 when
+    twice the total fits below 2^62, and Python ints otherwise.
     """
-    lengths = prep.lengths
-    mask = 0
-    cur = lengths[-1]  # subset {n}
-    yield mask, cur
-    for i in range(1, 1 << (prep.n - 1)):
-        bit = (i & -i).bit_length() - 1
-        mask ^= 1 << bit
-        cur += lengths[bit] if mask & (1 << bit) else -lengths[bit]
-        yield mask, cur
+    scale = lcm(*(x.denominator for x in prep.lengths))
+    twice = [int(2 * x * scale) for x in prep.lengths]
+    total = sum(twice) // 2
+    sums = np.empty(1 << (prep.n - 1), dtype=np.int64 if 2 * total < 1 << 62 else object)
+    sums[0] = twice[-1]  # subset {n}
+    for j, length in enumerate(twice[:-1]):
+        np.add(sums[: 1 << j], length, out=sums[1 << j : 2 << j])
+    return sums, total
 
 
 def is_generic(lengths, epsilon=None) -> bool:
@@ -134,9 +140,8 @@ def is_generic(lengths, epsilon=None) -> bool:
     Scans the subsets containing index n: a subset and its complement split
     the half-sum property.
     """
-    prep = _as_prepared(lengths, epsilon)
-    half = prep.total() / 2
-    return all(cur != half for _, cur in _subsets_with_n(prep))
+    sums, total = _subset_sums(_as_prepared(lengths, epsilon))
+    return not np.any(sums == total)
 
 
 def dominates(a, b) -> bool:
@@ -175,33 +180,28 @@ def genetic_code(lengths, epsilon=None) -> GeneticCode:
     """Compute the genetic code of a generic length vector.
 
     Enumerates the short subsets containing n, then keeps the maximal ones
-    under domination.  Non-generic vectors are rejected in the same pass.
-    Shortness is closed downward under domination, so a short subset is
-    maximal exactly when none of its covers is short: adding index 1, or
-    raising one index i to i + 1 when i + 1 is not in the subset.
+    under domination.  Non-generic vectors are rejected first.  Shortness
+    is closed downward under domination, so a short subset is maximal
+    exactly when none of its covers is short: adding index 1, or raising
+    one index i to i + 1 when i + 1 is not in the subset.
     """
     prep = _as_prepared(lengths, epsilon)
     n = prep.n
-    total = prep.total()
-    shorts = set()
-    for mask, cur in _subsets_with_n(prep):
-        if 2 * cur == total:
-            raise ValueError("length vector is not generic (a subset sums to half)")
-        if 2 * cur < total:
-            shorts.add(mask)
-    raisable = (1 << (n - 2)) - 1  # index j + 1 may rise to j + 2 only below n
-    genes: list[tuple[int, ...]] = []
-    for mask in shorts:
-        if not (mask & 1) and (mask | 1) in shorts:
-            continue
-        moves = mask & ~(mask >> 1) & raisable
-        while moves:
-            low = moves & -moves
-            if (mask ^ (low | low << 1)) in shorts:
-                break
-            moves ^= low
-        else:
-            genes.append((n,) + tuple(j + 1 for j in range(n - 2, -1, -1) if mask >> j & 1))
+    sums, total = _subset_sums(prep)
+    if np.any(sums == total):
+        raise ValueError("length vector is not generic (a subset sums to half)")
+    short = sums < total
+    masks = np.flatnonzero(short)
+    # a cover that adds index 1
+    maximal = (masks & 1 == 1) | ~short[masks | 1]
+    # covers that raise index j + 1 to j + 2 < n: bit j set, bit j + 1 clear
+    for j in range(n - 2):
+        movable = (masks >> j & 3) == 1
+        maximal &= ~(movable & short[masks ^ (3 << j)])
+    genes = [
+        (n,) + tuple(j + 1 for j in range(n - 2, -1, -1) if mask >> j & 1)
+        for mask in masks[maximal].tolist()
+    ]
     genes.sort(key=lambda s: (-len(s), tuple(-x for x in s)))
     return GeneticCode(n, tuple(genes))
 

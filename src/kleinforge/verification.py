@@ -374,8 +374,14 @@ def check_tc_bounds() -> Verification:
 def check_word_oracle(max_n: int = 4, max_len: int = 6) -> Verification:
     """Normal forms vs the rewriting oracle on every short word.
 
-    Words are walked depth-first so each prefix is rewritten once; the
-    closed-form multiply and the oracle must agree at every node.
+    A word w·x is checked by rewriting (rewritten w)·x and comparing it with
+    the closed-form multiply of w's normal form by the letter x.  A prefix
+    goes on only after its own check passed, so its normal form is fixed by
+    its rewritten word, and the check of w·x depends only on the pair
+    (rewritten w, x).  The walk therefore goes depth by depth over the
+    distinct rewritten prefixes, each with the number of words that rewrite
+    to it, and checks each distinct (prefix, letter) edge once: the same
+    equalities as checking every word, which `checked` still counts.
     """
     def body():
         checked = 0
@@ -387,17 +393,20 @@ def check_word_oracle(max_n: int = 4, max_len: int = 6) -> Verification:
                 k = [0] * (n - 1)
                 k[g - 1] = e
                 return fg.NormalForm(n, tuple(k), 0)
-            stack = [((), fg.NormalForm.identity(n), 0)]
-            while stack:
-                word, nf, depth = stack.pop()
-                for g, e in letters:
-                    rewritten = rewrite_word(n, word + ((g, e),))
-                    fast = fg.multiply(nf, letter_nf(g, e))
-                    if word_exponents(n, rewritten) != (fast.k, fast.m):
-                        return False, f"oracle mismatch at n={n}, word {word + ((g, e),)}"
-                    checked += 1
-                    if depth + 1 < max_len:
-                        stack.append((rewritten, fast, depth + 1))
+            level = {(): (fg.NormalForm.identity(n), 1)}
+            for depth in range(max_len):
+                deeper = {}
+                for word, (nf, count) in level.items():
+                    for g, e in letters:
+                        rewritten = rewrite_word(n, word + ((g, e),))
+                        fast = fg.multiply(nf, letter_nf(g, e))
+                        if word_exponents(n, rewritten) != (fast.k, fast.m):
+                            return False, f"oracle mismatch at n={n}, word {word + ((g, e),)}"
+                        checked += count
+                        if depth + 1 < max_len:
+                            _, seen = deeper.get(rewritten, (fast, 0))
+                            deeper[rewritten] = (fast, seen + count)
+                level = deeper
         return True, f"{checked} words of length <= {max_len} agree for n <= {max_n}"
     return _run("fundamental-group-oracle", body)
 
@@ -506,8 +515,10 @@ def check_geometry_identities(samples: int = 10_000) -> Verification:
         ).reshape(-1, 2)
         inner = geo.torus_point([4 * unit, 1.2 * unit], grid)
         outer = geo.torus_point([4 * unit, 1.8 * unit], grid)
-        gap2 = np.min(
-            np.sum((inner[:, None, :] - outer[None, :, :]) ** 2, axis=-1)
+        # 256 rows of inner at a time keep the broadcast near 25 MB
+        gap2 = min(
+            np.min(np.sum((block[:, None, :] - outer[None, :, :]) ** 2, axis=-1))
+            for block in np.split(inner, range(256, len(inner), 256))
         )
         if gap2 <= (0.3 * unit) ** 2:
             return False, "nested family members touch"

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kleinforge import fundamental_group as fg
+from kleinforge import verification as vf
 from kleinforge.abelian import AbelianGroup
 from kleinforge.verification import rewrite_word, word_exponents
 
@@ -87,6 +88,32 @@ def test_reduce_agrees_with_rewriting_oracle_short_words():
             fast = fg.reduce_word(w)
             slow = word_exponents(n, rewrite_word(n, w.letters))
             assert slow == (tuple(fast.k), fast.m), w.text()
+
+
+@pytest.mark.parametrize("max_n, max_len", [(1, 1), (1, 5), (2, 3), (3, 4), (4, 2)])
+def test_word_oracle_counts_every_word(max_n, max_len):
+    # merged prefixes carry their multiplicity, so the count is of words
+    words = sum((2 * n) ** d for n in range(1, max_n + 1) for d in range(1, max_len + 1))
+    result = vf.check_word_oracle(max_n, max_len)
+    assert result.passed
+    assert result.detail == f"{words} words of length <= {max_len} agree for n <= {max_n}"
+
+
+def test_word_oracle_reaches_inputs_first_seen_at_depth_five(monkeypatch):
+    # wrong only for x with a_n exponent 4 times y = a1 at n = 2, so words of length >= 5
+    multiply = fg.multiply
+
+    def broken(x, y):
+        z = multiply(x, y)
+        if x.n == 2 and x.m == 4 and (y.k, y.m) == ((1,), 0):
+            return fg.NormalForm(2, (z.k[0] + 1,), z.m)
+        return z
+
+    monkeypatch.setattr(vf.fg, "multiply", broken)
+    assert vf.check_word_oracle(2, 4).passed
+    deep = vf.check_word_oracle(2, 6)
+    assert not deep.passed
+    assert deep.detail.startswith("oracle mismatch at n=2")
 
 
 words = st.integers(2, 5).flatmap(

@@ -134,6 +134,39 @@ def test_covering_moves_match_quadratic_filter(lengths):
     assert pg.genetic_code(prep).genes == quadratic_genes(prep)
 
 
+@given(
+    st.lists(st.integers(0, 60), min_size=3, max_size=11).filter(
+        lambda ls: 0 in ls and any(ls)
+    )
+)
+def test_covering_moves_match_quadratic_filter_with_zero_lengths(lengths):
+    prep = pg.prepare_lengths([str(v) for v in lengths])
+    assert prep.substituted == lengths.count(0)
+    if not pg.is_generic(prep):  # e.g. 0, 0, 1, 1: eps + 1 is half
+        with pytest.raises(ValueError):
+            pg.genetic_code(prep)
+        return
+    assert pg.genetic_code(prep).genes == quadratic_genes(prep)
+
+
+# denominators whose lcm is near 10^30, so the scaled sums leave int64
+BIG_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081)
+
+
+def test_subset_scan_beyond_int64():
+    lengths = [f"{k}/{p}" for k, p in zip((1, 2, 3, 5, 8), BIG_PRIMES)] + ["1", "1", "3/2"]
+    prep = pg.prepare_lengths(lengths)
+    sums, total = pg._subset_sums(prep)
+    assert sums.dtype == object and 2 * total >= 1 << 62
+    assert pg.is_generic(prep)
+    assert pg.genetic_code(prep).genes == quadratic_genes(prep)
+    # each length twice: one copy of each is exactly half the total
+    tied = [f"1/{p}" for p in BIG_PRIMES for _ in range(2)]
+    assert not pg.is_generic(tied)
+    with pytest.raises(ValueError):
+        pg.genetic_code(tied)
+
+
 def test_scale_invariance():
     base = ("1/24", "1/24", "1", "1", "1", "2")
     scaled = tuple(str(Fraction(v) * Fraction(7, 3)) for v in base)
