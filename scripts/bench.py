@@ -1,4 +1,4 @@
-"""Time verify-paper and the self-intersection scans, and write BENCH_<label>.json.
+"""Time verify-paper, the self-intersection scans and compute_zcl; write BENCH_<label>.json.
 
 Every measurement runs in a fresh interpreter, so each peak RSS is that
 run's own and no cache carries over between runs.  The file records:
@@ -8,6 +8,8 @@ run's own and no cache carries over between runs.  The file records:
   median seconds of each of its checks;
 - for each (n, target) of verification.SCAN_SETTINGS: median seconds of
   build_mesh and of self_intersection_scan, with vertex and pair counts;
+- for each m from 2 to the largest the zcl term budget admits: median
+  seconds of tensor_zcl.compute_zcl(m) and the zcl it returns;
 - the peak RSS of each of those, the largest of its runs.
 
 Only public API is used, so the same script measures any commit.  The
@@ -67,6 +69,21 @@ def job_scan(n: int, target: str) -> dict:
     }
 
 
+def job_zcl(m: int) -> dict:
+    from kleinforge.tensor_zcl import compute_zcl
+
+    start = time.perf_counter()
+    zcl = compute_zcl(m)
+    return {"zcl_s": time.perf_counter() - start, "zcl": zcl, "peak_rss_mb": peak_rss_mb()}
+
+
+JOBS = {
+    "verify-paper": job_verify_paper,
+    "scan": lambda n, target: job_scan(int(n), target),
+    "zcl": lambda m: job_zcl(int(m)),
+}
+
+
 def run_job(*argv: str) -> dict:
     """Run one job in a fresh interpreter and return its JSON result."""
     proc = subprocess.run(
@@ -83,8 +100,7 @@ def median_of(runs: list[dict], key: str) -> float:
 def main() -> int:
     if sys.argv[1:2] == ["--job"]:  # one measurement, in the interpreter run_job starts
         kind, *rest = sys.argv[2:]
-        result = job_verify_paper() if kind == "verify-paper" else job_scan(int(rest[0]), rest[1])
-        print(json.dumps(result))
+        print(json.dumps(JOBS[kind](*rest)))
         return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label", help="names the output file, BENCH_<label>.json")
@@ -92,6 +108,7 @@ def main() -> int:
 
     import numpy
 
+    from kleinforge.tensor_zcl import TERM_BUDGET
     from kleinforge.verification import SCAN_SETTINGS
 
     vp = [run_job("verify-paper") for _ in range(RUNS)]
@@ -114,6 +131,7 @@ def main() -> int:
             },
         },
         "scans": {},
+        "compute_zcl": {},
     }
     for n in sorted(SCAN_SETTINGS):
         for target in ("immersion", "embedding"):
@@ -125,6 +143,14 @@ def main() -> int:
                 "pairs": runs[0]["pairs"],
                 "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
             }
+    # a product over K_m has at most 2^m terms; the budget admits m <= this
+    for m in range(2, TERM_BUDGET.bit_length()):
+        runs = [run_job("zcl", str(m)) for _ in range(RUNS)]
+        report["compute_zcl"][f"m{m}"] = {
+            "zcl_s": median_of(runs, "zcl_s"),
+            "zcl": runs[0]["zcl"],
+            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
+        }
     path = f"BENCH_{args.label}.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)

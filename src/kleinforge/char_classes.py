@@ -28,18 +28,12 @@ def wu_classes(n: int) -> list[CohomologyClass]:
     out = [CohomologyClass.one(n)]
     for j in range(1, n + 1):
         bj = coh._basis_keys(n, j)
-        bnj = coh._basis_keys(n, n - j)
-        m = coh.duality_pairing(n, j)
-        # one equation per degree-(n-j) basis element b: sum_a c_a M[a][b]
-        # equals the top coefficient of Sq^j(b)
-        rows = []
+        # one equation per degree-(n-j) basis element b: sum_a c_a <a, b>
+        # equals the top coefficient of Sq^j(b); the cup product commutes,
+        # so row b, bit a of the degree-(n-j) pairing is <a, b>
+        rows = coh.duality_pairing(n, n - j)
         rhs = 0
-        for bi, kb in enumerate(bnj):
-            row = 0
-            for ai in range(len(bj)):
-                if m[ai][bi]:
-                    row |= 1 << ai
-            rows.append(row)
+        for bi, kb in enumerate(coh._basis_keys(n, n - j)):
             sqb = coh.sq(j, CohomologyClass(n, frozenset({kb})))
             if coh.top_coefficient(sqb):
                 rhs |= 1 << bi

@@ -317,12 +317,12 @@ def cup_length(n: int) -> tuple[int, list[CohomologyClass]]:
     return length, witness
 
 
-def duality_pairing(n: int, d: int) -> list[list[int]]:
+def duality_pairing(n: int, d: int) -> list[int]:
     """Pairing matrix H^d x H^(n-d) -> F2 against the top monomial.
 
-    Entry [a][b] is the top-monomial coefficient of basis(n, d)[a] *
-    basis(n, n-d)[b].  Nonsingular in every degree (Poincare duality for a
-    closed manifold).
+    One GF(2) bit row per basis(n, d)[a], as in `linalg`: bit b is the
+    top-monomial coefficient of basis(n, d)[a] * basis(n, n-d)[b].
+    Nonsingular in every degree (Poincare duality for a closed manifold).
     """
     _check_dimension(n)
     if d < 0 or d > n:
@@ -331,6 +331,6 @@ def duality_pairing(n: int, d: int) -> list[list[int]]:
     cols = _basis_keys(n, n - d)
     top = (1 << n) - 1
     return [
-        [1 if _key_mul(ka, kb) == top else 0 for kb in cols]
+        sum(1 << b for b, kb in enumerate(cols) if _key_mul(ka, kb) == top)
         for ka in _basis_keys(n, d)
     ]

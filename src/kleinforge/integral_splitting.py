@@ -20,6 +20,7 @@ from math import comb
 
 from .abelian import AbelianGroup
 from .cohomology_f2 import _check_dimension, poincare_polynomial
+from .errors import FeasibilityError
 from .fundamental_group import abelianization
 
 __all__ = [
@@ -34,10 +35,23 @@ __all__ = [
     "consistency_check",
 ]
 
+# Z/2 summands over all degrees, one tuple entry each; K_n has 2^(n-2)
+TORSION_BUDGET = 1 << 22
+
+
+def _check_torsion_budget(n: int) -> None:
+    entries = 1 << (n - 2) if n >= 2 else 0
+    if entries > TORSION_BUDGET:
+        raise FeasibilityError(
+            f"the integral (co)homology of K_{n} has {entries} Z/2 summands; "
+            f"the budget is {TORSION_BUDGET}"
+        )
+
 
 def integral_cohomology(n: int) -> list[AbelianGroup]:
     """[H^0(K_n; Z), ..., H^n(K_n; Z)]."""
     _check_dimension(n)
+    _check_torsion_budget(n)
     out = []
     for d in range(n + 1):
         if d % 2 == 0:
@@ -103,9 +117,11 @@ def homology_from_splitting(n: int) -> list[AbelianGroup]:
     Moore space M^d(2) contributes Z/2 to H_(d-2); H_0 = Z is the base point
     component.
     """
+    summands = splitting(n)
+    _check_torsion_budget(n)
     free = [0] * (n + 1)
     tors = [0] * (n + 1)
-    for s in splitting(n):
+    for s in summands:
         if s.kind == "sphere":
             d = s.dim - 1
             if d <= n:

@@ -11,77 +11,43 @@ which restricts to zero under the diagonal.  The zero-divisor cup length
 (zcl) is the longest nonzero product of the generator zero divisors
 Rbar, Vbar_1, ..., Vbar_(m-1); it pins the sharp lower bound zcl + 1 for
 topological complexity, while dimension gives the upper bound 2m + 1.
+Only such products are ever formed: `_generator_keys` gives the key pairs
+of one generator zero divisor and `_mul_keysets` multiplies two key-pair
+sets.
 
 Permuting the V indices is a ring automorphism (the defining relations are
 symmetric in i) and extends to the tensor square, so whether a product of
 generator zero divisors vanishes depends only on the multiset of exponents.
 The exhaustive search therefore enumerates one canonical representative per
-multiset: Rbar^r * Vbar_1^(e1) * ... with e1 >= e2 >= ...
+multiset: Rbar^r * Vbar_1^(e1) * ... with e1 >= e2 >= ...  It is the only
+route to zcl.
+
+Two budgets are checked from (n, length) before any product is formed.
+SEARCH_BUDGET caps the canonical multisets of one length.  TERM_BUDGET caps
+the terms of one product: every power of a generator zero divisor has two
+terms or is zero (Rbar^2 = 0, Vbar^4 = 0), so a product of powers of k
+distinct generators has at most 2^k terms, and a length-L product over K_n
+at most 2^min(n, L).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .cohomology_f2 import CohomologyClass, Monomial, _check_dimension, _check_keys, _key_mul
+from .cohomology_f2 import Monomial, _check_dimension, _key_mul
 from .errors import FeasibilityError
 
 # canonical exponent multisets per exhaustive search, not raw products
 SEARCH_BUDGET = 10**7
-
-
-@dataclass(frozen=True)
-class TensorClass:
-    """An element of H^* (x) H^* for K_n: an F2 set of packed key pairs."""
-
-    n: int
-    keys: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        _check_keys(self.n, [k for pair in self.keys for k in pair])
-
-    @classmethod
-    def outer(cls, left: CohomologyClass, right: CohomologyClass) -> "TensorClass":
-        if left.n != right.n:
-            raise ValueError("dimension mismatch")
-        return cls(left.n, frozenset((a, b) for a in left.keys for b in right.keys))
-
-    def is_zero(self) -> bool:
-        return not self.keys
-
-    def sorted_terms(self) -> list[tuple[Monomial, Monomial]]:
-        pairs = (
-            (Monomial.from_key(self.n, a), Monomial.from_key(self.n, b))
-            for a, b in self.keys
-        )
-        return sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-
-    def __add__(self, other: "TensorClass") -> "TensorClass":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return TensorClass(self.n, self.keys ^ other.keys)
-
-    def __mul__(self, other: "TensorClass") -> "TensorClass":
-        return tensor_mul(self, other)
-
-    def text(self) -> str:
-        if not self.keys:
-            return "0"
-        return " + ".join(f"{a.text()} (x) {b.text()}" for a, b in self.sorted_terms())
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"left": a.to_json(), "right": b.to_json()}
-                for a, b in self.sorted_terms()
-            ],
-        }
+# key pairs in one product, bounded by 2^min(n, length); admits m <= 22
+TERM_BUDGET = 1 << 22
 
 
 def _mul_keysets(a, b) -> set[tuple[int, int]]:
+    """(u (x) v) * (u' (x) v') = uu' (x) vv' extended bilinearly, on key pairs.
+
+    Signs never appear: coefficients are mod 2.
+    """
     acc: set[tuple[int, int]] = set()
     for al, ar in a:
         for bl, br in b:
@@ -99,42 +65,13 @@ def _mul_keysets(a, b) -> set[tuple[int, int]]:
     return acc
 
 
-def tensor_mul(a: TensorClass, b: TensorClass) -> TensorClass:
-    """(u (x) v) * (u' (x) v') = uu' (x) vv' extended bilinearly.
-
-    Signs never appear: coefficients are mod 2.
-    """
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    return TensorClass(a.n, frozenset(_mul_keysets(a.keys, b.keys)))
-
-
-def zero_divisor(x: CohomologyClass) -> TensorClass:
-    """xbar = x (x) 1 + 1 (x) x."""
-    one = CohomologyClass.one(x.n)
-    return TensorClass.outer(x, one) + TensorClass.outer(one, x)
-
-
-def rbar(n: int) -> TensorClass:
-    return zero_divisor(CohomologyClass.r(n))
-
-
-def vbar(n: int, i: int) -> TensorClass:
-    return zero_divisor(CohomologyClass.v(n, i))
-
-
-def diagonal_restriction(t: TensorClass) -> CohomologyClass:
-    """Pull back along the diagonal: u (x) v -> u * v."""
-    acc: set[int] = set()
-    for a, b in t.keys:
-        k = _key_mul(a, b)
-        if k is not None:
-            acc.symmetric_difference_update({k})
-    return CohomologyClass(t.n, frozenset(acc))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive search over products of generator zero divisors
+def _check_term_budget(n: int, length: int) -> None:
+    terms = 1 << min(n, length)
+    if terms > TERM_BUDGET:
+        raise FeasibilityError(
+            f"a length-{length} zero-divisor product over K_{n} may have "
+            f"2^{min(n, length)} terms; the budget is {TERM_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -161,8 +98,8 @@ class FactorMultiset:
 
 
 def _generator_keys(n: int, index: int) -> frozenset[tuple[int, int]]:
-    # index 0 = Rbar, index i = Vbar_i; packed keys: R -> 1, V_i -> 1 << i
-    key = 1 if index == 0 else 1 << index
+    """Key pairs of Rbar (index 0) or Vbar_index: x (x) 1 + 1 (x) x."""
+    key = 1 if index == 0 else 1 << index  # packed keys: R -> 1, V_i -> 1 << i
     return frozenset({(key, 0), (0, key)})
 
 
@@ -181,26 +118,18 @@ def _evaluate_multiset(n: int, r: int, v_powers: tuple[int, ...]) -> set[tuple[i
     return acc
 
 
-@lru_cache(maxsize=None)
-def _count_partitions(s: int, max_parts: int, max_part: int) -> int:
-    if s == 0:
-        return 1
-    if max_parts == 0 or max_part == 0:
-        return 0
-    total = 0
-    for first in range(min(s, max_part), 0, -1):
-        total += _count_partitions(s - first, max_parts - 1, first)
-    return total
-
-
 def _partitions(s: int, max_parts: int, max_part: int):
-    """Descending partitions of s into at most max_parts parts, largest first."""
+    """Descending partitions of s into at most max_parts parts, largest first.
+
+    The largest part is at least s / max_parts, so every branch taken yields
+    a partition and the walk costs time in proportion to its output.
+    """
     if s == 0:
         yield ()
         return
-    for first in range(min(s, max_part), 0, -1):
-        if max_parts == 0:
-            return
+    if max_parts == 0:
+        return
+    for first in range(min(s, max_part), (s - 1) // max_parts, -1):
         for rest in _partitions(s - first, max_parts - 1, first):
             yield (first,) + rest
 
@@ -214,9 +143,29 @@ def _canonical_multisets(n: int, length: int):
 
 
 def count_canonical_multisets(n: int, length: int) -> int:
-    return sum(
-        _count_partitions(length - r, n - 1, length) for r in range(length + 1)
-    )
+    """The number of canonical (rbar, v_powers) of this length.
+
+    That is the sum over s <= length of the partitions of s into at most
+    n - 1 parts.  Counting stops once the sum passes SEARCH_BUDGET, so a
+    larger count comes back as its first partial sum above the budget.
+    """
+    parts = n - 1
+    if parts <= 1:  # each s has one partition into at most one part
+        return 1 if parts == 0 else length + 1
+    # ways[j - 1][s]: partitions of s into parts of size <= j, which are the
+    # conjugates of the partitions of s into at most j parts
+    ways = [[1] for _ in range(parts)]
+    total = 1
+    for s in range(1, length + 1):
+        count = 0
+        for j, row in enumerate(ways, start=1):
+            if s >= j:
+                count += row[s - j]
+            row.append(count)
+        total += count
+        if total > SEARCH_BUDGET:
+            break
+    return total
 
 
 @dataclass(frozen=True)
@@ -242,15 +191,16 @@ def zcl_exhaustive(n: int, length: int) -> ZclSearchResult:
 
     Enumerates canonical exponent multisets (see module docstring) in a fixed
     order and stops at the first nonzero product.  Raises FeasibilityError if
-    the multiset count exceeds the search budget.
+    the terms of one product or the multiset count exceed their budgets.
     """
     _check_dimension(n)
     if length < 1:
         raise ValueError("product length must be >= 1")
+    _check_term_budget(n, length)
     total = count_canonical_multisets(n, length)
     if total > SEARCH_BUDGET:
         raise FeasibilityError(
-            f"{total} exponent multisets exceed the budget of {SEARCH_BUDGET}"
+            f"more than {SEARCH_BUDGET} exponent multisets of length {length} over K_{n}"
         )
     checked = 0
     witness = None
@@ -262,29 +212,29 @@ def zcl_exhaustive(n: int, length: int) -> ZclSearchResult:
     return ZclSearchResult(n, length, witness is None, witness, checked)
 
 
-def zcl_witness(n: int) -> tuple[FactorMultiset, TensorClass]:
+def zcl_witness(n: int) -> tuple[FactorMultiset, frozenset[tuple[int, int]]]:
     """The canonical maximal nonzero product Vbar_1^3 Vbar_2^2 Vbar_3 ... Vbar_(n-1).
 
     Defined for n >= 3; its length is n + 2.  Returns the factor multiset and
-    the full product, which is verified nonzero and must contain the pair
-    R V_1 ... V_(n-2) (x) R V_1 V_(n-1).
+    the packed key pairs of the full product, which is verified nonzero and
+    must contain the pair R V_1 ... V_(n-2) (x) R V_1 V_(n-1).
     """
     _check_dimension(n)
     if n < 3:
         raise ValueError("the long witness needs n >= 3")
     powers = (3, 2) + (1,) * (n - 3)
-    ms = FactorMultiset(n, 0, powers)
-    value = TensorClass(n, frozenset(_evaluate_multiset(n, 0, powers)))
-    if value.is_zero():
+    _check_term_budget(n, n + 2)
+    value = frozenset(_evaluate_multiset(n, 0, powers))
+    if not value:
         raise RuntimeError(f"maximal zero-divisor product vanished for n={n}")
     left = ((1 << (n - 2)) - 1) << 1 | 1  # R V_1 ... V_(n-2)
     right = (1 | (1 << (n - 2))) << 1 | 1  # R V_1 V_(n-1)
-    if (left, right) not in value.keys:
+    if (left, right) not in value:
         raise RuntimeError(
             f"expected proof term {Monomial.from_key(n, left).text()} (x) "
             f"{Monomial.from_key(n, right).text()} missing for n={n}"
         )
-    return ms, value
+    return FactorMultiset(n, 0, powers), value
 
 
 @dataclass(frozen=True)
@@ -305,40 +255,33 @@ class TcBounds:
         }
 
 
-def compute_zcl(m: int, *, allow_fallback: bool = True) -> tuple[int, str]:
-    """Zero-divisor cup length of K_m, preferring the exhaustive search.
+def compute_zcl(m: int) -> int:
+    """Zero-divisor cup length of K_m by exhaustive search.
 
     Scans lengths upward until every product vanishes (monotone: any longer
-    product contains a vanishing sub-product).  Falls back to the explicit
-    length-(m+2) witness plus the cited vanishing bound when the enumeration
-    would blow the budget; pass allow_fallback=False to surface the budget
-    error instead.
+    product contains a vanishing sub-product).  Raises FeasibilityError up
+    front when a product of the longest length scanned, 2m + 1, could exceed
+    the term budget.
     """
     _check_dimension(m)
     if m < 2:
         raise ValueError("zcl needs m >= 2")
-    try:
-        last_nonzero = 0
-        for length in range(1, 2 * m + 2):
-            res = zcl_exhaustive(m, length)
-            if res.all_zero:
-                return last_nonzero, "exhaustive-search"
-            last_nonzero = length
-        raise RuntimeError("zero-divisor products never vanished below 2m + 2")
-    except FeasibilityError:
-        if m < 3 or not allow_fallback:
-            raise
-        zcl_witness(m)  # raises if the witness fails
-        return m + 2, "witness-plus-cited-vanishing"
+    _check_term_budget(m, 2 * m + 1)
+    last_nonzero = 0
+    for length in range(1, 2 * m + 2):
+        if zcl_exhaustive(m, length).all_zero:
+            return last_nonzero
+        last_nonzero = length
+    raise RuntimeError("zero-divisor products never vanished below 2m + 2")
 
 
 def tc_bounds(m: int) -> TcBounds:
     """Topological-complexity bounds for K_m: (zcl + 1, 2m + 1)."""
-    z, method = compute_zcl(m)
+    z = compute_zcl(m)
     return TcBounds(
         m=m,
         zcl=z,
         lower=z + 1,
         upper=2 * m + 1,
-        method=f"lower: zcl+1 ({method}); upper: cited dimension bound",
+        method="lower: zcl+1 (exhaustive-search); upper: cited dimension bound",
     )

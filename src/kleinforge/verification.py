@@ -145,7 +145,7 @@ def expand_zero_divisor_product(n: int, factors) -> frozenset[tuple[int, int]]:
     Each factor x gives x(x)1 + 1(x)x; distributing the product sends a
     subset S of factor positions to (prod_S x) (x) (prod_notS x).  XOR over
     all 2^len subsets, multiplying each side with the public cup product.
-    Returns the packed key pairs of the product, as `TensorClass.keys`.
+    Returns the packed key pairs of the product, the form `zcl_witness` returns.
     """
     one = coh.CohomologyClass.one(n)
     terms: set = set()
@@ -276,10 +276,7 @@ def check_cup_length_duality(max_n: int = 10) -> Verification:
             if coh.top_coefficient(prod) != 1:
                 return False, f"cup_length witness fails at n={n}"
             for d in range(n + 1):
-                rows = [
-                    sum(bit << j for j, bit in enumerate(row))
-                    for row in coh.duality_pairing(n, d)
-                ]
+                rows = coh.duality_pairing(n, d)
                 if not f2_is_invertible(rows, len(rows)):
                     return False, f"duality pairing singular at n={n}, d={d}"
         return True, f"cup_length(n)=n and nonsingular pairing for n<={max_n}"
@@ -329,11 +326,11 @@ def check_tensor_witness(max_n: int = 8) -> Verification:
     def body():
         for n in range(3, max_n + 1):
             factors, prod = tz.zcl_witness(n)
-            if prod.is_zero() or factors.length() != n + 2:
+            if not prod or factors.length() != n + 2:
                 return False, f"witness degenerate at n={n}"
             # R V_1 ... V_(n-2) (x) R V_1 V_(n-1), packed
             anchor = (((1 << (n - 2)) - 1) << 1 | 1, (1 | (1 << (n - 2))) << 1 | 1)
-            if anchor not in prod.keys:
+            if anchor not in prod:
                 return False, f"anchor term missing at n={n}"
             if n <= 5:
                 classes = []
@@ -341,7 +338,7 @@ def check_tensor_witness(max_n: int = 8) -> Verification:
                 for idx, power in enumerate(factors.v_powers, start=1):
                     classes += [coh.CohomologyClass.v(n, idx)] * power
                 expanded = expand_zero_divisor_product(n, classes)
-                if expanded != prod.keys:
+                if expanded != prod:
                     return False, f"subset-split expansion disagrees at n={n}"
         return True, f"witness nonzero with anchor term for 3<=n<={max_n}"
     return _run("tensor-witness", body)

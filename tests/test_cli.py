@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 
 from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
+from kleinforge import integral_splitting as ints
+from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
 from kleinforge.integral_splitting import CheckResult, ConsistencyReport
 
@@ -152,6 +155,43 @@ def test_oversized_scan_exits_3_before_gathering_pairs(capsys, monkeypatch):
     assert code == 3
     assert "feasibility guard" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zcl", "--n", "30"),
+        ("tc", "--m", "30"),
+        ("zcl", "--n", "10", "--max-len", "1000"),
+        ("zcl", "--n", "3", "--max-len", "100000"),
+        ("zcl", "--n", "3", "--max-len", "1000000000"),
+        ("integral", "--n", "30"),
+        ("splitting", "--n", "40"),
+    ],
+)
+def test_zcl_and_torsion_guards_exit_3_before_any_work(argv, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("work started before the feasibility guard")
+
+    # forming any zero-divisor product or any group fails, so a missing
+    # guard fails the test instead of running out of time or memory
+    monkeypatch.setattr(tz, "_mul_keysets", fail)
+    monkeypatch.setattr(ints, "AbelianGroup", fail)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("feasibility guard: ") and "Traceback" not in err
+
+
+def test_zcl_and_torsion_guards_admit_the_workload_sizes(capsys):
+    code, out, _ = run(capsys, "zcl", "--n", "63", "--max-len", "5")
+    assert code == 0
+    assert out.startswith("length-5 zero-divisor products over K_63: nonzero")
+    code, out, _ = run(capsys, "check", "--n", "22", "--json")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_verification_failure_exit_1(capsys, monkeypatch):

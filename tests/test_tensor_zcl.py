@@ -1,7 +1,5 @@
 """Zero-divisor cup length in H*(K_n x K_n) and the TC bounds built on it."""
 
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,21 +10,28 @@ from kleinforge import tensor_zcl as tz
 
 # -------------------------------------------------------- tensor structure
 
+def outer(left, right):
+    """Key pairs of left (x) right, for two classes of one K_n."""
+    return {(a, b) for a in left.keys for b in right.keys}
+
+
+def diagonal_restriction(pairs):
+    """Pull key pairs back along the diagonal: u (x) v -> u * v."""
+    acc = set()
+    for a, b in pairs:
+        k = coh._key_mul(a, b)
+        if k is not None:
+            acc ^= {k}
+    return acc
+
+
 def test_outer_products_multiply_componentwise():
     n = 3
     r = coh.CohomologyClass.r(n)
     v1 = coh.CohomologyClass.v(n, 1)
     v2 = coh.CohomologyClass.v(n, 2)
-    lhs = tz.tensor_mul(tz.TensorClass.outer(r, v1), tz.TensorClass.outer(v2, v2))
-    rhs = tz.TensorClass.outer(coh.cup(r, v2), coh.cup(v1, v2))
-    assert lhs == rhs
-
-
-def test_tensor_keys_must_be_monomials_of_k_n():
-    tz.TensorClass(3, frozenset({(0, 7), (7, 0)}))
-    for pair in ((8, 0), (0, 8), (-1, 0)):
-        with pytest.raises(ValueError):
-            tz.TensorClass(3, frozenset({pair}))
+    lhs = tz._mul_keysets(outer(r, v1), outer(v2, v2))
+    assert lhs == outer(coh.cup(r, v2), coh.cup(v1, v2))
 
 
 def random_class(n):
@@ -47,24 +52,58 @@ def random_class(n):
 )
 def test_outer_bilinearity(quad):
     a, b, c, d = quad
-    lhs = tz.tensor_mul(tz.TensorClass.outer(a, b), tz.TensorClass.outer(c, d))
-    assert lhs == tz.TensorClass.outer(a * c, b * d)
+    lhs = tz._mul_keysets(outer(a, b), outer(c, d))
+    assert lhs == outer(coh.cup(a, c), coh.cup(b, d))
 
 
-@given(st.integers(2, 5).flatmap(random_class))
-def test_zero_divisors_restrict_to_zero_on_the_diagonal(x):
-    assert tz.diagonal_restriction(tz.zero_divisor(x)).is_zero()
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 2),
+            st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1),
+        )
+    ).filter(lambda case: case[1] + sum(case[2]) > 0)  # the empty product is 1 (x) 1
+)
+def test_zero_divisors_restrict_to_zero_on_the_diagonal(case):
+    # the diagonal pullback u (x) v -> u * v is a ring map that kills each
+    # generator zero divisor, so it kills every product of them
+    n, r, v_powers = case
+    for index in range(n):
+        assert not diagonal_restriction(tz._generator_keys(n, index)), (n, index)
+    assert not diagonal_restriction(tz._evaluate_multiset(n, r, tuple(v_powers)))
 
 
 def test_generator_zero_divisor_relations():
     for n in (2, 3, 4):
-        r = tz.rbar(n)
-        assert tz.tensor_mul(r, r).is_zero(), "Rbar^2 = 0 since R^2 = 0"
-        v = tz.vbar(n, 1)
-        v2 = tz.tensor_mul(v, v)
-        v3 = tz.tensor_mul(v2, v)
-        assert not v3.is_zero(), "Vbar^3 survives"
-        assert tz.tensor_mul(v3, v).is_zero(), "Vbar^4 dies"
+        assert not tz._evaluate_multiset(n, 2, ()), "Rbar^2 = 0 since R^2 = 0"
+        assert tz._evaluate_multiset(n, 0, (3,)), "Vbar^3 survives"
+        assert not tz._evaluate_multiset(n, 0, (4,)), "Vbar^4 dies"
+
+
+def test_canonical_multiset_count_matches_enumeration():
+    for n in range(1, 9):
+        for length in range(31):
+            expected = len(list(tz._canonical_multisets(n, length)))
+            assert tz.count_canonical_multisets(n, length) == expected, (n, length)
+
+
+def test_partition_walk_takes_no_dead_branches(monkeypatch):
+    # each call yields at least one partition and a partition has at most
+    # n - 1 parts, so the calls number at most n per multiset
+    walk = tz._partitions
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(tz, "_partitions", counted)
+    for n, length in ((2, 500), (3, 60), (6, 20)):
+        calls = 0
+        found = len(list(tz._canonical_multisets(n, length)))
+        assert calls <= n * found, (n, length, calls, found)
 
 
 # ------------------------------------------------------- exhaustive search
@@ -115,10 +154,11 @@ def test_witness_shape_and_anchor_term():
     for n in range(3, 7):
         factors, value = tz.zcl_witness(n)
         assert factors.length() == n + 2
-        assert not value.is_zero()
+        assert value
         left = coh.Monomial(n, 1, (1 << (n - 2)) - 1)    # R V1..V(n-2)
         right = coh.Monomial(n, 1, 1 | (1 << (n - 2)))   # R V1 V(n-1)
-        assert (left, right) in value.sorted_terms(), n
+        assert (left.key, right.key) in value, n
+        assert not diagonal_restriction(value), n
 
 
 def test_witness_rejects_small_n():
@@ -129,10 +169,10 @@ def test_witness_rejects_small_n():
 # ------------------------------------------------------------------ bounds
 
 def test_compute_zcl_values():
-    assert tz.compute_zcl(2)[0] == 3
-    assert tz.compute_zcl(3)[0] == 5
-    assert tz.compute_zcl(4)[0] == 6
-    assert tz.compute_zcl(5)[0] == 7
+    assert tz.compute_zcl(2) == 3
+    assert tz.compute_zcl(3) == 5
+    assert tz.compute_zcl(4) == 6
+    assert tz.compute_zcl(5) == 7
 
 
 def test_tc_bounds_frozen():
