@@ -12,7 +12,7 @@ spaces that produces these manifolds.
 
 from .abelian import AbelianGroup
 from .char_classes import ManifoldReport, manifold_report, stiefel_whitney, wu_classes
-from .cohomology_f2 import CohomologyClass, Monomial, basis, cup, cup_length, sq
+from .cohomology_f2 import CohomologyClass, basis, cup, cup_length, sq
 from .errors import CapacityError, FeasibilityError
 from .fundamental_group import GroupWord, NormalForm, abelianization, reduce_word
 from .geometry import Mesh, MeshSpec, build_mesh, self_intersection_scan
@@ -32,7 +32,6 @@ __all__ = [
     "ManifoldReport",
     "Mesh",
     "MeshSpec",
-    "Monomial",
     "NormalForm",
     "abelianization",
     "basis",

@@ -20,9 +20,6 @@ class AbelianGroup:
         if tuple(sorted(self.torsion)) != self.torsion:
             raise ValueError("torsion orders must be sorted ascending")
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def f2_dimension(self) -> int:
         """dim over F2 of G tensor Z/2 (free rank plus even torsion factors)."""
         return self.free_rank + sum(1 for t in self.torsion if t % 2 == 0)

@@ -27,13 +27,13 @@ def wu_classes(n: int) -> list[CohomologyClass]:
     coh._check_pairing_budget(n, n // 2)  # the largest pairing used below
     out = [CohomologyClass.one(n)]
     for j in range(1, n + 1):
-        bj = coh._basis_keys(n, j)
+        bj = coh.basis(n, j)
         # one equation per degree-(n-j) basis element b: sum_a c_a <a, b>
         # equals the top coefficient of Sq^j(b); the cup product commutes,
         # so row b, bit a of the degree-(n-j) pairing is <a, b>
         rows = coh.duality_pairing(n, n - j)
         rhs = 0
-        for bi, kb in enumerate(coh._basis_keys(n, n - j)):
+        for bi, kb in enumerate(coh.basis(n, n - j)):
             sqb = coh.sq(j, CohomologyClass(n, frozenset({kb})))
             if coh.top_coefficient(sqb):
                 rhs |= 1 << bi

@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import char_classes as cc
 from . import cohomology_f2 as coh
@@ -28,7 +27,7 @@ from . import integral_splitting as ints
 from . import polygon_genetics as pg
 from . import tensor_zcl as tz
 from . import verification as vf
-from .errors import CapacityError, FeasibilityError
+from .errors import FeasibilityError
 
 
 def _emit_json(payload: dict) -> None:
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("genes", cmd_genes, "genetic code of a planar polygon length vector")
     p.add_argument("--lengths", required=True, help="comma-separated rationals; zeros allowed")
-    p.add_argument("--epsilon", type=Fraction, help="override the zero-substitution value")
+    p.add_argument("--epsilon", help="override the zero-substitution value (a rational)")
     p.add_argument("--json", action="store_true")
 
     p = add("mesh", cmd_mesh, "sample the immersion/embedding to OBJ or mesh text")
@@ -373,7 +372,7 @@ def main(argv=None) -> int:
     except FeasibilityError as exc:
         print(f"feasibility guard: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, CapacityError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,9 @@ Vi^2 = R*Vi (each index shared by S and T contributes one R) and R^2 = 0.
 A monomial is packed into one int key, (mask << 1) | eps, with bit i-1 of
 the mask holding V_i; the keys of K_n are exactly 0 .. 2^n - 1.  A class is
 the frozen set of the keys of its terms (coefficients live in F2, so sets
-with symmetric difference as addition).  `Monomial` is only a readable view
-of one key, for text and JSON.  Everything here is exact integer arithmetic.
+with symmetric difference as addition).  A monomial's text, JSON and
+canonical order (degree, then eps, then variables) are read off its key.
+Everything here is exact integer arithmetic.
 
 The unique top-degree basis monomial is R * V1 ... V_{n-1}, key 2^n - 1;
 evaluating the coefficient of the top monomial gives the pairing used for
@@ -81,49 +82,15 @@ def _key_sq1(key: int) -> int | None:
     return key | 1
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Readable view of the basis monomial R^eps * V_S of H^*(K_n; Z2)."""
+def _key_variables(key: int) -> tuple[int, ...]:
+    """Indices i with V_i in the packed monomial, ascending."""
+    return tuple(i for i in range(1, key.bit_length()) if (key >> i) & 1)
 
-    n: int
-    eps: int
-    mask: int
 
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        if self.eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {self.eps}")
-        if not 0 <= self.mask < (1 << (self.n - 1)):
-            raise ValueError(
-                f"variable mask {self.mask:#x} out of range for n={self.n}"
-            )
-
-    @property
-    def degree(self) -> int:
-        return self.eps + self.mask.bit_count()
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        """Indices i with V_i present, ascending."""
-        return tuple(i + 1 for i in range(self.n - 1) if (self.mask >> i) & 1)
-
-    def sort_key(self) -> tuple[int, int, tuple[int, ...]]:
-        return (self.degree, self.eps, self.variables)
-
-    @property
-    def key(self) -> int:
-        return (self.mask << 1) | self.eps
-
-    @classmethod
-    def from_key(cls, n: int, key: int) -> "Monomial":
-        return cls(n, key & 1, key >> 1)
-
-    def text(self) -> str:
-        parts = (["R"] if self.eps else []) + [f"V{i}" for i in self.variables]
-        return "*".join(parts) if parts else "1"
-
-    def to_json(self) -> dict:
-        return {"eps": self.eps, "vars": list(self.variables)}
+def monomial_text(key: int) -> str:
+    """A packed monomial as text: "R*V1*V3", or "1" for the unit."""
+    parts = (["R"] if key & 1 else []) + [f"V{i}" for i in _key_variables(key)]
+    return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -155,15 +122,6 @@ class CohomologyClass:
             raise ValueError(f"V_{i} does not exist for n={n}")
         return cls(n, frozenset({1 << i}))
 
-    @classmethod
-    def from_monomials(cls, n: int, monomials) -> "CohomologyClass":
-        acc: set[int] = set()
-        for m in monomials:
-            if m.n != n:
-                raise ValueError("monomial dimension mismatch")
-            acc.symmetric_difference_update({m.key})
-        return cls(n, frozenset(acc))
-
     def is_zero(self) -> bool:
         return not self.keys
 
@@ -172,9 +130,10 @@ class CohomologyClass:
         degrees = {_key_degree(k) for k in self.keys}
         return degrees.pop() if len(degrees) == 1 else None
 
-    def sorted_terms(self) -> list[Monomial]:
+    def sorted_keys(self) -> list[int]:
+        """Term keys in canonical order: by degree, then eps, then variables."""
         return sorted(
-            (Monomial.from_key(self.n, k) for k in self.keys), key=Monomial.sort_key
+            self.keys, key=lambda k: (_key_degree(k), k & 1, _key_variables(k))
         )
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
@@ -188,10 +147,14 @@ class CohomologyClass:
     def text(self) -> str:
         if not self.keys:
             return "0"
-        return " + ".join(m.text() for m in self.sorted_terms())
+        return " + ".join(monomial_text(k) for k in self.sorted_keys())
 
     def to_json(self) -> dict:
-        return {"n": self.n, "terms": [m.to_json() for m in self.sorted_terms()]}
+        terms = [
+            {"eps": k & 1, "vars": list(_key_variables(k))}
+            for k in self.sorted_keys()
+        ]
+        return {"n": self.n, "terms": terms}
 
 
 def _check_pairing_budget(n: int, d: int) -> None:
@@ -203,8 +166,12 @@ def _check_pairing_budget(n: int, d: int) -> None:
         )
 
 
-def _basis_keys(n: int, d: int) -> list[int]:
-    """Packed keys of the canonical basis of H^d(K_n; Z2); see `basis`."""
+def basis(n: int, d: int) -> list[int]:
+    """Packed keys of the canonical basis of H^d(K_n; Z2), in canonical order.
+
+    Size C(n-1, d) + C(n-1, d-1): the V-only monomials then the R-carrying
+    ones.
+    """
     _check_dimension(n)
     if 1 << n > BASIS_BUDGET:
         raise FeasibilityError(
@@ -223,15 +190,6 @@ def _basis_keys(n: int, d: int) -> list[int]:
                 key |= 1 << i
             out.append(key)
     return out
-
-
-def basis(n: int, d: int) -> list[Monomial]:
-    """Canonical basis of H^d(K_n; Z2), sorted by (degree, eps, variables).
-
-    Size C(n-1, d) + C(n-1, d-1): the V-only monomials then the R-carrying
-    ones.
-    """
-    return [Monomial.from_key(n, k) for k in _basis_keys(n, d)]
 
 
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
@@ -274,12 +232,6 @@ def poincare_polynomial(n: int) -> list[int]:
     return [comb(n - 1, d) + (comb(n - 1, d - 1) if d else 0) for d in range(n + 1)]
 
 
-def top_monomial(n: int) -> Monomial:
-    """The unique basis monomial in degree n: R * V1 ... V_{n-1}."""
-    _check_dimension(n)
-    return Monomial.from_key(n, (1 << n) - 1)
-
-
 def top_coefficient(a: CohomologyClass) -> int:
     """Coefficient (0 or 1) of the top monomial in a."""
     return 1 if (1 << a.n) - 1 in a.keys else 0
@@ -294,7 +246,7 @@ def cup_length(n: int) -> tuple[int, list[CohomologyClass]]:
     finds the exact maximum.  Returns (length, [factors]) where the factors
     multiply to a nonzero class.
     """
-    gens = _basis_keys(n, 1)
+    gens = basis(n, 1)
     # reachable product monomial -> factor chain (first hit wins; generators
     # are scanned in canonical order so the witness is deterministic)
     level: dict[int, tuple[int, ...]] = {g: (g,) for g in gens}
@@ -328,9 +280,9 @@ def duality_pairing(n: int, d: int) -> list[int]:
     if d < 0 or d > n:
         raise ValueError(f"degree {d} out of range for n={n}")
     _check_pairing_budget(n, d)
-    cols = _basis_keys(n, n - d)
+    cols = basis(n, n - d)
     top = (1 << n) - 1
     return [
         sum(1 << b for b, kb in enumerate(cols) if _key_mul(ka, kb) == top)
-        for ka in _basis_keys(n, d)
+        for ka in basis(n, d)
     ]

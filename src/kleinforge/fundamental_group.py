@@ -21,9 +21,12 @@ from dataclasses import dataclass
 
 from .abelian import AbelianGroup
 from .cohomology_f2 import _check_dimension
+from .errors import FeasibilityError
 from .linalg import abelian_invariants
 
 _TOKEN = re.compile(r"a(n|\d+)(?:\^(-?\d+))?$")
+# letters of one parsed word after every ^k is expanded
+WORD_LETTER_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -43,16 +46,26 @@ class GroupWord:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "GroupWord":
-        """Parse words like ``"a1 an a1^-1 a2^3"`` (an = a_n; ^k expands)."""
-        letters: list[tuple[int, int]] = []
+        """Parse words like ``"a1 an a1^-1 a2^3"`` (an = a_n; ^k expands).
+
+        The exponents are summed before any is expanded, so a word of more
+        than WORD_LETTER_BUDGET letters is refused before it is built.
+        """
+        powers: list[tuple[int, int]] = []
         for tok in text.replace("*", " ").split():
             m = _TOKEN.match(tok)
             if not m:
                 raise ValueError(f"cannot parse letter {tok!r}")
             g = n if m.group(1) == "n" else int(m.group(1))
-            k = int(m.group(2)) if m.group(2) else 1
-            sign = 1 if k >= 0 else -1
-            letters.extend([(g, sign)] * abs(k))
+            powers.append((g, int(m.group(2)) if m.group(2) else 1))
+        length = sum(abs(k) for _, k in powers)
+        if length > WORD_LETTER_BUDGET:
+            raise FeasibilityError(
+                f"the word has {length} letters; the budget is {WORD_LETTER_BUDGET}"
+            )
+        letters: list[tuple[int, int]] = []
+        for g, k in powers:
+            letters.extend([(g, 1 if k >= 0 else -1)] * abs(k))
         return cls(n, tuple(letters))
 
     def inverse(self) -> "GroupWord":

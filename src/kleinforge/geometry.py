@@ -212,14 +212,6 @@ class MeshSpec:
     def dim(self) -> int:
         return self.n + (1 if self.target == "immersion" else 2)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "target": self.target,
-            "res_theta": self.res_theta,
-            "res_t": self.res_t,
-        }
-
 
 @dataclass(frozen=True)
 class Mesh:
@@ -251,8 +243,8 @@ class Mesh:
         return len(self.faces)
 
 
-def grid_weld_index(i1: int, res_theta: int) -> int:
-    """Index image of theta_1 -> pi - theta_1 on the uniform grid."""
+def grid_weld_index(i1, res_theta: int):
+    """Index image of theta_1 -> pi - theta_1 on the uniform grid (int or array)."""
     return (res_theta // 2 - i1) % res_theta
 
 
@@ -307,7 +299,7 @@ def _flat_ids(indices, A: int, T: int) -> np.ndarray:
     axes = [np.asarray(ix) % A for ix in indices[:-1]]
     tt = np.asarray(indices[-1])
     at_weld = tt == T - 1
-    axes[0] = np.where(at_weld, (A // 2 - axes[0]) % A, axes[0])
+    axes[0] = np.where(at_weld, grid_weld_index(axes[0], A), axes[0])
     tt = np.where(at_weld, 0, tt)
     shape = tuple([A] * len(axes)) + (T - 1,)
     return np.ravel_multi_index(tuple(axes) + (tt,), shape)

@@ -64,6 +64,13 @@ class PreparedLengths:
         }
 
 
+def _fraction(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
+
+
 def prepare_lengths(values, epsilon=None) -> PreparedLengths:
     """Validate, sort ascending, and substitute zeros exactly.
 
@@ -71,7 +78,7 @@ def prepare_lengths(values, epsilon=None) -> PreparedLengths:
     With zeros present and no explicit epsilon, the default described in the
     module docstring is computed (in the original scale).
     """
-    lengths = [Fraction(v) for v in values]
+    lengths = [_fraction(v) for v in values]
     n = len(lengths)
     if n < 3:
         raise ValueError("need at least 3 side lengths")
@@ -82,7 +89,7 @@ def prepare_lengths(values, epsilon=None) -> PreparedLengths:
     if any(x < 0 for x in lengths):
         raise ValueError("side lengths must be nonnegative")
     zeros = sum(1 for x in lengths if x == 0)
-    eps = Fraction(epsilon) if epsilon is not None else None
+    eps = _fraction(epsilon) if epsilon is not None else None
     if zeros:
         if eps is None:
             positive = [x for x in lengths if x > 0]

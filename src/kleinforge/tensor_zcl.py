@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology_f2 import Monomial, _check_dimension, _key_mul
+from .cohomology_f2 import _check_dimension, _key_mul, monomial_text
 from .errors import FeasibilityError
 
 # canonical exponent multisets per exhaustive search, not raw products
-SEARCH_BUDGET = 10**7
+SEARCH_BUDGET = 10**6
 # key pairs in one product, bounded by 2^min(n, length); admits m <= 22
 TERM_BUDGET = 1 << 22
 
@@ -231,8 +231,8 @@ def zcl_witness(n: int) -> tuple[FactorMultiset, frozenset[tuple[int, int]]]:
     right = (1 | (1 << (n - 2))) << 1 | 1  # R V_1 V_(n-1)
     if (left, right) not in value:
         raise RuntimeError(
-            f"expected proof term {Monomial.from_key(n, left).text()} (x) "
-            f"{Monomial.from_key(n, right).text()} missing for n={n}"
+            f"expected proof term {monomial_text(left)} (x) "
+            f"{monomial_text(right)} missing for n={n}"
         )
     return FactorMultiset(n, 0, powers), value
 

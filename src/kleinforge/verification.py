@@ -63,14 +63,15 @@ def cup_free_reduction(a: coh.CohomologyClass, b: coh.CohomologyClass) -> coh.Co
     """
     if a.n != b.n:
         raise ValueError("mixed ambient dimensions")
-    out = []
-    terms_b = b.sorted_terms()
-    for ma in a.sorted_terms():
-        for mb in terms_b:
-            r_exp = ma.eps + mb.eps
+    out: set[int] = set()
+    for ka in a.keys:
+        for kb in b.keys:
+            r_exp = (ka & 1) + (kb & 1)
             v_exp = {}
-            for i in ma.variables + mb.variables:
-                v_exp[i] = v_exp.get(i, 0) + 1
+            for key in (ka, kb):  # bit i of a key holds V_i
+                for i in range(1, a.n):
+                    if key >> i & 1:
+                        v_exp[i] = v_exp.get(i, 0) + 1
             # rewrite V_i^k -> R V_i^(k-1) until all exponents are <= 1
             while True:
                 high = [i for i, e in v_exp.items() if e >= 2]
@@ -80,11 +81,11 @@ def cup_free_reduction(a: coh.CohomologyClass, b: coh.CohomologyClass) -> coh.Co
                 r_exp += 1
             if r_exp >= 2:
                 continue
-            mask = 0
+            key = r_exp
             for i in v_exp:
-                mask |= 1 << (i - 1)
-            out.append(coh.Monomial(a.n, r_exp, mask))
-    return coh.CohomologyClass.from_monomials(a.n, out)
+                key |= 1 << i
+            out.symmetric_difference_update({key})
+    return coh.CohomologyClass(a.n, frozenset(out))
 
 
 def rewrite_word(n: int, letters) -> tuple:
@@ -190,15 +191,16 @@ TABLE_N4_SQ1 = (
 
 def cohomology_table(n: int) -> dict:
     """Basis per degree plus the Sq1 pairings, ready for rendering."""
+    coh._check_dimension(n)
     basis = []
     sq1 = []
     for d in range(n + 1):
         row = []
-        for m in coh.basis(n, d):
-            row.append(m.text())
-            image = coh.sq(1, coh.CohomologyClass.from_monomials(n, [m]))
+        for key in coh.basis(n, d):
+            row.append(coh.monomial_text(key))
+            image = coh.sq(1, coh.CohomologyClass(n, frozenset({key})))
             if not image.is_zero():
-                sq1.append((m.text(), image.sorted_terms()[0].text()))
+                sq1.append((row[-1], image.text()))
         basis.append(tuple(row))
     return {
         "n": n,

@@ -71,8 +71,8 @@ def test_criterion_04_stiefel_whitney(capsys):
     wu_ok = True
     for n in range(1, 11):
         for k, vk in enumerate(cc.wu_classes(n)):
-            for m in coh.basis(n, n - k):
-                x = coh.CohomologyClass.from_monomials(n, [m])
+            for key in coh.basis(n, n - k):
+                x = coh.CohomologyClass(n, frozenset({key}))
                 if coh.top_coefficient(coh.cup(vk, x)) != coh.top_coefficient(
                     coh.sq(k, x)
                 ):

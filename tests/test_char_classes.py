@@ -13,11 +13,11 @@ def test_wu_defining_property():
         assert len(wu) == n + 1
         for k in range(n + 1):
             vk = wu[k]
-            for m in coh.basis(n, n - k):
-                x = coh.CohomologyClass.from_monomials(n, [m])
+            for key in coh.basis(n, n - k):
+                x = coh.CohomologyClass(n, frozenset({key}))
                 lhs = coh.top_coefficient(coh.cup(vk, x))
                 rhs = coh.top_coefficient(coh.sq(k, x))
-                assert lhs == rhs, (n, k, m.text())
+                assert lhs == rhs, (n, k, coh.monomial_text(key))
 
 
 def test_wu_vanish_above_half_dimension():

@@ -165,6 +165,7 @@ def test_oversized_scan_exits_3_before_gathering_pairs(capsys, monkeypatch):
         ("zcl", "--n", "10", "--max-len", "1000"),
         ("zcl", "--n", "3", "--max-len", "100000"),
         ("zcl", "--n", "3", "--max-len", "1000000000"),
+        ("zcl", "--n", "3", "--max-len", "2000"),  # 1,002,001 multisets
         ("integral", "--n", "30"),
         ("splitting", "--n", "40"),
     ],
@@ -183,6 +184,26 @@ def test_zcl_and_torsion_guards_exit_3_before_any_work(argv, capsys, monkeypatch
     assert code == 3
     assert out == ""
     assert err.startswith("feasibility guard: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("pi1", "--n", "3", "--word", "a1^10000000000"), 3),
+        (("pi1", "--n", "3", "--word", "a1^-99999999999999999999"), 3),
+        (("genes", "--lengths", "1,1,1,1/0"), 2),
+        (("genes", "--lengths", "1,1,1,0", "--epsilon", "1/0"), 2),
+        (("cohomology", "--n", "-1"), 2),
+        (("cohomology", "--n", "-1", "--json"), 2),
+    ],
+)
+def test_malformed_input_exits_cleanly(argv, expected, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def test_zcl_and_torsion_guards_admit_the_workload_sizes(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kleinforge import fundamental_group as fg
 from kleinforge import verification as vf
 from kleinforge.abelian import AbelianGroup
+from kleinforge.errors import FeasibilityError
 from kleinforge.verification import rewrite_word, word_exponents
 
 
@@ -29,6 +30,15 @@ def test_parse_rejects_garbage():
         fg.GroupWord.parse(3, "a4")
     with pytest.raises(ValueError):
         fg.GroupWord.parse(3, "b1")
+
+
+def test_parse_budget_admits_long_words_and_refuses_huge_powers():
+    budget = fg.WORD_LETTER_BUDGET
+    w = fg.GroupWord.parse(3, f"a1^{budget - 1} an^-1")
+    assert len(w.letters) == budget
+    assert fg.reduce_word(w).text() == f"a1^{budget - 1} an^-1"
+    with pytest.raises(FeasibilityError):
+        fg.GroupWord.parse(3, f"a1^{budget} an^-1")
 
 
 def test_conjugation_relation():

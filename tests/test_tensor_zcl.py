@@ -36,11 +36,7 @@ def test_outer_products_multiply_componentwise():
 
 def random_class(n):
     keys = st.sets(st.integers(0, 2**n - 1), max_size=4)
-    return keys.map(
-        lambda ks: coh.CohomologyClass.from_monomials(
-            n, [coh.Monomial.from_key(n, k) for k in ks]
-        )
-    )
+    return keys.map(lambda ks: coh.CohomologyClass(n, frozenset(ks)))
 
 
 @given(
@@ -155,9 +151,13 @@ def test_witness_shape_and_anchor_term():
         factors, value = tz.zcl_witness(n)
         assert factors.length() == n + 2
         assert value
-        left = coh.Monomial(n, 1, (1 << (n - 2)) - 1)    # R V1..V(n-2)
-        right = coh.Monomial(n, 1, 1 | (1 << (n - 2)))   # R V1 V(n-1)
-        assert (left.key, right.key) in value, n
+        left = 1 | sum(1 << i for i in range(1, n - 1))  # R V1..V(n-2)
+        right = 1 | 1 << 1 | 1 << (n - 1)  # R V1 V(n-1)
+        assert coh.monomial_text(left) == "*".join(
+            ["R"] + [f"V{i}" for i in range(1, n - 1)]
+        )
+        assert coh.monomial_text(right) == f"R*V1*V{n - 1}"
+        assert (left, right) in value, n
         assert not diagonal_restriction(value), n
 
 
