@@ -37,6 +37,3 @@ class AbelianGroup:
             parts.append(f"Z/{t}" if k == 1 else f"(Z/{t})^{k}")
             i += k
         return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> dict:
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}

@@ -79,18 +79,6 @@ class ManifoldReport:
     category: int
     provenance: dict = field(default_factory=dict, compare=False)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "orientable": self.orientable,
-            "parallelizable": self.parallelizable,
-            "span": self.span,
-            "immersion_dim": self.immersion_dim,
-            "embedding_dim": self.embedding_dim,
-            "category": self.category,
-            "provenance": dict(self.provenance),
-        }
-
 
 def manifold_report(n: int) -> ManifoldReport:
     """Invariant summary for K_n.

@@ -7,6 +7,9 @@ which runs the bundled cross-checks end to end.
 Output is deterministic byte-for-byte for fixed parameters: stable
 orderings everywhere, timings on stderr only.  Every subcommand takes
 --json for a machine-readable form carrying a "schema": "1" field.
+`_emit_json` is the one place JSON is formed: a result dataclass is
+written as its fields, in declaration order, and a Fraction as its
+string, so a result's fields are its JSON schema.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 feasibility
 guard tripped.
@@ -15,9 +18,11 @@ guard tripped.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import char_classes as cc
 from . import cohomology_f2 as coh
@@ -30,8 +35,19 @@ from . import verification as vf
 from .errors import FeasibilityError
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schema": "1", **payload}, indent=2))
+def _json_value(obj):
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _emit_json(payload) -> None:
+    """Print a dict or a result dataclass as JSON, after a "schema" field."""
+    if not isinstance(payload, dict):
+        payload = _json_value(payload)
+    print(json.dumps({"schema": "1", **payload}, indent=2, default=_json_value))
 
 
 # ------------------------------------------------------------ subcommands
@@ -39,14 +55,7 @@ def _emit_json(payload: dict) -> None:
 def cmd_cohomology(args) -> int:
     data = vf.cohomology_table(args.n)
     if args.json:
-        _emit_json(
-            {
-                "n": data["n"],
-                "dims": list(data["dims"]),
-                "basis": [list(row) for row in data["basis"]],
-                "sq1": [list(p) for p in data["sq1"]],
-            }
-        )
+        _emit_json(data)
         return 0
     print(f"H^*(K_{args.n}; Z2)  dimensions: " + " ".join(str(d) for d in data["dims"]))
     for d, row in enumerate(data["basis"]):
@@ -60,7 +69,7 @@ def cmd_cohomology(args) -> int:
 def cmd_manifold(args) -> int:
     report = cc.manifold_report(args.n)
     if args.json:
-        _emit_json(report.to_json())
+        _emit_json(report)
         return 0
     print(f"K_{report.n} ({report.n}-manifold)")
     rows = [
@@ -79,7 +88,7 @@ def cmd_manifold(args) -> int:
 def cmd_integral(args) -> int:
     groups = ints.integral_cohomology(args.n)
     if args.json:
-        _emit_json({"n": args.n, "groups": [g.to_json() for g in groups]})
+        _emit_json({"n": args.n, "groups": groups})
         return 0
     for d, g in enumerate(groups):
         print(f"H^{d} = {g.text()}")
@@ -90,13 +99,7 @@ def cmd_splitting(args) -> int:
     summands = ints.splitting(args.n)
     homology = ints.homology_from_splitting(args.n)
     if args.json:
-        _emit_json(
-            {
-                "n": args.n,
-                "summands": [s.to_json() for s in summands],
-                "homology": [g.to_json() for g in homology],
-            }
-        )
+        _emit_json({"n": args.n, "summands": summands, "homology": homology})
         return 0
     print(f"Sigma K_{args.n} = " + " v ".join(s.text() for s in summands))
     for d, g in enumerate(homology):
@@ -107,7 +110,7 @@ def cmd_splitting(args) -> int:
 def cmd_check(args) -> int:
     report = ints.consistency_check(args.n)
     if args.json:
-        _emit_json(report.to_json())
+        _emit_json({"n": report.n, "passed": report.passed, "checks": report.checks})
     else:
         for c in report.checks:
             print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
@@ -122,7 +125,7 @@ def cmd_pi1(args) -> int:
             _emit_json(
                 {
                     "word": args.word,
-                    "normal_form": nf.to_json(),
+                    "normal_form": nf,
                     "text": nf.text(),
                     "in_double_cover_image": fg.in_double_cover_image(nf),
                 }
@@ -138,7 +141,7 @@ def cmd_pi1(args) -> int:
                 "n": n,
                 "generators": [f"a{i}" for i in range(1, n + 1)],
                 "relators": [r.text() for r in relators],
-                "abelianization": ab.to_json(),
+                "abelianization": ab,
             }
         )
         return 0
@@ -152,7 +155,7 @@ def cmd_zcl(args) -> int:
     if args.max_len is not None:
         res = tz.zcl_exhaustive(args.n, args.max_len)
         if args.json:
-            _emit_json(res.to_json())
+            _emit_json(res)
         else:
             state = "all zero" if res.all_zero else f"nonzero: {res.witness.text()}"
             print(
@@ -171,7 +174,7 @@ def cmd_zcl(args) -> int:
 def cmd_tc(args) -> int:
     bounds = tz.tc_bounds(args.m)
     if args.json:
-        _emit_json(bounds.to_json())
+        _emit_json(bounds)
     else:
         print(
             f"TC(K_{bounds.m}) in [{bounds.lower}, {bounds.upper}] "
@@ -189,10 +192,10 @@ def cmd_genes(args) -> int:
         _emit_json(
             {
                 "input": values,
-                "prepared": prep.to_json(),
-                "code": code.to_json(),
-                "gees": [list(g) for g in code.gees()],
-                "classification": cls.to_json(),
+                "prepared": prep,
+                "code": code,
+                "gees": code.gees(),
+                "classification": cls,
             }
         )
         return 0
@@ -253,15 +256,14 @@ def cmd_scan(args) -> int:
     result = geo.self_intersection_scan(mesh, args.radius)
     print(f"scan took {time.perf_counter() - start:.2f}s", file=sys.stderr)
     if args.json:
-        _emit_json(result.to_json())
+        _emit_json(result)
         return 0
     print(
         f"{result.num_pairs} close non-neighbour pairs among {result.num_vertices} "
         f"vertices at radius {result.radius!r}"
     )
-    reach = geo.seam_confinement_radius(result)
-    if reach is not None:
-        print(f"collisions confined to min(t, pi-t) <= {reach!r}")
+    if result.seam_confinement is not None:
+        print(f"collisions confined to min(t, pi-t) <= {result.seam_confinement!r}")
     for (a, b), dist in list(zip(result.pairs, result.distances))[:10]:
         print(f"  {a} <-> {b}  dist {dist!r}")
     if result.num_pairs > 10:

@@ -123,9 +123,6 @@ class NormalForm:
         )
         return " ".join(parts) if parts else "e"
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": list(self.k), "m": self.m}
-
 
 def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     """(k, m) * (k', m') = (k + (-1)^m k', m + m')."""

@@ -55,6 +55,14 @@ SCAN_CANDIDATE_BUDGET = 1 << 22
 # 10,725,120 (218,880 rows of degree 12); one vertex of degree 1,000 in a mesh
 # file widens every row to 4,001.
 SCAN_BALL_BUDGET = 1 << 25
+# cell lookups one self-intersection scan may make, checked before the first:
+# (3^dim + 1) / 2 neighbour offsets, each a search over the occupied cells.
+# An offset is charged at least 512 cells, because its array calls cost about
+# as much as searching that many (about 20 us, at 40 ns a cell).  The largest
+# scan in use, verify-paper's n = 3 embedding in R^5, makes 122 x 146,459 =
+# 17,867,998 (0.75 s).  Four vertices in R^10 make 29,525 x 512 (about 0.7 s);
+# in R^11 they would take about 2 s, and each further dimension triples that.
+SCAN_LOOKUP_BUDGET = 1 << 25
 _NEAR_BLOCK = 1 << 21  # ball-entry compares per block of the neighbour test
 
 
@@ -335,28 +343,21 @@ def euler_characteristic(mesh: Mesh) -> int:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Close vertex pairs that are not mesh neighbours."""
+    """Close vertex pairs that are not mesh neighbours.
+
+    ``seam_confinement`` is how far from the seam the pairs reach, in t
+    units: the largest min(t, pi - t) over their endpoints, so every
+    collision lies in that t-band (at least 0.0; None with no pairs or no
+    t values).
+    """
 
     radius: float
     num_vertices: int
+    num_pairs: int
     pairs: tuple[tuple[int, int], ...]
     distances: tuple[float, ...]
     t_pairs: tuple[tuple[float, float], ...] | None
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.pairs)
-
-    def to_json(self) -> dict:
-        return {
-            "radius": self.radius,
-            "num_vertices": self.num_vertices,
-            "num_pairs": self.num_pairs,
-            "pairs": [list(p) for p in self.pairs],
-            "distances": list(self.distances),
-            "t_pairs": [list(p) for p in self.t_pairs] if self.t_pairs is not None else None,
-            "seam_confinement": seam_confinement_radius(self),
-        }
+    seam_confinement: float | None
 
 
 def _cell_side(extent: float, dim: int, radius: float) -> float:
@@ -392,7 +393,8 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     start at 1, so a neighbour offset is a scalar added to a key.
     Points at distance <= radius lie in cells differing by at most one
     per axis, so looking up a half-space of the 3^dim offsets from every
-    occupied cell sees every pair exactly once.  The raw candidates
+    occupied cell sees every pair exactly once.  Those lookups are counted
+    and checked against SCAN_LOOKUP_BUDGET before the first.  The raw candidates
     (every point pair of two neighbouring cells) are counted first and
     checked against SCAN_CANDIDATE_BUDGET; each offset's candidates then
     go through the exact d^2 test on their own.
@@ -410,6 +412,12 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     keys = coords @ strides
     order = np.argsort(keys)
     cells, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    lookups = (3**dim + 1) // 2 * max(len(cells), 512)
+    if lookups > SCAN_LOOKUP_BUDGET:
+        raise FeasibilityError(
+            f"a scan in R^{dim} over {len(cells)} occupied cells makes {lookups} "
+            f"cell lookups, over {SCAN_LOOKUP_BUDGET} (the budget)"
+        )
 
     zero = (0,) * dim
     neighbours = []
@@ -545,34 +553,23 @@ def self_intersection_scan(mesh: Mesh, radius: float) -> ScanResult:
     # each pair is found once; one int64 key per pair sorts them by (low, high)
     lo, hi = np.divmod(np.sort(np.minimum(I, J) * N + np.maximum(I, J)), N)
     dists = np.sqrt(np.sum((P[lo] - P[hi]) ** 2, axis=1))
-    t_pairs = None
+    t_pairs = reach = None
     if mesh.t_values is not None:
         tv = mesh.t_values
         t_pairs = tuple(zip(tv[lo].tolist(), tv[hi].tolist()))
+        if t_pairs:
+            reach = max(
+                [0.0, *(max(min(ta, np.pi - ta), min(tb, np.pi - tb)) for ta, tb in t_pairs)]
+            )
     return ScanResult(
         radius=float(radius),
         num_vertices=N,
+        num_pairs=len(lo),
         pairs=tuple(zip(lo.tolist(), hi.tolist())),
         distances=tuple(dists.tolist()),
         t_pairs=t_pairs,
+        seam_confinement=reach,
     )
-
-
-def seam_confinement_radius(result: ScanResult) -> float | None:
-    """How far from the seam the reported pairs reach, in t units.
-
-    For each pair take the larger endpoint value of min(t, pi - t); the
-    maximum over pairs bounds the t-band containing every collision.
-    None when there are no pairs or no t data.
-    """
-    if result.t_pairs is None or not result.t_pairs:
-        return None
-    worst = 0.0
-    for ta, tb in result.t_pairs:
-        sa = min(ta, np.pi - ta)
-        sb = min(tb, np.pi - tb)
-        worst = max(worst, max(sa, sb))
-    return worst
 
 
 # mesh files: a tiny self-describing text format, plus OBJ export and import

@@ -82,9 +82,6 @@ class WedgeSummand:
         base = f"S^{self.dim}" if self.kind == "sphere" else f"M^{self.dim}(2)"
         return base if self.multiplicity == 1 else f"{self.multiplicity} x {base}"
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim, "multiplicity": self.multiplicity}
-
 
 def splitting(n: int) -> list[WedgeSummand]:
     """Wedge summands of the suspension of K_n (n >= 2), sorted by dimension.
@@ -149,9 +146,6 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -161,13 +155,6 @@ class ConsistencyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
 
 
 def consistency_check(n: int) -> ConsistencyReport:

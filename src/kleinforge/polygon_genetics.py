@@ -56,13 +56,6 @@ class PreparedLengths:
     def total(self) -> Fraction:
         return sum(self.lengths, Fraction(0))
 
-    def to_json(self) -> dict:
-        return {
-            "lengths": [str(x) for x in self.lengths],
-            "epsilon": str(self.epsilon) if self.epsilon is not None else None,
-            "substituted": self.substituted,
-        }
-
 
 def _fraction(value) -> Fraction:
     try:
@@ -179,9 +172,6 @@ class GeneticCode:
         inner = ", ".join("{" + ",".join(map(str, g)) + "}" for g in self.genes)
         return f"<{inner}>"
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "genes": [list(g) for g in self.genes]}
-
 
 def genetic_code(lengths, epsilon=None) -> GeneticCode:
     """Compute the genetic code of a generic length vector.
@@ -223,16 +213,6 @@ class Classification:
     klein_m: int | None
     spaces: tuple[str, ...]
     tc: TcBounds | None
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "rp": self.rp,
-            "torus": self.torus,
-            "klein_m": self.klein_m,
-            "spaces": list(self.spaces),
-            "tc": self.tc.to_json() if self.tc else None,
-        }
 
 
 def classify(code: GeneticCode) -> Classification:

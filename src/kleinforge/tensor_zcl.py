@@ -93,9 +93,6 @@ class FactorMultiset:
             parts.append(f"Vbar{i + 1}" if e == 1 else f"Vbar{i + 1}^{e}")
         return " * ".join(parts) if parts else "1"
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "rbar": self.rbar, "v_powers": list(self.v_powers)}
-
 
 def _generator_keys(n: int, index: int) -> frozenset[tuple[int, int]]:
     """Key pairs of Rbar (index 0) or Vbar_index: x (x) 1 + 1 (x) x."""
@@ -176,15 +173,6 @@ class ZclSearchResult:
     witness: FactorMultiset | None
     checked: int
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "length": self.length,
-            "all_zero": self.all_zero,
-            "witness": self.witness.to_json() if self.witness else None,
-            "checked": self.checked,
-        }
-
 
 def zcl_exhaustive(n: int, length: int) -> ZclSearchResult:
     """Check every length-``length`` product of generator zero divisors.
@@ -244,15 +232,6 @@ class TcBounds:
     lower: int
     upper: int
     method: str
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "zcl": self.zcl,
-            "lower": self.lower,
-            "upper": self.upper,
-            "method": self.method,
-        }
 
 
 def compute_zcl(m: int) -> int:

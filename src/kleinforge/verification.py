@@ -547,7 +547,7 @@ def check_self_intersection(n: int = 2) -> Verification:
         scan = geo.self_intersection_scan(mesh, s["radius"])
         if scan.num_pairs == 0:
             return False, "immersion scan found no self-intersections"
-        reach = geo.seam_confinement_radius(scan)
+        reach = scan.seam_confinement
         if reach >= SEAM_BAND * np.pi:
             return False, f"collisions reach min(t,pi-t) = {reach!r}, beyond {SEAM_BAND}*pi"
         emesh = geo.build_mesh(geo.MeshSpec(n, "embedding", s["res_theta"], s["res_t"]))
@@ -595,9 +595,15 @@ def check_genetic_codes() -> Verification:
 # ------------------------------------------------------------ verify-paper
 
 def verify_paper(max_n: int = 8) -> list[Verification]:
-    """The end-to-end bundle behind `klein-forge verify-paper`."""
+    """The end-to-end bundle behind `klein-forge verify-paper`.
+
+    max_n is checked against the dimension limit and the largest duality
+    pairing the checks build (degree max_n // 2) before any check runs.
+    """
     if max_n < 4:
         raise ValueError("verify-paper needs max_n >= 4")
+    coh._check_dimension(max_n)
+    coh._check_pairing_budget(max_n, max_n // 2)
     checks = [
         check_cohomology_table(),
         check_ring_oracle(max_n=max_n),

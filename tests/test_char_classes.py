@@ -1,8 +1,11 @@
 """Wu and Stiefel-Whitney classes of K_n, plus the manifold summary."""
 
+import json
+
 import pytest
 
 from kleinforge import char_classes as cc
+from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
 
 
@@ -82,8 +85,9 @@ def test_report_internal_consistency():
         assert report.provenance["category"].startswith("computed")
 
 
-def test_report_json_round_trip_shape():
-    data = cc.manifold_report(3).to_json()
+def test_report_json_round_trip_shape(capsys):
+    assert cli.main(["manifold", "--n", "3", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["n"] == 3
     assert data["orientable"] is True
     assert isinstance(data["provenance"], dict)

@@ -48,6 +48,58 @@ def test_cohomology_json_shape(capsys):
     assert len(data["sq1"]) == 4
 
 
+def test_json_key_order_is_pinned(capsys, tmp_path, monkeypatch):
+    # a result's JSON is its dataclass fields in declaration order, so
+    # reordering or renaming a field changes the schema and must fail here
+    def keys(*argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        return json.loads(out)
+
+    assert list(keys("cohomology", "--n", "3", "--json")) == ["schema", "n", "dims", "basis", "sq1"]
+    assert list(keys("manifold", "--n", "3", "--json")) == [
+        "schema", "n", "orientable", "parallelizable", "span", "immersion_dim",
+        "embedding_dim", "category", "provenance",
+    ]
+    data = keys("integral", "--n", "3", "--json")
+    assert list(data) == ["schema", "n", "groups"]
+    assert list(data["groups"][0]) == ["free_rank", "torsion"]
+    data = keys("splitting", "--n", "3", "--json")
+    assert list(data) == ["schema", "n", "summands", "homology"]
+    assert list(data["summands"][0]) == ["kind", "dim", "multiplicity"]
+    assert list(data["homology"][0]) == ["free_rank", "torsion"]
+    data = keys("check", "--n", "3", "--json")
+    assert list(data) == ["schema", "n", "passed", "checks"]
+    assert list(data["checks"][0]) == ["name", "passed", "detail"]
+    data = keys("pi1", "--n", "3", "--json")
+    assert list(data) == ["schema", "n", "generators", "relators", "abelianization"]
+    assert list(data["abelianization"]) == ["free_rank", "torsion"]
+    data = keys("pi1", "--n", "3", "--word", "a1 an", "--json")
+    assert list(data) == ["schema", "word", "normal_form", "text", "in_double_cover_image"]
+    assert list(data["normal_form"]) == ["n", "k", "m"]
+    assert list(keys("zcl", "--n", "3", "--json")) == ["schema", "n", "zcl", "method"]
+    data = keys("zcl", "--n", "3", "--max-len", "5", "--json")
+    assert list(data) == ["schema", "n", "length", "all_zero", "witness", "checked"]
+    assert list(data["witness"]) == ["n", "rbar", "v_powers"]
+    assert list(keys("tc", "--m", "3", "--json")) == ["schema", "m", "zcl", "lower", "upper", "method"]
+    data = keys("genes", "--lengths", "1/24,1/24,1,1,1,2", "--json")
+    assert list(data) == ["schema", "input", "prepared", "code", "gees", "classification"]
+    assert list(data["prepared"]) == ["lengths", "epsilon", "substituted"]
+    assert list(data["code"]) == ["n", "genes"]
+    assert list(data["classification"]) == ["n", "rp", "torus", "klein_m", "spaces", "tc"]
+    assert list(data["classification"]["tc"]) == ["m", "zcl", "lower", "upper", "method"]
+    mesh = tmp_path / "k2.txt"
+    assert run(capsys, "mesh", "--n", "2", "--res", "36x40", "--out", str(mesh))[0] == 0
+    assert list(keys("scan", "--in", str(mesh), "--radius", "0.15", "--json")) == [
+        "schema", "radius", "num_vertices", "num_pairs", "pairs", "distances", "t_pairs",
+        "seam_confinement",
+    ]
+    monkeypatch.setattr(vf, "verify_paper", lambda max_n: [vf.check_cohomology_table()])
+    data = keys("verify-paper")
+    assert list(data) == ["schema", "max_n", "passed", "checks"]
+    assert list(data["checks"][0]) == ["name", "passed", "detail"]
+
+
 def test_pi1_word_prints_bare_normal_form(capsys):
     code, out, _ = run(capsys, "pi1", "--n", "3", "--word", "a1 an a1")
     assert code == 0
@@ -117,6 +169,9 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "pi1", "--n", "3", "--word", "b2")[0] == 2
     assert run(capsys, "mesh", "--n", "2", "--res", "banana", "--out", "/tmp/x.obj")[0] == 2
     assert run(capsys, "verify-paper", "--max-n", "3")[0] == 2
+    code, out, err = run(capsys, "verify-paper", "--max-n", "64")
+    assert (code, out) == (2, "")
+    assert "bit-mask limit of 63" in err  # checked before any check runs
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "cohomology")[0] == 2  # --n is required
     assert run(capsys, "cohomology", "--n", "64")[0] == 2  # bit-mask capacity
@@ -157,6 +212,20 @@ def test_oversized_scan_exits_3_before_gathering_pairs(capsys, monkeypatch):
     assert out == ""
 
 
+def test_tiny_mesh_in_high_dimension_exits_3_before_the_offset_loop(tmp_path, capsys):
+    # one quad in R^13 has (3^13 + 1) / 2 = 797,162 neighbour offsets to look up
+    path = tmp_path / "quad13.txt"
+    pad = " 0" * 11
+    corners = "".join(f"v {x} {y}{pad}\n" for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)))
+    path.write_text(corners + "f 0 1 2 3\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--in", str(path), "--radius", "0.5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("feasibility guard: ") and "cell lookups" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -168,6 +237,7 @@ def test_oversized_scan_exits_3_before_gathering_pairs(capsys, monkeypatch):
         ("zcl", "--n", "3", "--max-len", "2000"),  # 1,002,001 multisets
         ("integral", "--n", "30"),
         ("splitting", "--n", "40"),
+        ("verify-paper", "--max-n", "14"),  # the degree-7 pairing has 3432^2 entries
     ],
 )
 def test_zcl_and_torsion_guards_exit_3_before_any_work(argv, capsys, monkeypatch):
@@ -339,3 +409,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("TC(K_2) in [4, 5]")
+
+
+def test_scripts_run_on_the_public_api():
+    demo = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "genetic_codes_demo.py"), "--samples", "50"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert demo.returncode == 0, demo.stderr
+    generic = int(demo.stdout.split(" generic vectors of 50 sampled (n=6)")[0])
+    assert 0 < generic <= 50
+    assert "1/24,1/24,1,1,1,2 -> <{6,2,1}> ('K_3',), TC in [6, 7]" in demo.stdout
+
+    bench = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "scan", "2", "immersion"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert bench.returncode == 0, bench.stderr
+    data = json.loads(bench.stdout)
+    assert (data["vertices"], data["pairs"]) == (79800, 73)

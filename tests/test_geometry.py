@@ -214,7 +214,7 @@ def test_immersion_scan_frozen_counts():
     mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", 200, 400))
     result = geo.self_intersection_scan(mesh, 1e-2)
     assert result.num_pairs == 73
-    reach = geo.seam_confinement_radius(result)
+    reach = result.seam_confinement
     assert reach == pytest.approx(0.5747, abs=2e-3)
     assert reach < 0.4 * np.pi
 
@@ -223,7 +223,7 @@ def test_embedding_scan_clean():
     mesh = geo.build_mesh(geo.MeshSpec(2, "embedding", 200, 400))
     result = geo.self_intersection_scan(mesh, 1e-2)
     assert result.num_pairs == 0
-    assert geo.seam_confinement_radius(result) is None
+    assert result.seam_confinement is None
 
 
 def test_scan_excludes_quad_neighbours():

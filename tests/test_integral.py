@@ -1,7 +1,10 @@
 """Integral cohomology, the stable wedge splitting, and their consistency."""
 
+import json
+
 import pytest
 
+from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
 from kleinforge import integral_splitting as ints
 from kleinforge.abelian import AbelianGroup
@@ -29,8 +32,7 @@ def test_splitting_counts_follow_binomials():
     for n in range(2, 10):
         by_kind = {}
         for s in ints.splitting(n):
-            data = s.to_json()
-            by_kind[(data["kind"], data["dim"])] = data["multiplicity"]
+            by_kind[(s.kind, s.dim)] = s.multiplicity
         # one family of summands per 0 <= i <= n-1, C(n-1, i) copies each;
         # sphere dims never collide across families so counts are exact
         assert by_kind[("sphere", 2)] == 1  # i = 0
@@ -86,8 +88,9 @@ def test_consistency_check_passes_through_n12():
         }
 
 
-def test_consistency_report_json():
-    data = ints.consistency_check(2).to_json()
+def test_consistency_report_json(capsys):
+    assert cli.main(["check", "--n", "2", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["n"] == 2
     assert data["passed"] is True
     assert len(data["checks"]) == 4

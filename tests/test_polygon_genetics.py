@@ -1,6 +1,7 @@
 """Genetic codes of planar polygon length vectors and their classification."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kleinforge import cli
 from kleinforge import polygon_genetics as pg
 from kleinforge.errors import FeasibilityError
 
@@ -211,7 +213,8 @@ def test_non_generic_rejected():
     assert not pg.is_generic(("1", "1", "1", "1"))
 
 
-def test_prepared_json():
-    data = pg.prepare_lengths(("0", "1", "1", "1")).to_json()
+def test_prepared_json(capsys):
+    assert cli.main(["genes", "--lengths", "0,1,1,1", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)["prepared"]
     assert data["substituted"] == 1
     assert len(data["lengths"]) == 4

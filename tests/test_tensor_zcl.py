@@ -1,9 +1,12 @@
 """Zero-divisor cup length in H*(K_n x K_n) and the TC bounds built on it."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
 from kleinforge import tensor_zcl as tz
 
@@ -192,9 +195,11 @@ def test_tc_bounds_general_shape():
         assert b.lower <= b.upper
 
 
-def test_tc_json_shape():
-    data = tz.tc_bounds(3).to_json()
+def test_tc_json_shape(capsys):
+    assert cli.main(["tc", "--m", "3", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data == {
+        "schema": "1",
         "m": 3,
         "zcl": 5,
         "lower": 6,
@@ -203,8 +208,9 @@ def test_tc_json_shape():
     }
 
 
-def test_search_result_json():
-    data = tz.zcl_exhaustive(3, 6).to_json()
+def test_search_result_json(capsys):
+    assert cli.main(["zcl", "--n", "3", "--max-len", "6", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["all_zero"] is True
     assert data["witness"] is None
     assert data["checked"] == 16
