@@ -10,6 +10,9 @@ run's own and no cache carries over between runs.  The file records:
   build_mesh and of self_intersection_scan, with vertex and pair counts;
 - for each m from 2 to the largest the zcl term budget admits: median
   seconds of tensor_zcl.compute_zcl(m) and the zcl it returns;
+- for each file of the mesh-files perfbench workload (MESH_IO_FILES): median
+  seconds to write it (write_obj or write_mesh_text) and to read it back
+  (load_mesh), and its size in bytes;
 - the peak RSS of each of those, the largest of its runs.
 
 Only public API is used, so the same script measures any commit.  The
@@ -27,9 +30,20 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 RUNS = 3  # runs of each measurement; the file reports their median
+# the files `perfbench/run.py --workload mesh-files` writes and scans:
+# name -> (n, target, res_theta, res_t); a .obj name is written as OBJ
+MESH_IO_FILES = {
+    "k2-immersion.obj": (2, "immersion", 200, 400),
+    "k2-coarse.obj": (2, "immersion", 100, 200),
+    "k2-immersion.mesh": (2, "immersion", 200, 400),
+    "k2-embedding.mesh": (2, "embedding", 200, 400),
+    "k3-immersion.mesh": (3, "immersion", 32, 64),
+    "k3-embedding.mesh": (3, "embedding", 24, 48),
+}
 
 
 def peak_rss_mb() -> float:
@@ -77,10 +91,33 @@ def job_zcl(m: int) -> dict:
     return {"zcl_s": time.perf_counter() - start, "zcl": zcl, "peak_rss_mb": peak_rss_mb()}
 
 
+def job_mesh_io(name: str) -> dict:
+    from kleinforge import geometry as geo
+
+    mesh = geo.build_mesh(geo.MeshSpec(*MESH_IO_FILES[name]))
+    write = geo.write_obj if name.endswith(".obj") else geo.write_mesh_text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        start = time.perf_counter()
+        write(mesh, path)
+        written = time.perf_counter()
+        back = geo.load_mesh(path)
+        done = time.perf_counter()
+        size = os.path.getsize(path)
+    return {
+        "write_s": written - start,
+        "read_s": done - written,
+        "bytes": size,
+        "vertices": back.num_vertices,
+        "peak_rss_mb": peak_rss_mb(),
+    }
+
+
 JOBS = {
     "verify-paper": job_verify_paper,
     "scan": lambda n, target: job_scan(int(n), target),
     "zcl": lambda m: job_zcl(int(m)),
+    "mesh-io": job_mesh_io,
 }
 
 
@@ -132,6 +169,7 @@ def main() -> int:
         },
         "scans": {},
         "compute_zcl": {},
+        "mesh_io": {},
     }
     for n in sorted(SCAN_SETTINGS):
         for target in ("immersion", "embedding"):
@@ -149,6 +187,15 @@ def main() -> int:
         report["compute_zcl"][f"m{m}"] = {
             "zcl_s": median_of(runs, "zcl_s"),
             "zcl": runs[0]["zcl"],
+            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
+        }
+    for name in MESH_IO_FILES:
+        runs = [run_job("mesh-io", name) for _ in range(RUNS)]
+        report["mesh_io"][name] = {
+            "write_s": median_of(runs, "write_s"),
+            "read_s": median_of(runs, "read_s"),
+            "bytes": runs[0]["bytes"],
+            "vertices": runs[0]["vertices"],
             "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
         }
     path = f"BENCH_{args.label}.json"

@@ -29,6 +29,7 @@ is never used.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -64,6 +65,10 @@ SCAN_BALL_BUDGET = 1 << 25
 # in R^11 they would take about 2 s, and each further dimension triples that.
 SCAN_LOOKUP_BUDGET = 1 << 25
 _NEAR_BLOCK = 1 << 21  # ball-entry compares per block of the neighbour test
+# rows formatted per write when saving a mesh file, so that a mesh near the
+# coordinate budget is never held as one string
+_IO_ROWS = 1 << 13
+_INDEX_PARTS = r"(?<=\S)/\S*"  # the /vt/vn parts of an OBJ face index
 
 
 def base_unit(n: int) -> float:
@@ -575,14 +580,44 @@ def self_intersection_scan(mesh: Mesh, radius: float) -> ScanResult:
 # mesh files: a tiny self-describing text format, plus OBJ export and import
 
 
-def _quad_faces(faces: list[list[int]], num_vertices: int) -> np.ndarray:
-    """0-based face ids as an (F, 4) array, each checked against the vertex count."""
-    if any(len(f) != 4 for f in faces):
+def _write_rows(fh, record: str, rows: np.ndarray) -> None:
+    """Write `record % row` for every row, formatting a block of rows per `%`.
+
+    `.tolist()` gives Python floats and ints, and `%r` on a Python float is its
+    shortest round-trip repr, so a float reads back exactly.
+    """
+    for start in range(0, len(rows), _IO_ROWS):
+        block = rows[start:start + _IO_ROWS]
+        fh.write(record * len(block) % tuple(block.ravel().tolist()))
+
+
+def _parse_rows(records: list[str], dtype, usecols=None) -> np.ndarray:
+    """Parse records of whitespace-separated numbers, one array row per record.
+
+    numpy's parser rounds floats correctly, as `float` does, and raises
+    ValueError on a ragged row or a token that is not a number.  It would
+    skip an empty record, so that is refused first.
+    """
+    if "" in records:
+        raise ValueError("a mesh record has no numbers")
+    return np.loadtxt(records, dtype=dtype, comments=None, usecols=usecols, ndmin=2)
+
+
+def _quads(records: list[str]) -> np.ndarray:
+    """Face records parsed to an (F, 4) int array."""
+    if not records:
+        return np.empty((0, 4), dtype=np.int64)
+    faces = _parse_rows(records, np.int64)
+    if faces.shape[1] != 4:
         raise ValueError("mesh faces must be quads")
-    out = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
-    if out.size and (out.min() < 0 or out.max() >= num_vertices):
+    return faces
+
+
+def _check_ids(faces: np.ndarray, num_vertices: int) -> np.ndarray:
+    """0-based face ids, each checked against the vertex count."""
+    if faces.size and (faces.min() < 0 or faces.max() >= num_vertices):
         raise ValueError(f"face refers to a missing vertex (the file has {num_vertices} vertices)")
-    return out
+    return faces
 
 
 def write_mesh_text(mesh: Mesh, path: str) -> None:
@@ -597,43 +632,46 @@ def write_mesh_text(mesh: Mesh, path: str) -> None:
             fh.write(f"meta res_t {s.res_t}\n")
         fh.write(f"meta dim {mesh.dim}\n")
         fh.write(f"meta weld_error {mesh.weld_error!r}\n")
-        for v in mesh.vertices:
-            fh.write("v " + " ".join(repr(float(x)) for x in v) + "\n")
+        _write_rows(fh, "v" + " %r" * mesh.dim + "\n", mesh.vertices)
         if mesh.t_values is not None:
-            for t in mesh.t_values:
-                fh.write(f"t {float(t)!r}\n")
-        for f in mesh.faces:
-            fh.write("f " + " ".join(str(int(i)) for i in f) + "\n")
+            _write_rows(fh, "t %r\n", mesh.t_values)
+        _write_rows(fh, "f" + " %d" * mesh.faces.shape[1] + "\n", mesh.faces)
 
 
 def read_mesh_text(path: str) -> Mesh:
     meta: dict[str, str] = {}
-    verts: list[list[float]] = []
-    tvals: list[float] = []
-    faces: list[list[int]] = []
+    verts: list[str] = []
+    tvals: list[str] = []
+    faces: list[str] = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             kind, _, rest = line.partition(" ")
-            if kind == "meta":
+            if kind == "v":
+                verts.append(rest)
+            elif kind == "f":
+                faces.append(rest)
+            elif kind == "t":
+                tvals.append(rest)
+            elif kind == "meta":
                 key, _, val = rest.partition(" ")
                 meta[key] = val
-            elif kind == "v":
-                verts.append([float(x) for x in rest.split()])
-            elif kind == "t":
-                tvals.append(float(rest))
-            elif kind == "f":
-                faces.append([int(x) for x in rest.split()])
             else:
                 raise ValueError(f"unrecognised mesh line: {line!r}")
     if not verts:
         raise ValueError("mesh file has no vertices")
-    vertices = np.asarray(verts, dtype=np.float64)
-    faces_arr = _quad_faces(faces, len(verts))
-    if tvals and len(tvals) != len(verts):
-        raise ValueError("t lines must match v lines one to one")
+    vertices = _parse_rows(verts, np.float64)
+    faces_arr = _check_ids(_quads(faces), len(vertices))
+    t_values = None
+    if tvals:
+        t = _parse_rows(tvals, np.float64)
+        if t.shape != (len(vertices), 1):
+            raise ValueError("t lines must match v lines one to one, one number each")
+        if not np.isfinite(t).all():
+            raise ValueError("t values must be finite")
+        t_values = t[:, 0]
     spec = None
     if {"n", "target", "res_theta", "res_t"} <= meta.keys():
         spec = MeshSpec(
@@ -642,7 +680,7 @@ def read_mesh_text(path: str) -> Mesh:
     return Mesh(
         vertices=vertices,
         faces=faces_arr,
-        t_values=np.asarray(tvals) if tvals else None,
+        t_values=t_values,
         spec=spec,
         weld_error=float(meta.get("weld_error", "nan")),
     )
@@ -661,10 +699,8 @@ def write_obj(mesh: Mesh, path: str, axes: tuple[int, int, int] | None = None) -
         raise ValueError("axes must be three valid coordinate indices")
     with open(path, "w") as fh:
         fh.write("# klein-forge OBJ export\n")
-        for v in mesh.vertices[:, list(axes)]:
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write("f " + " ".join(str(int(i) + 1) for i in f) + "\n")
+        _write_rows(fh, "v %r %r %r\n", mesh.vertices[:, list(axes)])
+        _write_rows(fh, "f" + " %d" * mesh.faces.shape[1] + "\n", mesh.faces + 1)
 
 
 def read_obj(path: str) -> Mesh:
@@ -674,28 +710,31 @@ def read_obj(path: str) -> Mesh:
     `v` line read so far, so -1 is the newest vertex.  Only `v/...` index
     parts are used.  The result carries no grid metadata or t values.
     """
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
+    verts: list[str] = []
+    faces: list[str] = []
+    seen: list[int] = []  # the number of v lines before each f line
     with open(path) as fh:
         for line in fh:
-            parts = line.split()
-            if not parts or parts[0] == "#":
+            parts = line.split(None, 1)
+            if not parts:
                 continue
+            # parts[-1] is the record after its letter; a bare letter stays and fails to parse
             if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
+                verts.append(parts[-1])
             elif parts[0] == "f":
-                face = []
-                for p in parts[1:]:
-                    k = int(p.split("/")[0])
-                    if k == 0:
-                        raise ValueError("OBJ face index 0 is invalid (indices start at 1)")
-                    face.append(k - 1 if k > 0 else len(verts) + k)
-                faces.append(face)
+                rest = parts[-1]
+                faces.append(re.sub(_INDEX_PARTS, "", rest) if "/" in rest else rest)
+                seen.append(len(verts))
     if not verts:
         raise ValueError(f"no vertices in {path}")
+    vertices = _parse_rows(verts, np.float64, usecols=(0, 1, 2))
+    ids = _quads(faces)
+    if (ids == 0).any():
+        raise ValueError("OBJ face index 0 is invalid (indices start at 1)")
+    ids = np.where(ids > 0, ids - 1, ids + np.asarray(seen, dtype=np.int64)[:, None])
     return Mesh(
-        vertices=np.asarray(verts, dtype=np.float64),
-        faces=_quad_faces(faces, len(verts)),
+        vertices=vertices,
+        faces=_check_ids(ids, len(vertices)),
         t_values=None,
         spec=None,
         weld_error=float("nan"),

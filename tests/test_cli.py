@@ -1,5 +1,6 @@
 """Command-line surface: pinned outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -226,6 +227,19 @@ def test_tiny_mesh_in_high_dimension_exits_3_before_the_offset_loop(tmp_path, ca
     assert err.startswith("feasibility guard: ") and "cell lookups" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_scan_rejects_non_finite_t_values(tmp_path, capsys, bad):
+    # a t value that is not finite would reach the JSON as NaN, which is not JSON
+    path = tmp_path / "square.txt"
+    path.write_text(
+        "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
+        f"t 0\nt {bad}\nt 1\nt 1\nf 0 1 2 3\n"
+    )
+    code, out, err = run(capsys, "scan", "--in", str(path), "--radius", "0.5", "--json")
+    assert (code, out) == (2, "")
+    assert "finite" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -362,6 +376,23 @@ def test_mesh_then_scan_files(tmp_path, capsys):
     assert from_txt["seam_confinement"] == direct["seam_confinement"]
 
 
+@pytest.mark.parametrize(
+    "name, argv, sha256",
+    [
+        ("k2.obj", ("--n", "2", "--res", "8x6"),
+         "1b733d4fba8b0a55750bd7ee7e543329b7c904ddfe0c123a5b6b908f0c40e82d"),
+        ("k2.txt", ("--n", "2", "--res", "8x6"),
+         "2785dbf087573b8464d1d4a826fa8ed5d0d3fe8ca1965e895795b8088d403ba1"),
+        ("k3.txt", ("--n", "3", "--target", "embedding", "--res", "8x6"),
+         "5b2412048900f523fdb6910ab099b549cb16a984ae49ba3dfaa257c0d9e1f993"),
+    ],
+)
+def test_mesh_files_are_pinned_byte_for_byte(tmp_path, capsys, name, argv, sha256):
+    out_file = tmp_path / name
+    assert run(capsys, "mesh", *argv, "--out", str(out_file))[0] == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == sha256
+
+
 def test_mesh_obj_beyond_3d_warns_and_projects(tmp_path, capsys):
     out_file = tmp_path / "k3.obj"
     code, _, err = run(capsys, "mesh", "--n", "3", "--res", "8x6", "--out", str(out_file))
@@ -428,3 +459,11 @@ def test_scripts_run_on_the_public_api():
     assert bench.returncode == 0, bench.stderr
     data = json.loads(bench.stdout)
     assert (data["vertices"], data["pairs"]) == (79800, 73)
+
+    bench = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "mesh-io", "k2-coarse.obj"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert bench.returncode == 0, bench.stderr
+    data = json.loads(bench.stdout)
+    assert (data["vertices"], data["bytes"]) == (19900, 1666705)

@@ -395,6 +395,20 @@ def test_mesh_text_round_trip(tmp_path):
     assert back.spec == mesh.spec
     assert back.weld_error == mesh.weld_error
 
+    # floats whose shortest repr is awkward: signed zero, the smallest
+    # subnormal, exponents at both ends, and a sum that is not its literal
+    awkward = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, 1.7976931348623157e308]
+    vertices = np.array([awkward[:3], awkward[3:], awkward[::-2], awkward[-2::-2]])
+    mesh = geo.Mesh(vertices, np.array([[0, 1, 2, 3]]), np.array(awkward[:4]), None, 0.1 + 0.2)
+    geo.write_mesh_text(mesh, str(path))
+    back = geo.read_mesh_text(str(path))
+    assert back.vertices.view(np.int64).tolist() == vertices.view(np.int64).tolist()
+    assert back.t_values.view(np.int64).tolist() == mesh.t_values.view(np.int64).tolist()
+    assert back.weld_error == 0.1 + 0.2
+    via_obj = obj_round_trip(mesh, tmp_path)
+    assert via_obj.vertices.view(np.int64).tolist() == vertices.view(np.int64).tolist()
+    assert via_obj.faces.tolist() == [[0, 1, 2, 3]]
+
 
 SQUARE_VERTICES = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
 
@@ -408,6 +422,25 @@ def test_obj_negative_indices_count_back_from_newest_vertex(tmp_path):
     assert geo.self_intersection_scan(mesh, 10.0).num_pairs == 0
 
 
+def test_obj_reader_accepts_common_obj_records(tmp_path):
+    # index/texture/normal triples, records the reader skips, a w coordinate,
+    # tabs, and negative indices that count back from the newest vertex so far
+    path = tmp_path / "squares.obj"
+    path.write_text(
+        "# two unit squares\no squares\ng left\ns off\n"
+        "v 0 0 0 1.0\nv\t1\t0\t0\nv 1 1 0\nv 0 1 0\nvn 0 0 1\nvt 0 0\n"
+        "f 1/1/1 2//2 3/3 4\n"
+        "v 2 0 0\nv 2 1 0\n"
+        "f\t-1 -2 2 3\n"
+    )
+    mesh = geo.load_mesh(str(path))
+    assert mesh.vertices.tolist() == [
+        [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 0, 0], [2, 1, 0]
+    ]
+    assert mesh.faces.tolist() == [[0, 1, 2, 3], [5, 4, 1, 2]]
+    assert mesh.t_values is None and mesh.spec is None
+
+
 @pytest.mark.parametrize(
     "name, faces",
     [
@@ -417,6 +450,18 @@ def test_obj_negative_indices_count_back_from_newest_vertex(tmp_path):
         ("triangle.obj", "f 1 2 3\n"),
         ("past-end.txt", "f 0 1 2 9\n"),
         ("negative.txt", "f 0 1 2 -1\n"),
+        ("ragged-v.txt", "v 1 2\nf 0 1 2 3\n"),
+        ("bare-v.txt", "v\nf 0 1 2 3\n"),
+        ("ragged-v.obj", "v 1 2\nf 1 2 3 4\n"),
+        ("word-in-v.txt", "v 1 x 0\nf 0 1 2 3\n"),
+        ("word-in-v.obj", "v 1 x 0\nf 1 2 3 4\n"),
+        ("word-in-t.txt", "t 0\nt 0\nt 1\nt one\nf 0 1 2 3\n"),
+        ("word-in-f.txt", "f 0 1 2 x\n"),
+        ("word-in-f.obj", "f 1 2 3 x\n"),
+        ("t-count.txt", "t 0\nt 1\nf 0 1 2 3\n"),
+        ("id-past-int64.txt", "f 0 1 2 99999999999999999999\n"),
+        ("zero-then-vertex.obj", "f 0 1 2 3\nv 2 2 0\n"),
+        ("slash-first.obj", "f 1 2 3 4 /5\n"),
     ],
 )
 def test_mesh_readers_reject_bad_faces(tmp_path, name, faces):
