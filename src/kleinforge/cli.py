@@ -6,7 +6,9 @@ which runs the bundled cross-checks end to end.
 
 Output is deterministic byte-for-byte for fixed parameters: stable
 orderings everywhere, timings on stderr only.  Every subcommand takes
---json for a machine-readable form carrying a "schema": "1" field.
+--json for a machine-readable form carrying a "schema" field, "1" unless
+the payload dict sets its own: `integral`, `splitting` and `pi1` without
+--word set "2", which writes torsion as [order, multiplicity] pairs.
 `_emit_json` is the one place JSON is formed: a result dataclass is
 written as its fields, in declaration order, and a Fraction as its
 string, so a result's fields are its JSON schema.
@@ -88,7 +90,7 @@ def cmd_manifold(args) -> int:
 def cmd_integral(args) -> int:
     groups = ints.integral_cohomology(args.n)
     if args.json:
-        _emit_json({"n": args.n, "groups": groups})
+        _emit_json({"schema": "2", "n": args.n, "groups": groups})
         return 0
     for d, g in enumerate(groups):
         print(f"H^{d} = {g.text()}")
@@ -99,7 +101,7 @@ def cmd_splitting(args) -> int:
     summands = ints.splitting(args.n)
     homology = ints.homology_from_splitting(args.n)
     if args.json:
-        _emit_json({"n": args.n, "summands": summands, "homology": homology})
+        _emit_json({"schema": "2", "n": args.n, "summands": summands, "homology": homology})
         return 0
     print(f"Sigma K_{args.n} = " + " v ".join(s.text() for s in summands))
     for d, g in enumerate(homology):
@@ -138,6 +140,7 @@ def cmd_pi1(args) -> int:
     if args.json:
         _emit_json(
             {
+                "schema": "2",
                 "n": n,
                 "generators": [f"a{i}" for i in range(1, n + 1)],
                 "relators": [r.text() for r in relators],

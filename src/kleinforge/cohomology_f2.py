@@ -149,13 +149,6 @@ class CohomologyClass:
             return "0"
         return " + ".join(monomial_text(k) for k in self.sorted_keys())
 
-    def to_json(self) -> dict:
-        terms = [
-            {"eps": k & 1, "vars": list(_key_variables(k))}
-            for k in self.sorted_keys()
-        ]
-        return {"n": self.n, "terms": terms}
-
 
 def _check_pairing_budget(n: int, d: int) -> None:
     entries = comb(n, d) * comb(n, n - d)  # dim H^d = C(n, d)

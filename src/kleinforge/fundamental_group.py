@@ -21,17 +21,18 @@ from dataclasses import dataclass
 
 from .abelian import AbelianGroup
 from .cohomology_f2 import _check_dimension
-from .errors import FeasibilityError
 from .linalg import abelian_invariants
 
 _TOKEN = re.compile(r"a(n|\d+)(?:\^(-?\d+))?$")
-# letters of one parsed word after every ^k is expanded
-WORD_LETTER_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
 class GroupWord:
-    """A word in the generators: a sequence of (generator index, +-1) letters."""
+    """A word in the generators: a sequence of (generator index, power) syllables.
+
+    A syllable (g, e) stands for a_g^e with e != 0, so a_1^k is one syllable
+    however large k is.
+    """
 
     n: int
     letters: tuple[tuple[int, int], ...]
@@ -41,31 +42,28 @@ class GroupWord:
         for g, e in self.letters:
             if not 1 <= g <= self.n:
                 raise ValueError(f"generator a_{g} out of range for n={self.n}")
-            if e not in (1, -1):
-                raise ValueError(f"letter exponent must be +-1, got {e}")
+            if e == 0:
+                raise ValueError("syllable power must be nonzero")
 
     @classmethod
     def parse(cls, n: int, text: str) -> "GroupWord":
-        """Parse words like ``"a1 an a1^-1 a2^3"`` (an = a_n; ^k expands).
+        """Parse words like ``"a1 an a1^-1 a2^3"`` (an = a_n).
 
-        The exponents are summed before any is expanded, so a word of more
-        than WORD_LETTER_BUDGET letters is refused before it is built.
+        Each token becomes one syllable; a ``^0`` token is dropped once its
+        generator has been checked.
         """
-        powers: list[tuple[int, int]] = []
+        _check_dimension(n)
+        letters: list[tuple[int, int]] = []
         for tok in text.replace("*", " ").split():
             m = _TOKEN.match(tok)
             if not m:
                 raise ValueError(f"cannot parse letter {tok!r}")
             g = n if m.group(1) == "n" else int(m.group(1))
-            powers.append((g, int(m.group(2)) if m.group(2) else 1))
-        length = sum(abs(k) for _, k in powers)
-        if length > WORD_LETTER_BUDGET:
-            raise FeasibilityError(
-                f"the word has {length} letters; the budget is {WORD_LETTER_BUDGET}"
-            )
-        letters: list[tuple[int, int]] = []
-        for g, k in powers:
-            letters.extend([(g, 1 if k >= 0 else -1)] * abs(k))
+            if not 1 <= g <= n:
+                raise ValueError(f"generator a_{g} out of range for n={n}")
+            e = int(m.group(2)) if m.group(2) else 1
+            if e:
+                letters.append((g, e))
         return cls(n, tuple(letters))
 
     def inverse(self) -> "GroupWord":
@@ -80,7 +78,7 @@ class GroupWord:
         if not self.letters:
             return "e"
         return " ".join(
-            (f"a{g}" if g < self.n else "an") + ("" if e == 1 else "^-1")
+            (f"a{g}" if g < self.n else "an") + ("" if e == 1 else f"^{e}")
             for g, e in self.letters
         )
 
@@ -106,13 +104,8 @@ class NormalForm:
         return self.m == 0 and all(e == 0 for e in self.k)
 
     def to_word(self) -> GroupWord:
-        letters: list[tuple[int, int]] = []
-        for i, e in enumerate(self.k):
-            sign = 1 if e >= 0 else -1
-            letters.extend([(i + 1, sign)] * abs(e))
-        sign = 1 if self.m >= 0 else -1
-        letters.extend([(self.n, sign)] * abs(self.m))
-        return GroupWord(self.n, tuple(letters))
+        exponents = enumerate((*self.k, self.m), start=1)
+        return GroupWord(self.n, tuple((g, e) for g, e in exponents if e))
 
     def text(self) -> str:
         def gen(name: str, e: int) -> str:
@@ -138,9 +131,9 @@ def inverse(x: NormalForm) -> NormalForm:
 
 
 def reduce_word(word: GroupWord) -> NormalForm:
-    """Normal form of a word, folding one letter at a time.
+    """Normal form of a word, folding one syllable at a time.
 
-    A letter a_j^e lands in the k-part with sign (-1)^m for the current a_n
+    A syllable a_j^e lands in the k-part with sign (-1)^m for the current a_n
     exponent m; a_n^e just shifts m.
     """
     k = [0] * (word.n - 1)

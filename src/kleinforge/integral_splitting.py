@@ -20,7 +20,6 @@ from math import comb
 
 from .abelian import AbelianGroup
 from .cohomology_f2 import _check_dimension, poincare_polynomial
-from .errors import FeasibilityError
 from .fundamental_group import abelianization
 
 __all__ = [
@@ -35,23 +34,13 @@ __all__ = [
     "consistency_check",
 ]
 
-# Z/2 summands over all degrees, one tuple entry each; K_n has 2^(n-2)
-TORSION_BUDGET = 1 << 22
-
-
-def _check_torsion_budget(n: int) -> None:
-    entries = 1 << (n - 2) if n >= 2 else 0
-    if entries > TORSION_BUDGET:
-        raise FeasibilityError(
-            f"the integral (co)homology of K_{n} has {entries} Z/2 summands; "
-            f"the budget is {TORSION_BUDGET}"
-        )
+def _two_torsion(count: int) -> tuple[tuple[int, int], ...]:
+    return ((2, count),) if count else ()
 
 
 def integral_cohomology(n: int) -> list[AbelianGroup]:
     """[H^0(K_n; Z), ..., H^n(K_n; Z)]."""
     _check_dimension(n)
-    _check_torsion_budget(n)
     out = []
     for d in range(n + 1):
         if d % 2 == 0:
@@ -60,7 +49,7 @@ def integral_cohomology(n: int) -> list[AbelianGroup]:
         else:
             free = comb(n - 1, d - 1)
             tors = 0
-        out.append(AbelianGroup(free, (2,) * tors))
+        out.append(AbelianGroup(free, _two_torsion(tors)))
     return out
 
 
@@ -115,7 +104,6 @@ def homology_from_splitting(n: int) -> list[AbelianGroup]:
     component.
     """
     summands = splitting(n)
-    _check_torsion_budget(n)
     free = [0] * (n + 1)
     tors = [0] * (n + 1)
     for s in summands:
@@ -128,7 +116,7 @@ def homology_from_splitting(n: int) -> list[AbelianGroup]:
             if d <= n:
                 tors[d] += s.multiplicity
     free[0] = 1
-    return [AbelianGroup(free[d], (2,) * tors[d]) for d in range(n + 1)]
+    return [AbelianGroup(free[d], _two_torsion(tors[d])) for d in range(n + 1)]
 
 
 def cohomology_from_homology(groups: list[AbelianGroup]) -> list[AbelianGroup]:
@@ -175,13 +163,10 @@ def consistency_check(n: int) -> ConsistencyReport:
     homology = homology_from_splitting(n)
     checks = []
 
-    def t2(d: int) -> int:
-        if 0 <= d < len(integral):
-            return sum(1 for t in integral[d].torsion if t % 2 == 0)
-        return 0
-
+    # even-order cyclic summands of each degree; H^(n+1) = 0 has none
+    t2 = [g.f2_dimension() - g.free_rank for g in integral] + [0]
     ok = all(
-        f2[d] == integral[d].free_rank + t2(d) + t2(d + 1) for d in range(n + 1)
+        f2[d] == integral[d].free_rank + t2[d] + t2[d + 1] for d in range(n + 1)
     )
     checks.append(
         CheckResult(

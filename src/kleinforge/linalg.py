@@ -6,6 +6,8 @@ Integer matrices are lists of lists of ints.
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 def f2_rank(rows: list[int]) -> int:
     """Rank over GF(2); rows are bit masks."""
@@ -126,10 +128,13 @@ def smith_diagonal(mat: list[list[int]]) -> list[int]:
     return diag
 
 
-def abelian_invariants(relations: list[list[int]], ngens: int) -> tuple[int, tuple[int, ...]]:
+def abelian_invariants(
+    relations: list[list[int]], ngens: int
+) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Invariants of Z^ngens modulo the row span of ``relations``.
 
-    Returns (free_rank, torsion) with torsion factors > 1 sorted ascending.
+    Returns (free_rank, torsion); torsion holds (order, multiplicity) pairs
+    for the invariant factors > 1, orders distinct and ascending.
     """
     if not relations:
         return ngens, ()
@@ -139,5 +144,5 @@ def abelian_invariants(relations: list[list[int]], ngens: int) -> tuple[int, tup
     diag = smith_diagonal(relations)
     nonzero = [d for d in diag if d != 0]
     free = ngens - len(nonzero)
-    torsion = tuple(sorted(d for d in nonzero if d > 1))
-    return free, torsion
+    torsion = Counter(d for d in nonzero if d > 1)
+    return free, tuple(sorted(torsion.items()))

@@ -14,7 +14,6 @@ import pytest
 
 from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
-from kleinforge import integral_splitting as ints
 from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
 from kleinforge.integral_splitting import CheckResult, ConsistencyReport
@@ -62,21 +61,30 @@ def test_json_key_order_is_pinned(capsys, tmp_path, monkeypatch):
         "schema", "n", "orientable", "parallelizable", "span", "immersion_dim",
         "embedding_dim", "category", "provenance",
     ]
+    # schema 2: an abelian group's torsion is a list of [order, multiplicity]
     data = keys("integral", "--n", "3", "--json")
     assert list(data) == ["schema", "n", "groups"]
+    assert data["schema"] == "2"
     assert list(data["groups"][0]) == ["free_rank", "torsion"]
+    assert [g["torsion"] for g in data["groups"]] == [[], [], [[2, 2]], []]
     data = keys("splitting", "--n", "3", "--json")
     assert list(data) == ["schema", "n", "summands", "homology"]
+    assert data["schema"] == "2"
     assert list(data["summands"][0]) == ["kind", "dim", "multiplicity"]
     assert list(data["homology"][0]) == ["free_rank", "torsion"]
+    assert [g["torsion"] for g in data["homology"]] == [[], [[2, 2]], [], []]
     data = keys("check", "--n", "3", "--json")
     assert list(data) == ["schema", "n", "passed", "checks"]
+    assert data["schema"] == "1"
     assert list(data["checks"][0]) == ["name", "passed", "detail"]
     data = keys("pi1", "--n", "3", "--json")
     assert list(data) == ["schema", "n", "generators", "relators", "abelianization"]
+    assert data["schema"] == "2"
     assert list(data["abelianization"]) == ["free_rank", "torsion"]
+    assert data["abelianization"]["torsion"] == [[2, 2]]
     data = keys("pi1", "--n", "3", "--word", "a1 an", "--json")
     assert list(data) == ["schema", "word", "normal_form", "text", "in_double_cover_image"]
+    assert data["schema"] == "1"
     assert list(data["normal_form"]) == ["n", "k", "m"]
     assert list(keys("zcl", "--n", "3", "--json")) == ["schema", "n", "zcl", "method"]
     data = keys("zcl", "--n", "3", "--max-len", "5", "--json")
@@ -249,19 +257,20 @@ def test_scan_rejects_non_finite_t_values(tmp_path, capsys, bad):
         ("zcl", "--n", "3", "--max-len", "100000"),
         ("zcl", "--n", "3", "--max-len", "1000000000"),
         ("zcl", "--n", "3", "--max-len", "2000"),  # 1,002,001 multisets
-        ("integral", "--n", "30"),
-        ("splitting", "--n", "40"),
+        ("cohomology", "--n", "30"),  # 2^30 basis monomials
+        ("zcl", "--n", "63", "--max-len", "64"),  # 2^63 terms in one product
         ("verify-paper", "--max-n", "14"),  # the degree-7 pairing has 3432^2 entries
     ],
 )
 def test_zcl_and_torsion_guards_exit_3_before_any_work(argv, capsys, monkeypatch):
+    # the zcl, basis and pairing guards; torsion is held as
+    # (order, multiplicity) pairs and needs no guard
     def fail(*args):
         raise AssertionError("work started before the feasibility guard")
 
-    # forming any zero-divisor product or any group fails, so a missing
-    # guard fails the test instead of running out of time or memory
+    # forming any zero-divisor product fails, so a missing guard fails the
+    # test instead of running out of time or memory
     monkeypatch.setattr(tz, "_mul_keysets", fail)
-    monkeypatch.setattr(ints, "AbelianGroup", fail)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -273,8 +282,9 @@ def test_zcl_and_torsion_guards_exit_3_before_any_work(argv, capsys, monkeypatch
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (("pi1", "--n", "3", "--word", "a1^10000000000"), 3),
-        (("pi1", "--n", "3", "--word", "a1^-99999999999999999999"), 3),
+        # a zero power must not hide a generator out of range
+        (("pi1", "--n", "4", "--word", "a9^0"), 2),
+        (("pi1", "--n", "4", "--word", "a0^0"), 2),
         (("genes", "--lengths", "1,1,1,1/0"), 2),
         (("genes", "--lengths", "1,1,1,0", "--epsilon", "1/0"), 2),
         (("cohomology", "--n", "-1"), 2),
@@ -288,6 +298,54 @@ def test_malformed_input_exits_cleanly(argv, expected, capsys):
     assert code == expected
     assert out == ""
     assert "Traceback" not in err
+
+
+def _torsion_count(groups):
+    return sum(k for g in groups for _, k in g["torsion"])
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        # 2^61 Z/2 summands in all, written as one pair per degree
+        pytest.param(
+            ("integral", "--n", "63", "--json"),
+            lambda out: _torsion_count(json.loads(out)["groups"]) == 2**61,
+            id="integral-63",
+        ),
+        pytest.param(
+            ("splitting", "--n", "63", "--json"),
+            lambda out: _torsion_count(json.loads(out)["homology"]) == 2**61,
+            id="splitting-63",
+        ),
+        pytest.param(
+            ("check", "--n", "63"), lambda out: out.count("PASS ") == 4, id="check-63"
+        ),
+        pytest.param(
+            ("pi1", "--n", "63", "--json"),
+            lambda out: json.loads(out)["abelianization"]
+            == {"free_rank": 1, "torsion": [[2, 62]]},
+            id="pi1-63",
+        ),
+        # a power is one syllable of any size
+        pytest.param(
+            ("pi1", "--n", "3", "--word", "a1^10000000000"),
+            lambda out: out == "a1^10000000000\n",
+            id="word-a1^1e10",
+        ),
+        pytest.param(
+            ("pi1", "--n", "3", "--word", "a1^-99999999999999999999"),
+            lambda out: out == "a1^-99999999999999999999\n",
+            id="word-a1^-1e20",
+        ),
+    ],
+)
+def test_large_groups_and_powers_exit_0_in_bounded_time(argv, expect, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert expect(out)
 
 
 def test_zcl_and_torsion_guards_admit_the_workload_sizes(capsys):

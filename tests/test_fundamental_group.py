@@ -12,33 +12,36 @@ from hypothesis import strategies as st
 from kleinforge import fundamental_group as fg
 from kleinforge import verification as vf
 from kleinforge.abelian import AbelianGroup
-from kleinforge.errors import FeasibilityError
 from kleinforge.verification import rewrite_word, word_exponents
 
 
 def test_parse_and_text_round_trip():
-    # parse expands powers into single letters; text renders them back one by one
-    w = fg.GroupWord.parse(3, "a1 an^2 a2^-1")
-    assert w.text() == "a1 an an a2^-1"
+    # each token is one syllable, and a ^0 token is dropped
+    w = fg.GroupWord.parse(3, "a1 an^2 a2^0 a2^-1")
+    assert w.letters == ((1, 1), (3, 2), (2, -1))
+    assert w.text() == "a1 an^2 a2^-1"
     assert fg.GroupWord.parse(3, w.text()) == w
     # an is an alias for the last generator
     assert fg.GroupWord.parse(3, "an") == fg.GroupWord.parse(3, "a3")
 
 
 def test_parse_rejects_garbage():
+    for text in ("a4", "b1", "a4^0", "a0^0"):
+        with pytest.raises(ValueError):
+            fg.GroupWord.parse(3, text)
     with pytest.raises(ValueError):
-        fg.GroupWord.parse(3, "a4")
-    with pytest.raises(ValueError):
-        fg.GroupWord.parse(3, "b1")
+        fg.GroupWord(3, ((1, 0),))
 
 
-def test_parse_budget_admits_long_words_and_refuses_huge_powers():
-    budget = fg.WORD_LETTER_BUDGET
-    w = fg.GroupWord.parse(3, f"a1^{budget - 1} an^-1")
-    assert len(w.letters) == budget
-    assert fg.reduce_word(w).text() == f"a1^{budget - 1} an^-1"
-    with pytest.raises(FeasibilityError):
-        fg.GroupWord.parse(3, f"a1^{budget} an^-1")
+def test_huge_power_is_one_syllable_and_reduces_exactly():
+    big = 99999999999999999999
+    w = fg.GroupWord.parse(3, f"a1^-{big} an a1^5 a2^10000000000")
+    assert w.letters == ((1, -big), (3, 1), (1, 5), (2, 10000000000))
+    # a1^5 lands behind an, so its exponent flips sign
+    nf = fg.reduce_word(w)
+    assert (nf.k, nf.m) == ((-big - 5, -10000000000), 1)
+    assert nf.text() == f"a1^-{big + 5} a2^-10000000000 an"
+    assert nf.to_word().letters == ((1, -big - 5), (2, -10000000000), (3, 1))
 
 
 def test_conjugation_relation():
@@ -73,9 +76,10 @@ def test_normal_form_text_exponent_one_is_bare():
 
 
 def test_abelianization_values():
-    assert fg.abelianization(2) == AbelianGroup(1, (2,))
+    assert fg.abelianization(1) == AbelianGroup(1)
+    assert fg.abelianization(2) == AbelianGroup(1, ((2, 1),))
     for n in range(2, 11):
-        assert fg.abelianization(n) == AbelianGroup(1, tuple([2] * (n - 1)))
+        assert fg.abelianization(n) == AbelianGroup(1, ((2, n - 1),))
 
 
 def test_double_cover_image_is_even_rotation():
@@ -131,6 +135,25 @@ words = st.integers(2, 5).flatmap(
         st.tuples(st.integers(1, n), st.sampled_from((1, -1))), max_size=8
     ).map(lambda ls: fg.GroupWord(n, tuple(ls)))
 )
+
+
+syllable_texts = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(1, n), st.integers(-5, 5)), max_size=8),
+    )
+)
+
+
+@given(syllable_texts)
+def test_syllable_words_reduce_like_their_expanded_letters(case):
+    n, syllables = case
+    text = " ".join(f"a{g}" if e == 1 else f"a{g}^{e}" for g, e in syllables)
+    expanded = tuple((g, 1 if e > 0 else -1) for g, e in syllables for _ in range(abs(e)))
+    nf = fg.reduce_word(fg.GroupWord.parse(n, text))
+    assert nf == fg.reduce_word(fg.GroupWord(n, expanded))
+    assert (nf.k, nf.m) == word_exponents(n, rewrite_word(n, expanded))
+    assert len(nf.to_word().letters) <= n
 
 
 @given(words)

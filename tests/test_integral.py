@@ -13,7 +13,19 @@ from kleinforge.fundamental_group import abelianization
 
 def test_classical_klein_bottle():
     assert [g.text() for g in ints.integral_cohomology(2)] == ["Z", "Z", "Z/2"]
-    assert ints.homology_from_splitting(2)[1] == AbelianGroup(1, (2,))
+    assert ints.homology_from_splitting(2)[1] == AbelianGroup(1, ((2, 1),))
+
+
+def test_abelian_group_torsion_is_distinct_ascending_pairs():
+    g = AbelianGroup(2, ((2, 3), (4, 1), (6, 2)))
+    assert g.text() == "Z^2 + (Z/2)^3 + Z/4 + (Z/6)^2"
+    assert g.f2_dimension() == 2 + 3 + 1 + 2
+    assert AbelianGroup(0, ((3, 5),)).f2_dimension() == 0
+    for torsion in (((1, 1),), ((2, 0),), ((4, 1), (2, 1)), ((2, 1), (2, 1))):
+        with pytest.raises(ValueError):
+            AbelianGroup(1, torsion)
+    with pytest.raises(ValueError):
+        AbelianGroup(-1)
 
 
 def test_integral_cohomology_n4_golden():
@@ -63,7 +75,7 @@ def test_f2_dimensions_match_mod2_ring():
         for d in range(n + 1):
             torsion_above = groups[d + 1].torsion if d + 1 <= n else ()
             expect = groups[d].f2_dimension() + sum(
-                1 for t in torsion_above if t % 2 == 0
+                k for t, k in torsion_above if t % 2 == 0
             )
             assert expect == dims[d], (n, d)
 

@@ -1,5 +1,7 @@
 """F2 linear algebra and Smith normal form against independent oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import sympy
@@ -71,7 +73,7 @@ def test_smith_divisibility_chain(rows):
 def test_abelian_invariants_klein_bottle_relations():
     # <a, b | abab^-1> abelianized: 2a = 0
     rank, torsion = abelian_invariants([[2, 0]], ngens=2)
-    assert (rank, torsion) == (1, (2,))
+    assert (rank, torsion) == (1, ((2, 1),))
 
 
 def test_abelian_invariants_trivializing_relations():
@@ -87,7 +89,7 @@ def test_abelian_invariants_match_sympy_snf(rows):
     diag = [abs(ref[i, i]) for i in range(min(ref.shape))]
     nonzero = [d for d in diag if d != 0]
     assert rank == ngens - len(nonzero)
-    assert torsion == tuple(d for d in nonzero if d > 1)
+    assert torsion == tuple(sorted(Counter(d for d in nonzero if d > 1).items()))
 
 
 def test_smith_handles_zero_matrix():
