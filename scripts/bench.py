@@ -1,4 +1,4 @@
-"""Time verify-paper, the self-intersection scans and compute_zcl; write BENCH_<label>.json.
+"""Time verify-paper, the scans, compute_zcl, mesh I/O and the ring; write BENCH_<label>.json.
 
 Every measurement runs in a fresh interpreter, so each peak RSS is that
 run's own and no cache carries over between runs.  The file records:
@@ -13,6 +13,8 @@ run's own and no cache carries over between runs.  The file records:
 - for each file of the mesh-files perfbench workload (MESH_IO_FILES): median
   seconds to write it (write_obj or write_mesh_text) and to read it back
   (load_mesh), and its size in bytes;
+- for each case of RING_CASES: median seconds of char_classes.manifold_report(n)
+  or fundamental_group.abelianization(n), with the category or group it gives;
 - the peak RSS of each of those, the largest of its runs.
 
 Only public API is used, so the same script measures any commit.  The
@@ -44,6 +46,10 @@ MESH_IO_FILES = {
     "k3-immersion.mesh": (3, "immersion", 32, 64),
     "k3-embedding.mesh": (3, "embedding", 24, 48),
 }
+
+# (function, n) cases of the ring job: the Wu and Stiefel-Whitney solves
+# behind `manifold`, and the Smith form behind `pi1` and `check` at n = 63
+RING_CASES = [("manifold_report", n) for n in range(8, 14)] + [("abelianization", 63)]
 
 
 def peak_rss_mb() -> float:
@@ -113,11 +119,24 @@ def job_mesh_io(name: str) -> dict:
     }
 
 
+def job_ring(name: str, n: int) -> dict:
+    from kleinforge.char_classes import manifold_report
+    from kleinforge.fundamental_group import abelianization
+
+    start = time.perf_counter()
+    if name == "manifold_report":
+        answer = manifold_report(n).category
+    else:
+        answer = abelianization(n).text()
+    return {"seconds": time.perf_counter() - start, "answer": answer, "peak_rss_mb": peak_rss_mb()}
+
+
 JOBS = {
     "verify-paper": job_verify_paper,
     "scan": lambda n, target: job_scan(int(n), target),
     "zcl": lambda m: job_zcl(int(m)),
     "mesh-io": job_mesh_io,
+    "ring": lambda name, n: job_ring(name, int(n)),
 }
 
 
@@ -170,6 +189,7 @@ def main() -> int:
         "scans": {},
         "compute_zcl": {},
         "mesh_io": {},
+        "ring": {},
     }
     for n in sorted(SCAN_SETTINGS):
         for target in ("immersion", "embedding"):
@@ -196,6 +216,13 @@ def main() -> int:
             "read_s": median_of(runs, "read_s"),
             "bytes": runs[0]["bytes"],
             "vertices": runs[0]["vertices"],
+            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
+        }
+    for name, n in RING_CASES:
+        runs = [run_job("ring", name, str(n)) for _ in range(RUNS)]
+        report["ring"][f"{name}-n{n}"] = {
+            "seconds": median_of(runs, "seconds"),
+            "answer": runs[0]["answer"],
             "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
         }
     path = f"BENCH_{args.label}.json"

@@ -21,22 +21,25 @@ def wu_classes(n: int) -> list[CohomologyClass]:
     For each j the condition is linear in the coordinates of v_j: pairing a
     candidate against the degree-(n-j) basis must reproduce the top-monomial
     coefficients of the Sq^j values.  The pairing matrix is invertible, so the
-    solution exists and is unique.
+    solution exists and is unique; a zero right-hand side gives v_j = 0, and
+    only a nonzero one is solved.
     """
     _check_dimension(n)
-    coh._check_pairing_budget(n, n // 2)  # the largest pairing used below
     out = [CohomologyClass.one(n)]
     for j in range(1, n + 1):
-        bj = coh.basis(n, j)
-        # one equation per degree-(n-j) basis element b: sum_a c_a <a, b>
-        # equals the top coefficient of Sq^j(b); the cup product commutes,
-        # so row b, bit a of the degree-(n-j) pairing is <a, b>
-        rows = coh.duality_pairing(n, n - j)
         rhs = 0
         for bi, kb in enumerate(coh.basis(n, n - j)):
             sqb = coh.sq(j, CohomologyClass(n, frozenset({kb})))
             if coh.top_coefficient(sqb):
                 rhs |= 1 << bi
+        if not rhs:
+            out.append(CohomologyClass.zero(n))
+            continue
+        bj = coh.basis(n, j)
+        # one equation per degree-(n-j) basis element b: sum_a c_a <a, b>
+        # equals the top coefficient of Sq^j(b); the cup product commutes,
+        # so row b, bit a of the degree-(n-j) pairing is <a, b>
+        rows = coh.duality_pairing(n, n - j)
         if len(rows) != len(bj):
             raise RuntimeError("duality pairing is not square; ring is broken")
         try:

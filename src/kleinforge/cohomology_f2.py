@@ -237,7 +237,9 @@ def cup_length(n: int) -> tuple[int, list[CohomologyClass]]:
     positive-degree class is a sum of products of degree-one monomials, so a
     breadth-first search over monomial products of the n degree-one generators
     finds the exact maximum.  Returns (length, [factors]) where the factors
-    multiply to a nonzero class.
+    multiply to a nonzero class.  The search stops after products of n + 1
+    generators, which vanish in degree n + 1 > dim K_n, so a cup product
+    that is not nilpotent cannot keep it running.
     """
     gens = basis(n, 1)
     # reachable product monomial -> factor chain (first hit wins; generators
@@ -245,7 +247,7 @@ def cup_length(n: int) -> tuple[int, list[CohomologyClass]]:
     level: dict[int, tuple[int, ...]] = {g: (g,) for g in gens}
     best = dict(level)
     length = 1
-    while True:
+    while length <= n:
         nxt: dict[int, tuple[int, ...]] = {}
         for prod, chain in sorted(level.items()):
             for g in gens:

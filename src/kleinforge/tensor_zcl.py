@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology_f2 import _check_dimension, _key_mul, monomial_text
+from .cohomology_f2 import _check_dimension, _key_mul
 from .errors import FeasibilityError
 
 # canonical exponent multisets per exhaustive search, not raw products
@@ -204,8 +204,8 @@ def zcl_witness(n: int) -> tuple[FactorMultiset, frozenset[tuple[int, int]]]:
     """The canonical maximal nonzero product Vbar_1^3 Vbar_2^2 Vbar_3 ... Vbar_(n-1).
 
     Defined for n >= 3; its length is n + 2.  Returns the factor multiset and
-    the packed key pairs of the full product, which is verified nonzero and
-    must contain the pair R V_1 ... V_(n-2) (x) R V_1 V_(n-1).
+    the packed key pairs of the full product; `check_tensor_witness` checks
+    that it is nonzero and holds R V_1 ... V_(n-2) (x) R V_1 V_(n-1).
     """
     _check_dimension(n)
     if n < 3:
@@ -213,15 +213,6 @@ def zcl_witness(n: int) -> tuple[FactorMultiset, frozenset[tuple[int, int]]]:
     powers = (3, 2) + (1,) * (n - 3)
     _check_term_budget(n, n + 2)
     value = frozenset(_evaluate_multiset(n, 0, powers))
-    if not value:
-        raise RuntimeError(f"maximal zero-divisor product vanished for n={n}")
-    left = ((1 << (n - 2)) - 1) << 1 | 1  # R V_1 ... V_(n-2)
-    right = (1 | (1 << (n - 2))) << 1 | 1  # R V_1 V_(n-1)
-    if (left, right) not in value:
-        raise RuntimeError(
-            f"expected proof term {monomial_text(left)} (x) "
-            f"{monomial_text(right)} missing for n={n}"
-        )
     return FactorMultiset(n, 0, powers), value
 
 

@@ -30,6 +30,7 @@ from . import geometry as geo
 from . import integral_splitting as ints
 from . import polygon_genetics as pg
 from . import tensor_zcl as tz
+from .errors import FeasibilityError
 from .linalg import f2_is_invertible
 
 RNG_SEED = 988206131  # fixed so every run checks the identical samples
@@ -47,8 +48,14 @@ class Verification:
 
 
 def _run(name: str, fn) -> Verification:
+    """Time one check; any exception but a feasibility guard makes it a FAIL."""
     start = time.perf_counter()
-    passed, detail = fn()
+    try:
+        passed, detail = fn()
+    except FeasibilityError:
+        raise
+    except Exception as exc:
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
     return Verification(name, passed, detail, time.perf_counter() - start)
 
 

@@ -16,6 +16,7 @@ from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
 from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
+from kleinforge.errors import FeasibilityError
 from kleinforge.integral_splitting import CheckResult, ConsistencyReport
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -197,6 +198,16 @@ def test_feasibility_exit_3(capsys):
         assert "feasibility guard" in err, argv
 
 
+def test_manifold_answers_every_n_the_basis_budget_admits(capsys):
+    # only v_1 has a nonzero right-hand side, so no large pairing is built
+    code, out, err = run(capsys, "manifold", "--n", "14", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["category"] == 14
+    code, out, err = run(capsys, "manifold", "--n", "20")
+    assert (code, out) == (3, "")
+    assert "2^20 basis monomials" in err
+
+
 def test_oversized_mesh_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("the mesh budget must be checked before sampling")
@@ -262,9 +273,7 @@ def test_scan_rejects_non_finite_t_values(tmp_path, capsys, bad):
         ("verify-paper", "--max-n", "14"),  # the degree-7 pairing has 3432^2 entries
     ],
 )
-def test_zcl_and_torsion_guards_exit_3_before_any_work(argv, capsys, monkeypatch):
-    # the zcl, basis and pairing guards; torsion is held as
-    # (order, multiplicity) pairs and needs no guard
+def test_zcl_basis_and_pairing_guards_exit_3_before_any_work(argv, capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("work started before the feasibility guard")
 
@@ -348,7 +357,7 @@ def test_large_groups_and_powers_exit_0_in_bounded_time(argv, expect, capsys):
     assert expect(out)
 
 
-def test_zcl_and_torsion_guards_admit_the_workload_sizes(capsys):
+def test_guards_admit_the_workload_sizes(capsys):
     code, out, _ = run(capsys, "zcl", "--n", "63", "--max-len", "5")
     assert code == 0
     assert out.startswith("length-5 zero-divisor products over K_63: nonzero")
@@ -365,6 +374,34 @@ def test_verification_failure_exit_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--n", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_a_feasibility_guard_inside_a_check_propagates(monkeypatch):
+    def guarded(m):
+        raise FeasibilityError("too big")
+
+    monkeypatch.setattr(tz, "tc_bounds", guarded)
+    with pytest.raises(FeasibilityError):
+        vf.check_tc_bounds()
+
+
+@pytest.mark.parametrize("exc", [ValueError, RuntimeError])
+def test_verify_paper_reports_a_raising_check_and_exits_1(exc, capsys, monkeypatch):
+    def broken(m):
+        raise exc("no bounds")
+
+    monkeypatch.setattr(tz, "tc_bounds", broken)
+    monkeypatch.setattr(
+        vf, "verify_paper", lambda max_n: [vf.check_cohomology_table(), vf.check_tc_bounds()]
+    )
+    code, out, err = run(capsys, "verify-paper")
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["checks"][1] == {
+        "name": "tc-bounds", "passed": False, "detail": f"{exc.__name__}: no bounds"
+    }
+    assert "Traceback" not in err
 
 
 def test_help_exits_0(capsys):
@@ -525,3 +562,11 @@ def test_scripts_run_on_the_public_api():
     assert bench.returncode == 0, bench.stderr
     data = json.loads(bench.stdout)
     assert (data["vertices"], data["bytes"]) == (19900, 1666705)
+
+    bench = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"),
+         "--job", "ring", "manifold_report", "6"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert bench.returncode == 0, bench.stderr
+    assert json.loads(bench.stdout)["answer"] == 6

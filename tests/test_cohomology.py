@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kleinforge import cohomology_f2 as coh
 from kleinforge.errors import CapacityError, FeasibilityError
-from kleinforge.verification import cup_free_reduction
+from kleinforge.verification import check_cup_length_duality, cup_free_reduction
 
 
 def klass(n, *texts):
@@ -141,6 +141,20 @@ def test_top_class_and_cup_length():
             assert w.degree() == 1
             prod = prod * w
         assert coh.top_coefficient(prod) == 1
+
+
+def test_cup_length_stops_when_the_product_is_not_nilpotent(monkeypatch, time_limit):
+    # drop the |S & T| term, so V^2 = V and products of V's never vanish
+    def idempotent_mul(k1, k2):
+        e = (k1 & 1) + (k2 & 1)
+        return None if e >= 2 else ((k1 | k2) >> 1 << 1) | e
+
+    monkeypatch.setattr(coh, "_key_mul", idempotent_mul)
+    with time_limit(1.0):
+        assert coh.cup_length(4)[0] == 5
+        check = check_cup_length_duality(max_n=4)
+    assert not check.passed
+    assert check.detail == "cup_length(2) = 3"
 
 
 # ------------------------------------------------------- Steenrod squares
