@@ -277,9 +277,10 @@ def test_zcl_basis_and_pairing_guards_exit_3_before_any_work(argv, capsys, monke
     def fail(*args):
         raise AssertionError("work started before the feasibility guard")
 
-    # forming any zero-divisor product fails, so a missing guard fails the
-    # test instead of running out of time or memory
-    monkeypatch.setattr(tz, "_mul_keysets", fail)
+    # testing or expanding any zero-divisor product fails, so a missing guard
+    # fails the test instead of running out of time or memory
+    monkeypatch.setattr(tz, "_nonzero", fail)
+    monkeypatch.setattr(tz, "_expand", fail)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0

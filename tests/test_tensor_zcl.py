@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
 from kleinforge import tensor_zcl as tz
+from kleinforge import verification as vf
 
 
 # -------------------------------------------------------- tensor structure
-
-def outer(left, right):
-    """Key pairs of left (x) right, for two classes of one K_n."""
-    return {(a, b) for a in left.keys for b in right.keys}
-
 
 def diagonal_restriction(pairs):
     """Pull key pairs back along the diagonal: u (x) v -> u * v."""
@@ -28,31 +24,39 @@ def diagonal_restriction(pairs):
     return acc
 
 
-def test_outer_products_multiply_componentwise():
-    n = 3
-    r = coh.CohomologyClass.r(n)
-    v1 = coh.CohomologyClass.v(n, 1)
-    v2 = coh.CohomologyClass.v(n, 2)
-    lhs = tz._mul_keysets(outer(r, v1), outer(v2, v2))
-    assert lhs == outer(coh.cup(r, v2), coh.cup(v1, v2))
+def subset_split(n, r, v_powers):
+    """The product by the independent route: the public cup product on
+    every split of the factors between the two sides."""
+    classes = [coh.CohomologyClass.r(n)] * r
+    for i, e in enumerate(v_powers, start=1):
+        classes += [coh.CohomologyClass.v(n, i)] * e
+    return vf.expand_zero_divisor_product(n, classes)
 
 
-def random_class(n):
-    keys = st.sets(st.integers(0, 2**n - 1), max_size=4)
-    return keys.map(lambda ks: coh.CohomologyClass(n, frozenset(ks)))
+def test_factored_product_matches_subset_split_expansion():
+    cases = [(n, length) for n in range(2, 5) for length in range(1, 2 * n + 2)]
+    cases += [(5, length) for length in range(1, 9)]
+    for n, length in cases:
+        for r, parts in tz._canonical_multisets(n, length):
+            expected = subset_split(n, r, parts)
+            assert tz._expand(r, parts) == expected, (n, r, parts)
+            assert tz._nonzero(r, parts) == bool(expected), (n, r, parts)
 
 
 @given(
     st.integers(2, 4).flatmap(
         lambda n: st.tuples(
-            random_class(n), random_class(n), random_class(n), random_class(n)
+            st.just(n),
+            st.integers(0, 2),
+            st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1),
         )
     )
 )
-def test_outer_bilinearity(quad):
-    a, b, c, d = quad
-    lhs = tz._mul_keysets(outer(a, b), outer(c, d))
-    assert lhs == outer(coh.cup(a, c), coh.cup(b, d))
+def test_factored_product_matches_subset_split_on_unsorted_exponents(case):
+    n, r, v_powers = case
+    expected = subset_split(n, r, v_powers)
+    assert tz._expand(r, tuple(v_powers)) == expected
+    assert tz._nonzero(r, tuple(v_powers)) == bool(expected)
 
 
 @given(
@@ -68,16 +72,21 @@ def test_zero_divisors_restrict_to_zero_on_the_diagonal(case):
     # the diagonal pullback u (x) v -> u * v is a ring map that kills each
     # generator zero divisor, so it kills every product of them
     n, r, v_powers = case
-    for index in range(n):
-        assert not diagonal_restriction(tz._generator_keys(n, index)), (n, index)
-    assert not diagonal_restriction(tz._evaluate_multiset(n, r, tuple(v_powers)))
+    generators = [(1, ())] + [(0, (0,) * (i - 1) + (1,)) for i in range(1, n)]
+    for g in generators:
+        assert not diagonal_restriction(tz._expand(*g)), (n, g)
+    assert not diagonal_restriction(tz._expand(r, tuple(v_powers)))
 
 
 def test_generator_zero_divisor_relations():
     for n in (2, 3, 4):
-        assert not tz._evaluate_multiset(n, 2, ()), "Rbar^2 = 0 since R^2 = 0"
-        assert tz._evaluate_multiset(n, 0, (3,)), "Vbar^3 survives"
-        assert not tz._evaluate_multiset(n, 0, (4,)), "Vbar^4 dies"
+        last = (0,) * (n - 2)  # powers of Vbar_(n-1)
+        assert not tz._nonzero(2, last), "Rbar^2 = 0 since R^2 = 0"
+        assert tz._nonzero(0, last + (3,)), "Vbar^3 survives"
+        assert not tz._nonzero(0, last + (4,)), "Vbar^4 dies"
+        assert not tz._expand(2, last)
+        assert tz._expand(0, last + (3,))
+        assert not tz._expand(0, last + (4,))
 
 
 def test_canonical_multiset_count_matches_enumeration():
@@ -131,6 +140,20 @@ def test_nonzero_at_length_n_plus_two():
         assert not res.all_zero, n
 
 
+def test_search_records_of_the_exhaustive_route_at_m18():
+    found = tz.zcl_exhaustive(18, 20)
+    assert not found.all_zero
+    assert (found.witness.rbar, found.witness.v_powers) == (0, (3, 2) + (1,) * 15)
+    assert found.checked == 615
+    vanished = tz.zcl_exhaustive(18, 21)
+    assert vanished.all_zero and vanished.witness is None
+    assert vanished.checked == 3492
+
+
+def test_compute_zcl_is_m_plus_2_up_to_the_term_budget():
+    assert [tz.compute_zcl(m) for m in range(3, 23)] == list(range(5, 25))
+
+
 def test_canonical_reduction_agrees_with_full_enumeration():
     # n=3: evaluate every (r, e1, e2) product directly and compare against
     # the canonical (sorted-exponent) evaluation of its orbit representative
@@ -140,10 +163,10 @@ def test_canonical_reduction_agrees_with_full_enumeration():
         for r in (0, 1):
             for e1 in range(length - r + 1):
                 e2 = length - r - e1
-                value = tz._evaluate_multiset(n, r, (e1, e2))
-                canon = tz._evaluate_multiset(n, r, tuple(sorted((e1, e2), reverse=True)))
-                assert bool(value) == bool(canon), (r, e1, e2)
-                seen_nonzero |= bool(value)
+                value = tz._nonzero(r, (e1, e2))
+                canon = tz._nonzero(r, tuple(sorted((e1, e2), reverse=True)))
+                assert value == canon, (r, e1, e2)
+                seen_nonzero |= value
         assert seen_nonzero == (not tz.zcl_exhaustive(n, length).all_zero)
 
 
