@@ -59,10 +59,13 @@ SCAN_BALL_BUDGET = 1 << 25
 # cell lookups one self-intersection scan may make, checked before the first:
 # (3^dim + 1) / 2 neighbour offsets, each a search over the occupied cells.
 # An offset is charged at least 512 cells, because its array calls cost about
-# as much as searching that many (about 20 us, at 40 ns a cell).  The largest
-# scan in use, verify-paper's n = 3 embedding in R^5, makes 122 x 146,459 =
-# 17,867,998 (0.75 s).  Four vertices in R^10 make 29,525 x 512 (about 0.7 s);
-# in R^11 they would take about 2 s, and each further dimension triples that.
+# as much as searching that many (about 20 us, at 40 ns a cell).  One search
+# serves the three offsets that differ in the last axis only, so a scan
+# makes (3^(dim-1) + 1) / 2 searches and the budget over-counts them about 3x;
+# the formula is kept so that the same scans are refused.  The largest scan
+# in use, verify-paper's n = 3 embedding in R^5, is charged 122 x 146,459 =
+# 17,867,998 and makes 41 searches.  Four vertices in R^10 are charged
+# 29,525 x 512; every scan in R^11 or higher is refused.
 SCAN_LOOKUP_BUDGET = 1 << 25
 _NEAR_BLOCK = 1 << 21  # ball-entry compares per block of the neighbour test
 # rows formatted per write when saving a mesh file, so that a mesh near the
@@ -381,12 +384,26 @@ def _cell_side(extent: float, dim: int, radius: float) -> float:
     return max(radius, extent / cells_per_axis)
 
 
-def _cell_pairs(cells: np.ndarray, step: int):
-    """Indices (a, b) into the sorted unique keys with cells[b] == cells[a] + step."""
-    want = cells + step
-    loc = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
-    a = np.flatnonzero(cells[loc] == want)
-    return a, loc[a]
+def _cell_pairs(cells: np.ndarray, step: int, same_prefix: bool):
+    """Cell pairs for the three offsets step - 1, step and step + 1.
+
+    Yields (d, a, b) for d = -1, 0, 1: indices into the sorted unique keys
+    with cells[b] == cells[a] + step + d.  The three wanted keys of a cell
+    are consecutive integers, so one search for the first finds all three:
+    a hit at `loc` moves the next key's place to loc + 1, a miss leaves it
+    at loc.  A place past the end is read at the last cell, which is below
+    every wanted key there, so it never hits.  With `same_prefix` (step 0)
+    d = -1 is the other half-space and is skipped.
+    """
+    last = len(cells) - 1
+    loc = np.searchsorted(cells, cells + (step - 1))
+    for d in (-1, 0, 1):
+        at = np.minimum(loc, last)
+        hit = cells[at] == cells + (step + d)
+        if d >= 0 or not same_prefix:
+            a = np.flatnonzero(hit)
+            yield d, a, at[a]
+        loc += hit
 
 
 def _candidate_pairs(P: np.ndarray, radius: float):
@@ -398,11 +415,14 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     start at 1, so a neighbour offset is a scalar added to a key.
     Points at distance <= radius lie in cells differing by at most one
     per axis, so looking up a half-space of the 3^dim offsets from every
-    occupied cell sees every pair exactly once.  Those lookups are counted
-    and checked against SCAN_LOOKUP_BUDGET before the first.  The raw candidates
-    (every point pair of two neighbouring cells) are counted first and
-    checked against SCAN_CANDIDATE_BUDGET; each offset's candidates then
-    go through the exact d^2 test on their own.
+    occupied cell sees every pair exactly once.  The last axis has stride
+    1, so the offsets that differ only in it are adjacent keys: the loop
+    runs over the half-space of the 3^(dim-1) prefix offsets and makes one
+    search per prefix (_cell_pairs).  The lookups are charged against
+    SCAN_LOOKUP_BUDGET before the first.  The raw candidates (every point
+    pair of two neighbouring cells) are counted first and checked against
+    SCAN_CANDIDATE_BUDGET; each offset's candidates then go through the
+    exact d^2 test on their own.
     """
     N, dim = P.shape
     lo = P.min(axis=0)
@@ -424,20 +444,21 @@ def _candidate_pairs(P: np.ndarray, radius: float):
             f"cell lookups, over {SCAN_LOOKUP_BUDGET} (the budget)"
         )
 
-    zero = (0,) * dim
+    zero = (0,) * (dim - 1)
     neighbours = []
     raw = 0
-    for off in product((-1, 0, 1), repeat=dim):
-        if off < zero:
+    for prefix in product((-1, 0, 1), repeat=dim - 1):
+        if prefix < zero:
             continue
-        a, b = _cell_pairs(cells, int(np.dot(off, strides)))
-        neighbours.append((off == zero, a, b))
-        raw += int(np.dot(counts[a], counts[b]))
-        if raw > SCAN_CANDIDATE_BUDGET:
-            raise FeasibilityError(
-                f"a scan of {N} vertices at radius {radius!r} has over "
-                f"{SCAN_CANDIDATE_BUDGET} candidate pairs (the budget)"
-            )
+        step = int(np.dot(prefix, strides[:-1]))
+        for d, a, b in _cell_pairs(cells, step, prefix == zero):
+            neighbours.append((prefix == zero and d == 0, a, b))
+            raw += int(np.dot(counts[a], counts[b]))
+            if raw > SCAN_CANDIDATE_BUDGET:
+                raise FeasibilityError(
+                    f"a scan of {N} vertices at radius {radius!r} has over "
+                    f"{SCAN_CANDIDATE_BUDGET} candidate pairs (the budget)"
+                )
 
     out_i, out_j = [], []
     for same_cell, a, b in neighbours:
@@ -511,11 +532,14 @@ def _mesh_near_mask(
 
     Adjacency is "shares a quad".  With ball(v) = {v} + its neighbours,
     distance <= 2 is exactly ball(i) meeting ball(j).  Only balls of
-    vertices that occur in candidate pairs are built, and each block of
-    pairs compares every entry of ball(i) with every entry of ball(j).
-    The pairs go in order of their wider ball, cut to that width, so one
-    vertex of high degree slows only its own pairs.  The ball table is
-    checked against SCAN_BALL_BUDGET before it is built.
+    vertices that occur in candidate pairs are built.  The pairs go in
+    order of their wider ball, cut to that width w, so one vertex of high
+    degree slows only its own pairs.  Each block of pairs first tests
+    j in ball(i), w compares a pair: j is in ball(j), so a hit means the
+    balls meet, and on the mesh grids it settles about three pairs in four.
+    Only the pairs it leaves compare every entry of ball(i) with every entry
+    of ball(j), w^2 compares a pair.  The ball table is checked against
+    SCAN_BALL_BUDGET before it is built.
     """
     seen = np.zeros(num_vertices, dtype=bool)
     seen[I] = True
@@ -533,9 +557,12 @@ def _mesh_near_mask(
         for lo in range(start, start + count, block):
             pick = order[lo : min(lo + block, start + count)]
             bi = balls[row[I[pick]], :w]
+            shared = (bi == J[pick][:, None]).any(axis=1)
+            near[pick] = shared
+            pick, bi = pick[~shared], bi[~shared]
             bj = balls[row[J[pick]], :w]
             same = bi[:, :, None] == bj[:, None, :]
-            near[pick] = same.reshape(len(pick), -1).any(axis=1)
+            near[pick] = same.reshape(len(pick), w * w).any(axis=1)
     return near
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleinforge import geometry as geo
+from kleinforge import verification as vf
 from kleinforge.errors import FeasibilityError
 
 
@@ -323,6 +324,35 @@ def test_scan_matches_kdtree_oracle_with_a_high_degree_pole():
     expected = kdtree_oracle_pairs(mesh, 0.05)
     assert (200, 401) in expected and (0, 401) in expected
     assert got == expected
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_folded_cell_lookup_matches_brute_force(dim):
+    # lattice points of spacing radius/2, drawn with repeats: many sit on cell
+    # edges, at distance exactly `radius` or 0, and in cells at either end of
+    # the sorted keys; dim = 1 has only the zero prefix
+    rng = np.random.default_rng(dim)
+    radius = 1.0
+    P = rng.integers(0, 5, size=(300, dim)) * (radius / 2)
+    I, J = geo._candidate_pairs(P, radius)
+    got = sorted(zip(np.minimum(I, J).tolist(), np.maximum(I, J).tolist()))
+    d2 = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
+    expected = sorted(zip(*np.nonzero(np.triu(d2 <= radius * radius, k=1))))
+    assert len(expected) > 200
+    assert got == [(int(i), int(j)) for i, j in expected]
+
+
+def test_nested_family_gap_matches_the_broadcast_minimum():
+    rng = np.random.default_rng(5)
+    for rows, cols in ((1, 1), (300, 70), (513, 257)):
+        a = rng.normal(size=(rows, 3))
+        b = rng.normal(size=(cols, 3)) + 0.5
+        broadcast = np.min(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
+        assert vf._min_sq_distance(a, b) == pytest.approx(broadcast, rel=1e-12, abs=1e-14)
+    # a shared point is a gap of 0, so a touching family fails the check
+    a = rng.normal(size=(600, 3))
+    b = np.concatenate([rng.normal(size=(50, 3)) + 10.0, a[555:556]])
+    assert abs(vf._min_sq_distance(a, b)) < 1e-12
 
 
 def test_ball_table_over_budget_is_infeasible(monkeypatch):
