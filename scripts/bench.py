@@ -15,6 +15,9 @@ run's own and no cache carries over between runs.  The file records:
   (load_mesh), and its size in bytes;
 - for each case of RING_CASES: median seconds of char_classes.manifold_report(n)
   or fundamental_group.abelianization(n), with the category or group it gives;
+- for each dimension of QUAD_DIMS: median seconds to scan one unit square,
+  padded with zero coordinates and read back from a mesh text file, with its
+  pair count, or "refused" where the scan exits 3 (a FeasibilityError);
 - the peak RSS of each of those, the largest of its runs.
 
 Only public API is used, so the same script measures any commit.  The
@@ -50,6 +53,8 @@ MESH_IO_FILES = {
 # (function, n) cases of the ring job: the Wu and Stiefel-Whitney solves
 # behind `manifold`, and the Smith form behind `pi1` and `check` at n = 63
 RING_CASES = [("manifold_report", n) for n in range(8, 14)] + [("abelianization", 63)]
+# dimensions of the one-square scans: the cost of a scan that is not its pairs
+QUAD_DIMS = (4, 10, 13)
 
 
 def peak_rss_mb() -> float:
@@ -131,12 +136,32 @@ def job_ring(name: str, n: int) -> dict:
     return {"seconds": time.perf_counter() - start, "answer": answer, "peak_rss_mb": peak_rss_mb()}
 
 
+def job_quad_scan(dim: int) -> dict:
+    from kleinforge import geometry as geo
+    from kleinforge.errors import FeasibilityError
+
+    pad = " 0" * (dim - 2)
+    corners = "".join(f"v {x} {y}{pad}\n" for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "quad.txt")
+        with open(path, "w") as fh:
+            fh.write(corners + "f 0 1 2 3\n")
+        mesh = geo.load_mesh(path)
+    start = time.perf_counter()
+    try:
+        pairs = geo.self_intersection_scan(mesh, 0.5).num_pairs
+    except FeasibilityError:
+        pairs = "refused"
+    return {"scan_s": time.perf_counter() - start, "pairs": pairs, "peak_rss_mb": peak_rss_mb()}
+
+
 JOBS = {
     "verify-paper": job_verify_paper,
     "scan": lambda n, target: job_scan(int(n), target),
     "zcl": lambda m: job_zcl(int(m)),
     "mesh-io": job_mesh_io,
     "ring": lambda name, n: job_ring(name, int(n)),
+    "quad-scan": lambda dim: job_quad_scan(int(dim)),
 }
 
 
@@ -190,6 +215,7 @@ def main() -> int:
         "compute_zcl": {},
         "mesh_io": {},
         "ring": {},
+        "quad_scans": {},
     }
     for n in sorted(SCAN_SETTINGS):
         for target in ("immersion", "embedding"):
@@ -223,6 +249,13 @@ def main() -> int:
         report["ring"][f"{name}-n{n}"] = {
             "seconds": median_of(runs, "seconds"),
             "answer": runs[0]["answer"],
+            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
+        }
+    for dim in QUAD_DIMS:
+        runs = [run_job("quad-scan", str(dim)) for _ in range(RUNS)]
+        report["quad_scans"][f"R{dim}"] = {
+            "scan_s": median_of(runs, "scan_s"),
+            "pairs": runs[0]["pairs"],
             "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
         }
     path = f"BENCH_{args.label}.json"

@@ -20,18 +20,19 @@ gives an embedding in R^(n+2).
 
 Meshes sample the parameter grid, welding the t = pi row onto the t = 0
 row through the flip (this needs an even theta resolution).  The
-self-intersection scan hashes vertices into cells of side `radius`, each
-keyed by one int64, and reports close pairs that are not mesh neighbours,
-where "neighbour" means graph distance at most 2 in the share-a-quad
-adjacency.  Both stages are array code over any quad mesh: grid metadata
-is never used.
+self-intersection scan hashes vertices into cells of side `radius`, joins
+neighbouring cells one axis at a time, and reports close pairs that are
+not mesh neighbours, where "neighbour" means graph distance at most 2 in
+the share-a-quad adjacency.  Both stages are array code over any quad
+mesh: grid metadata is never used.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import partial
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -42,12 +43,13 @@ MIN_DIRECTRIX_SPEED = 1e-8
 # peaks at about 100-130 bytes per coordinate, so about 1 GB at the budget
 MESH_COORDINATE_BUDGET = 1 << 23
 # raw candidate pairs (every point pair of two neighbouring cells, a cell with
-# c points counting c^2 with itself) one self-intersection scan may gather, checked
-# before any pair array exists.  The largest scan in use, verify-paper's n = 3
-# immersion, has 1,770,949; `scan --n 2 --res 200x400 --radius 1e6` would have
-# about 3.2e9.  The array stages take about 45 bytes per raw candidate (190 MB
-# at the budget); when the radius exceeds the mesh, nearly every candidate is
-# reported, at about 340 bytes per pair as a ScanResult.
+# c points counting c^2 with itself) one self-intersection scan may gather, and
+# cell prefix pairs its join may build on one axis, each counted before its
+# arrays exist.  The largest scan in use, verify-paper's n = 3 immersion, has
+# 1,760,184 raw candidates and at most 591,322 prefix pairs on an axis;
+# `scan --n 2 --res 200x400 --radius 1e6` would have about 3.2e9.  When the
+# radius exceeds the mesh, nearly every candidate is reported, at about 340
+# bytes per pair as a ScanResult.
 SCAN_CANDIDATE_BUDGET = 1 << 22
 # entries of the ball table the neighbour filter may build (one row of
 # 1 + 4 * (largest degree) ids per vertex in a candidate pair), checked before
@@ -56,18 +58,8 @@ SCAN_CANDIDATE_BUDGET = 1 << 22
 # 10,725,120 (218,880 rows of degree 12); one vertex of degree 1,000 in a mesh
 # file widens every row to 4,001.
 SCAN_BALL_BUDGET = 1 << 25
-# cell lookups one self-intersection scan may make, checked before the first:
-# (3^dim + 1) / 2 neighbour offsets, each a search over the occupied cells.
-# An offset is charged at least 512 cells, because its array calls cost about
-# as much as searching that many (about 20 us, at 40 ns a cell).  One search
-# serves the three offsets that differ in the last axis only, so a scan
-# makes (3^(dim-1) + 1) / 2 searches and the budget over-counts them about 3x;
-# the formula is kept so that the same scans are refused.  The largest scan
-# in use, verify-paper's n = 3 embedding in R^5, is charged 122 x 146,459 =
-# 17,867,998 and makes 41 searches.  Four vertices in R^10 are charged
-# 29,525 x 512; every scan in R^11 or higher is refused.
-SCAN_LOOKUP_BUDGET = 1 << 25
 _NEAR_BLOCK = 1 << 21  # ball-entry compares per block of the neighbour test
+_GATHER_BLOCK = 1 << 15  # raw candidates gathered per block of the d^2 test
 # rows formatted per write when saving a mesh file, so that a mesh near the
 # coordinate budget is never held as one string
 _IO_ROWS = 1 << 13
@@ -368,119 +360,102 @@ class ScanResult:
     seam_confinement: float | None
 
 
-def _cell_side(extent: float, dim: int, radius: float) -> float:
-    """The side of the hash cells: `radius`, or more where int64 keys need it.
+def _ragged(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ranges start[i] .. start[i] + size[i] - 1, laid end to end."""
+    base = np.repeat((start - (np.cumsum(size) - size)).astype(start.dtype), size)
+    return base + np.arange(len(base), dtype=start.dtype)
 
-    Cells are counted from the mesh's lowest corner with one spare layer
-    each side (for the neighbour offsets), so an axis of length `extent`
-    spans at most extent/side + 3 cells.  Below 2^(61/dim) cells per axis
-    the box has under 2^61 cells, and every key, plus or minus one offset
-    step, fits in int64.  A side above `radius` still puts every close pair
-    in neighbouring cells, so the result is the same.
+
+def _check_budget(count: int, what: str, scan: str) -> None:
+    if count > SCAN_CANDIDATE_BUDGET:
+        raise FeasibilityError(f"{scan} has over {SCAN_CANDIDATE_BUDGET} {what} (the budget)")
+
+
+def _neighbour_cells(cells: np.ndarray, scan: str):
+    """Pairs (a, b), a < b, of sorted distinct cells that differ by at most one per axis.
+
+    A join one axis at a time over the groups of cells sharing their first
+    k coordinates: a pair of groups (p, q) extends to the children c of p
+    and d of q whose next coordinate is within 1, found by two searches on
+    the (parent, coordinate) keys, since children are contiguous in the
+    sort.  Each group is also paired with itself, without an entry; that
+    pair extends to its children's own pairs and to siblings one coordinate
+    apart, so every pair comes out once.  The pairs of each axis are
+    counted against SCAN_CANDIDATE_BUDGET before they are built.
     """
-    cells_per_axis = 2.0 ** (61 / dim) - 4
-    if cells_per_axis <= 0 or not np.isfinite(extent):
-        raise FeasibilityError(f"the cell keys of a scan in R^{dim} do not fit in 64 bits")
-    return max(radius, extent / cells_per_axis)
-
-
-def _cell_pairs(cells: np.ndarray, step: int, same_prefix: bool):
-    """Cell pairs for the three offsets step - 1, step and step + 1.
-
-    Yields (d, a, b) for d = -1, 0, 1: indices into the sorted unique keys
-    with cells[b] == cells[a] + step + d.  The three wanted keys of a cell
-    are consecutive integers, so one search for the first finds all three:
-    a hit at `loc` moves the next key's place to loc + 1, a miss leaves it
-    at loc.  A place past the end is read at the last cell, which is below
-    every wanted key there, so it never hits.  With `same_prefix` (step 0)
-    d = -1 is the other half-space and is skipped.
-    """
-    last = len(cells) - 1
-    loc = np.searchsorted(cells, cells + (step - 1))
-    for d in (-1, 0, 1):
-        at = np.minimum(loc, last)
-        hit = cells[at] == cells + (step + d)
-        if d >= 0 or not same_prefix:
-            a = np.flatnonzero(hit)
-            yield d, a, at[a]
-        loc += hit
+    ids = np.int32 if len(cells) <= np.iinfo(np.int32).max else np.int64
+    # fresh[a, k]: cell a starts a new run of its first k + 1 coordinates
+    fresh = np.ones(cells.shape, dtype=bool)
+    fresh[1:] = np.logical_or.accumulate(cells[1:] != cells[:-1], axis=1)
+    group = np.zeros(len(cells), dtype=ids)  # each cell's group, from the empty prefix
+    p = q = np.zeros(0, dtype=ids)
+    for k in range(cells.shape[1]):
+        child_first = np.flatnonzero(fresh[:, k]).astype(ids)
+        parent = group[child_first]
+        value = cells[child_first, k].astype(np.int64)
+        same = parent[1:] == parent[:-1]
+        sib = np.flatnonzero(same & (value[1:] == value[:-1] + 1))
+        begin = np.flatnonzero(np.r_[True, ~same])  # first child of each group
+        kids = np.diff(begin, append=len(child_first))[p]
+        _check_budget(int(kids.sum()), f"cell prefix pairs on axis {k}", scan)
+        c = _ragged(begin[p], kids)
+        keys = (parent.astype(np.int64) << 32) + value
+        home = (np.repeat(q, kids).astype(np.int64) << 32) + value[c]
+        lo_d = np.searchsorted(keys, home - 1).astype(ids)
+        size = np.searchsorted(keys, home + 1, side="right") - lo_d
+        _check_budget(len(sib) + int(size.sum()), f"cell prefix pairs on axis {k}", scan)
+        p = np.concatenate([sib, np.repeat(c, size)]).astype(ids)
+        q = np.concatenate([sib + 1, _ragged(lo_d, size)]).astype(ids)
+        group = (np.cumsum(fresh[:, k]) - 1).astype(ids)
+    return p, q
 
 
 def _candidate_pairs(P: np.ndarray, radius: float):
     """All vertex pairs within `radius`, via a uniform spatial hash.
 
-    Cells have side `radius`, or more where _cell_side needs it.  Each
-    cell is keyed by one int64, the mixed-radix index of its cell
-    coordinates, counted from the mesh's lowest corner and shifted to
-    start at 1, so a neighbour offset is a scalar added to a key.
-    Points at distance <= radius lie in cells differing by at most one
-    per axis, so looking up a half-space of the 3^dim offsets from every
-    occupied cell sees every pair exactly once.  The last axis has stride
-    1, so the offsets that differ only in it are adjacent keys: the loop
-    runs over the half-space of the 3^(dim-1) prefix offsets and makes one
-    search per prefix (_cell_pairs).  The lookups are charged against
-    SCAN_LOOKUP_BUDGET before the first.  The raw candidates (every point
-    pair of two neighbouring cells) are counted first and checked against
-    SCAN_CANDIDATE_BUDGET; each offset's candidates then go through the
-    exact d^2 test on their own.
+    Cells have side `radius`, or extent / 2^30 where that is larger, so
+    that cell coordinates stay at most 2^30; they are kept in the narrowest
+    unsigned type that holds them, which sorts fastest.  A larger side
+    still puts every close pair in neighbouring cells.  Points at distance
+    <= radius lie in cells differing by at most one per axis: each occupied
+    cell with itself and the pairs _neighbour_cells joins.  The raw
+    candidates (every point pair of two such cells) are counted and checked
+    against SCAN_CANDIDATE_BUDGET before any is gathered; they then go
+    through the exact d^2 test a block at a time.
     """
     N, dim = P.shape
     lo = P.min(axis=0)
     # Python floats, so a span beyond the float range is inf without a warning
     extent = max(h - l for h, l in zip(P.max(axis=0).tolist(), lo.tolist()))
-    side = _cell_side(extent, dim, radius)
-    coords = np.floor((P - lo) / side).astype(np.int64) + 1
-    radix = coords.max(axis=0) + 2
-    strides = np.ones(dim, dtype=np.int64)
-    for a in range(dim - 2, -1, -1):
-        strides[a] = strides[a + 1] * radix[a + 1]
-    keys = coords @ strides
-    order = np.argsort(keys)
-    cells, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
-    lookups = (3**dim + 1) // 2 * max(len(cells), 512)
-    if lookups > SCAN_LOOKUP_BUDGET:
-        raise FeasibilityError(
-            f"a scan in R^{dim} over {len(cells)} occupied cells makes {lookups} "
-            f"cell lookups, over {SCAN_LOOKUP_BUDGET} (the budget)"
-        )
-
-    zero = (0,) * (dim - 1)
-    neighbours = []
-    raw = 0
-    for prefix in product((-1, 0, 1), repeat=dim - 1):
-        if prefix < zero:
-            continue
-        step = int(np.dot(prefix, strides[:-1]))
-        for d, a, b in _cell_pairs(cells, step, prefix == zero):
-            neighbours.append((prefix == zero and d == 0, a, b))
-            raw += int(np.dot(counts[a], counts[b]))
-            if raw > SCAN_CANDIDATE_BUDGET:
-                raise FeasibilityError(
-                    f"a scan of {N} vertices at radius {radius!r} has over "
-                    f"{SCAN_CANDIDATE_BUDGET} candidate pairs (the budget)"
-                )
-
-    out_i, out_j = [], []
-    for same_cell, a, b in neighbours:
-        reps = counts[a] * counts[b]
-        total = int(reps.sum())
-        if total == 0:
-            continue
+    if not np.isfinite(extent):
+        raise FeasibilityError(f"the extent of a scan in R^{dim} does not fit in 64 bits")
+    side = max(radius, extent / 2**30)
+    coords = np.floor((P - lo) / side).astype(np.min_scalar_type(int(extent / side)))
+    order = np.lexsort(coords.T[::-1])
+    coords = coords[order]
+    starts = np.flatnonzero(np.r_[True, (coords[1:] != coords[:-1]).any(axis=1)])
+    counts = np.diff(starts, append=N)
+    scan = f"a scan of {N} vertices at radius {radius!r}"
+    p, q = _neighbour_cells(coords[starts], scan)
+    each = np.arange(len(starts), dtype=p.dtype)
+    a, b = np.concatenate([each, p]), np.concatenate([each, q])
+    raw = counts[a] * counts[b]
+    total = int(raw.sum())
+    _check_budget(total, "candidate pairs", scan)
+    found = []
+    cuts = np.searchsorted(np.cumsum(raw), np.arange(_GATHER_BLOCK, total, _GATHER_BLOCK))
+    for a, b, reps in zip(np.split(a, cuts), np.split(b, cuts), np.split(raw, cuts)):
         # ragged gather of every point pair of each cell pair (a, b)
         pair = np.repeat(np.arange(len(a)), reps)
-        within = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps)
+        within = _ragged(np.zeros(len(a), np.int64), reps)
         width = counts[b][pair]
         I = order[starts[a][pair] + within // width]
         J = order[starts[b][pair] + within % width]
-        if same_cell:
-            keep = I < J
-            I, J = I[keep], J[keep]
+        keep = (a != b)[pair] | (I < J)
+        I, J = I[keep], J[keep]
         close = np.sum((P[I] - P[J]) ** 2, axis=1) <= radius * radius
-        out_i.append(I[close])
-        out_j.append(J[close])
-    if not out_i:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(out_i), np.concatenate(out_j)
+        found.append((I[close], J[close]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _balls(faces: np.ndarray, vertices: np.ndarray, num_vertices: int):
@@ -632,12 +607,42 @@ def _parse_rows(records: list[str], dtype, usecols=None) -> np.ndarray:
 
 def _quads(records: list[str]) -> np.ndarray:
     """Face records parsed to an (F, 4) int array."""
-    if not records:
-        return np.empty((0, 4), dtype=np.int64)
     faces = _parse_rows(records, np.int64)
     if faces.shape[1] != 4:
         raise ValueError("mesh faces must be quads")
     return faces
+
+
+def _obj_quads(records: list[str], seen: list[int]) -> np.ndarray:
+    """OBJ face records as 0-based ids; seen[i] is the number of v lines before record i."""
+    ids = _quads(records)
+    if (ids == 0).any():
+        raise ValueError("OBJ face index 0 is invalid (indices start at 1)")
+    return np.where(ids > 0, ids - 1, ids + np.array(seen, dtype=np.int64)[:, None])
+
+
+class _Rows:
+    """Records of one kind, parsed a block at a time as a file is read.
+
+    A reader adds the records of at most `_IO_ROWS` lines before each
+    `flush`, so it holds one block of their text, not the whole file's.
+    """
+
+    def __init__(self, parse, empty=None):
+        self.parse, self.empty, self.records, self.blocks = parse, empty, [], []
+        self.add = self.records.append
+
+    def flush(self) -> None:
+        if self.records:
+            self.blocks.append(self.parse(self.records))
+            self.records.clear()
+
+    def array(self) -> np.ndarray | None:
+        """Every row, or `empty` for no records."""
+        self.flush()
+        if len({block.shape[1] for block in self.blocks}) > 1:
+            raise ValueError("mesh rows differ in length")
+        return np.concatenate(self.blocks) if self.blocks else self.empty
 
 
 def _check_ids(faces: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -667,33 +672,30 @@ def write_mesh_text(mesh: Mesh, path: str) -> None:
 
 def read_mesh_text(path: str) -> Mesh:
     meta: dict[str, str] = {}
-    verts: list[str] = []
-    tvals: list[str] = []
-    faces: list[str] = []
+    floats = partial(_parse_rows, dtype=np.float64)
+    rows = {"v": _Rows(floats), "t": _Rows(floats), "f": _Rows(_quads, np.empty((0, 4), np.int64))}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            kind, _, rest = line.partition(" ")
-            if kind == "v":
-                verts.append(rest)
-            elif kind == "f":
-                faces.append(rest)
-            elif kind == "t":
-                tvals.append(rest)
-            elif kind == "meta":
-                key, _, val = rest.partition(" ")
-                meta[key] = val
-            else:
-                raise ValueError(f"unrecognised mesh line: {line!r}")
-    if not verts:
+        while lines := list(islice(fh, _IO_ROWS)):
+            for line in lines:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                kind, _, rest = line.partition(" ")
+                if kind in rows:
+                    rows[kind].add(rest)
+                elif kind == "meta":
+                    key, _, val = rest.partition(" ")
+                    meta[key] = val
+                else:
+                    raise ValueError(f"unrecognised mesh line: {line!r}")
+            for block in rows.values():
+                block.flush()
+    vertices = rows["v"].array()
+    if vertices is None:
         raise ValueError("mesh file has no vertices")
-    vertices = _parse_rows(verts, np.float64)
-    faces_arr = _check_ids(_quads(faces), len(vertices))
-    t_values = None
-    if tvals:
-        t = _parse_rows(tvals, np.float64)
+    faces = _check_ids(rows["f"].array(), len(vertices))
+    t_values = t = rows["t"].array()
+    if t is not None:
         if t.shape != (len(vertices), 1):
             raise ValueError("t lines must match v lines one to one, one number each")
         if not np.isfinite(t).all():
@@ -704,13 +706,7 @@ def read_mesh_text(path: str) -> Mesh:
         spec = MeshSpec(
             int(meta["n"]), meta["target"], int(meta["res_theta"]), int(meta["res_t"])
         )
-    return Mesh(
-        vertices=vertices,
-        faces=faces_arr,
-        t_values=t_values,
-        spec=spec,
-        weld_error=float(meta.get("weld_error", "nan")),
-    )
+    return Mesh(vertices, faces, t_values, spec, float(meta.get("weld_error", "nan")))
 
 
 def write_obj(mesh: Mesh, path: str, axes: tuple[int, int, int] | None = None) -> None:
@@ -737,35 +733,30 @@ def read_obj(path: str) -> Mesh:
     `v` line read so far, so -1 is the newest vertex.  Only `v/...` index
     parts are used.  The result carries no grid metadata or t values.
     """
-    verts: list[str] = []
-    faces: list[str] = []
-    seen: list[int] = []  # the number of v lines before each f line
+    count, seen = 0, []  # v lines so far, and before each f line of the block
+    verts = _Rows(partial(_parse_rows, dtype=np.float64, usecols=(0, 1, 2)))
+    faces = _Rows(lambda records: _obj_quads(records, seen), np.empty((0, 4), np.int64))
     with open(path) as fh:
-        for line in fh:
-            parts = line.split(None, 1)
-            if not parts:
-                continue
-            # parts[-1] is the record after its letter; a bare letter stays and fails to parse
-            if parts[0] == "v":
-                verts.append(parts[-1])
-            elif parts[0] == "f":
-                rest = parts[-1]
-                faces.append(re.sub(_INDEX_PARTS, "", rest) if "/" in rest else rest)
-                seen.append(len(verts))
-    if not verts:
+        while lines := list(islice(fh, _IO_ROWS)):
+            for line in lines:
+                parts = line.split(None, 1)
+                if not parts:
+                    continue
+                # parts[-1] is the record after its letter; a bare letter stays and fails to parse
+                if parts[0] == "v":
+                    verts.add(parts[-1])
+                    count += 1
+                elif parts[0] == "f":
+                    rest = parts[-1]
+                    faces.add(re.sub(_INDEX_PARTS, "", rest) if "/" in rest else rest)
+                    seen.append(count)
+            verts.flush()
+            faces.flush()
+            seen.clear()
+    vertices = verts.array()
+    if vertices is None:
         raise ValueError(f"no vertices in {path}")
-    vertices = _parse_rows(verts, np.float64, usecols=(0, 1, 2))
-    ids = _quads(faces)
-    if (ids == 0).any():
-        raise ValueError("OBJ face index 0 is invalid (indices start at 1)")
-    ids = np.where(ids > 0, ids - 1, ids + np.asarray(seen, dtype=np.int64)[:, None])
-    return Mesh(
-        vertices=vertices,
-        faces=_check_ids(ids, len(vertices)),
-        t_values=None,
-        spec=None,
-        weld_error=float("nan"),
-    )
+    return Mesh(vertices, _check_ids(faces.array(), len(vertices)), None, None, float("nan"))
 
 
 def load_mesh(path: str) -> Mesh:

@@ -14,6 +14,7 @@ import pytest
 
 from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
+from kleinforge import geometry as geo
 from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
 from kleinforge.errors import FeasibilityError
@@ -221,29 +222,55 @@ def test_oversized_mesh_exits_3_before_allocating(tmp_path, capsys, monkeypatch)
 
 
 def test_oversized_scan_exits_3_before_gathering_pairs(capsys, monkeypatch):
-    # every pair of 79,800 vertices, about 3.2e9 raw candidates
-    def no_gather(*args, **kwargs):
-        raise AssertionError("the candidate budget must be checked before the pair gather")
+    # every pair of 79,800 vertices, about 3.2e9 raw candidates; the cell join
+    # repeats arrays too, so the probe fails only a repeat past the budget
+    repeat = np.repeat
 
-    monkeypatch.setattr(np, "repeat", no_gather)
+    def bounded_repeat(a, repeats, *args, **kwargs):
+        if np.sum(np.broadcast_to(repeats, np.shape(a))) > geo.SCAN_CANDIDATE_BUDGET:
+            raise AssertionError("the candidate budget must be checked before the pair gather")
+        return repeat(a, repeats, *args, **kwargs)
+
+    monkeypatch.setattr(np, "repeat", bounded_repeat)
     code, out, err = run(capsys, "scan", "--n", "2", "--res", "200x400", "--radius", "1e6")
     assert code == 3
     assert "feasibility guard" in err
     assert out == ""
 
 
-def test_tiny_mesh_in_high_dimension_exits_3_before_the_offset_loop(tmp_path, capsys):
-    # one quad in R^13 has (3^13 + 1) / 2 = 797,162 neighbour offsets to look up
-    path = tmp_path / "quad13.txt"
-    pad = " 0" * 11
+@pytest.mark.parametrize("dim", [13, 40])
+def test_tiny_mesh_in_high_dimension_scans_in_under_a_second(tmp_path, capsys, dim):
+    # the cell join visits occupied neighbours only, never the 3^dim offsets
+    path = tmp_path / f"quad{dim}.txt"
+    pad = " 0" * (dim - 2)
     corners = "".join(f"v {x} {y}{pad}\n" for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)))
     path.write_text(corners + "f 0 1 2 3\n")
     start = time.perf_counter()
     code, out, err = run(capsys, "scan", "--in", str(path), "--radius", "0.5")
     assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert out == ""
-    assert err.startswith("feasibility guard: ") and "cell lookups" in err
+    assert code == 0
+    assert out.startswith("0 close non-neighbour pairs among 4 vertices")
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("ragged-alone.txt", "v 1 2\n"),  # a block of its own, narrower than the rest
+        ("ragged-among.txt", "v 1 2 0\nv 1 2\n"),
+        ("missing-vertex.txt", "f 0 1 2 99\n"),
+        ("missing-vertex.obj", "f 1 2 3 99\n"),
+        ("zero-index.obj", "f 1 2 3 0\n"),
+    ],
+)
+def test_bad_record_in_a_later_block_exits_2(tmp_path, capsys, monkeypatch, name, bad):
+    # read three records at a time, the bad one lands in the third block or later
+    monkeypatch.setattr(geo, "_IO_ROWS", 3)
+    face = "f 1 2 3 4\n" if name.endswith(".obj") else "f 0 1 2 3\n"
+    path = tmp_path / name
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n" * 2 + face * 6 + bad)
+    code, out, err = run(capsys, "scan", "--in", str(path), "--radius", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

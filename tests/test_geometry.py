@@ -326,20 +326,35 @@ def test_scan_matches_kdtree_oracle_with_a_high_degree_pole():
     assert got == expected
 
 
-@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("dim", [*range(1, 8), 11, 13])
 def test_folded_cell_lookup_matches_brute_force(dim):
     # lattice points of spacing radius/2, drawn with repeats: many sit on cell
-    # edges, at distance exactly `radius` or 0, and in cells at either end of
-    # the sorted keys; dim = 1 has only the zero prefix
+    # edges, at distance exactly `radius` or 0, and in the first and last
+    # cells of the sort; dim = 1 joins one axis only
     rng = np.random.default_rng(dim)
     radius = 1.0
     P = rng.integers(0, 5, size=(300, dim)) * (radius / 2)
+    if dim > 7:
+        # most coordinates zero, so that enough pairs stay close
+        P *= rng.random(P.shape) < 0.3
     I, J = geo._candidate_pairs(P, radius)
     got = sorted(zip(np.minimum(I, J).tolist(), np.maximum(I, J).tolist()))
     d2 = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
     expected = sorted(zip(*np.nonzero(np.triu(d2 <= radius * radius, k=1))))
     assert len(expected) > 200
     assert got == [(int(i), int(j)) for i, j in expected]
+
+
+def test_cell_join_moves_no_budget_boundary(monkeypatch):
+    # verify-paper's n = 3 immersion has 1,760,184 raw candidates: the scan
+    # passes with the budget at that count and is refused one below it
+    s = vf.SCAN_SETTINGS[3]
+    mesh = geo.build_mesh(geo.MeshSpec(3, "immersion", s["res_theta"], s["res_t"]))
+    monkeypatch.setattr(geo, "SCAN_CANDIDATE_BUDGET", 1_760_184 - 1)
+    with pytest.raises(FeasibilityError, match="over 1760183 candidate pairs"):
+        geo.self_intersection_scan(mesh, s["radius"])
+    monkeypatch.setattr(geo, "SCAN_CANDIDATE_BUDGET", 1_760_184)
+    assert geo.self_intersection_scan(mesh, s["radius"]).num_pairs == 216
 
 
 def test_nested_family_gap_matches_the_broadcast_minimum():
@@ -469,6 +484,34 @@ def test_obj_reader_accepts_common_obj_records(tmp_path):
     ]
     assert mesh.faces.tolist() == [[0, 1, 2, 3], [5, 4, 1, 2]]
     assert mesh.t_values is None and mesh.spec is None
+
+
+@pytest.mark.parametrize("name", ["mesh.txt", "mesh.obj"])
+def test_mesh_readers_parse_in_blocks(tmp_path, monkeypatch, name):
+    # 40 vertices, 40 t values and 40 quads, read three records at a time
+    mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", 8, 6))
+    path = str(tmp_path / name)
+    (geo.write_obj if name.endswith(".obj") else geo.write_mesh_text)(mesh, path)
+    monkeypatch.setattr(geo, "_IO_ROWS", 3)
+    back = geo.load_mesh(path)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.faces, mesh.faces)
+    if name.endswith(".txt"):
+        assert np.array_equal(back.t_values, mesh.t_values)
+
+
+def test_obj_negative_indices_count_back_across_blocks(tmp_path, monkeypatch):
+    # each square's face follows its four vertices and names them from the newest
+    path = tmp_path / "squares.obj"
+    path.write_text("".join(
+        "".join(f"v {x + k} {y} 0\n" for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)))
+        + "f -4 -3 -2 -1\n"
+        for k in range(7)
+    ))
+    monkeypatch.setattr(geo, "_IO_ROWS", 3)
+    mesh = geo.load_mesh(str(path))
+    assert mesh.faces.tolist() == [[4 * k, 4 * k + 1, 4 * k + 2, 4 * k + 3] for k in range(7)]
+    assert mesh.vertices[-1].tolist() == [6, 1, 0]
 
 
 @pytest.mark.parametrize(
