@@ -20,11 +20,14 @@ run's own and no cache carries over between runs.  The file records:
   pair count, or "refused" where the scan exits 3 (a FeasibilityError);
 - the peak RSS of each of those, the largest of its runs.
 
-Only public API is used, so the same script measures any commit.  The
-file is written to the current directory.
+Only public API is used, so the same script measures any commit.  With
+`--parent DIR` it times the checkout at DIR too: every job alternates
+between DIR's `src` and this tree's, so the two files come from one
+session under the same load.  The jobs are the ones this tree lists.
+Files are written to the current directory.
 
 Usage:
-    PYTHONPATH=src python scripts/bench.py LABEL
+    PYTHONPATH=src python scripts/bench.py LABEL [--parent DIR]
 """
 
 import argparse
@@ -165,17 +168,56 @@ JOBS = {
 }
 
 
-def run_job(*argv: str) -> dict:
-    """Run one job in a fresh interpreter and return its JSON result."""
+def run_job(src: str, *argv: str) -> dict:
+    """Run one job in a fresh interpreter importing kleinforge from `src`; return its JSON."""
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--job", *argv],
         capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     return json.loads(proc.stdout)
 
 
+def measure(trees: dict, *argv: str) -> dict:
+    """RUNS runs of one job in each tree, alternating between the trees.
+
+    Each round runs the job once per tree, and the first tree of a round
+    alternates too, so load on the host falls on both trees alike.
+    """
+    runs = {name: [] for name in trees}
+    for r in range(RUNS):
+        for name in list(trees)[:: 1 if r % 2 == 0 else -1]:
+            runs[name].append(run_job(trees[name], *argv))
+    return runs
+
+
 def median_of(runs: list[dict], key: str) -> float:
     return round(statistics.median(r[key] for r in runs), 3)
+
+
+def peak_of(runs: list[dict]) -> float:
+    return round(max(r["peak_rss_mb"] for r in runs), 1)
+
+
+def summary(runs: list[dict], medians: tuple[str, ...], facts: tuple[str, ...]) -> dict:
+    """The median of each timing, the facts of the first run and the largest peak RSS."""
+    out = {key: median_of(runs, key) for key in medians}
+    out.update({key: runs[0][key] for key in facts})
+    out["peak_rss_mb"] = peak_of(runs)
+    return out
+
+
+def verify_paper_summary(runs: list[dict]) -> dict:
+    return {
+        "wall_s": median_of(runs, "wall_s"),
+        "wall_s_runs": [round(r["wall_s"], 3) for r in runs],
+        "passed": all(r["passed"] for r in runs),
+        "peak_rss_mb": peak_of(runs),
+        "checks_s": {
+            name: round(statistics.median(r["checks"][name] for r in runs), 3)
+            for name in runs[0]["checks"]
+        },
+    }
 
 
 def main() -> int:
@@ -185,6 +227,11 @@ def main() -> int:
         return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label", help="names the output file, BENCH_<label>.json")
+    ap.add_argument(
+        "--parent", metavar="DIR",
+        help="also time the checkout at DIR, alternating with this tree job by job, "
+        "and write its results to BENCH_<label>_parent.json",
+    )
     args = ap.parse_args()
 
     import numpy
@@ -192,77 +239,54 @@ def main() -> int:
     from kleinforge.tensor_zcl import TERM_BUDGET
     from kleinforge.verification import SCAN_SETTINGS
 
-    vp = [run_job("verify-paper") for _ in range(RUNS)]
-    report = {
-        "label": args.label,
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-        },
-        "runs": RUNS,
-        "verify_paper": {
-            "wall_s": median_of(vp, "wall_s"),
-            "wall_s_runs": [round(r["wall_s"], 3) for r in vp],
-            "passed": all(r["passed"] for r in vp),
-            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in vp), 1),
-            "checks_s": {
-                name: round(statistics.median(r["checks"][name] for r in vp), 3)
-                for name in vp[0]["checks"]
+    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    trees = {args.label: here}
+    if args.parent:
+        trees[f"{args.label}_parent"] = os.path.join(os.path.abspath(args.parent), "src")
+    reports = {
+        label: {
+            "label": label,
+            "machine": {
+                "nproc": os.cpu_count(),
+                "python": platform.python_version(),
+                "numpy": numpy.__version__,
             },
-        },
-        "scans": {},
-        "compute_zcl": {},
-        "mesh_io": {},
-        "ring": {},
-        "quad_scans": {},
+            "runs": RUNS,
+            "verify_paper": {},
+            "scans": {},
+            "compute_zcl": {},
+            "mesh_io": {},
+            "ring": {},
+            "quad_scans": {},
+        }
+        for label in trees
     }
+
+    def record(section: str, key: str, argv: tuple, medians: tuple, facts: tuple) -> None:
+        for label, runs in measure(trees, *argv).items():
+            reports[label][section][key] = summary(runs, medians, facts)
+
+    for label, runs in measure(trees, "verify-paper").items():
+        reports[label]["verify_paper"] = verify_paper_summary(runs)
     for n in sorted(SCAN_SETTINGS):
         for target in ("immersion", "embedding"):
-            runs = [run_job("scan", str(n), target) for _ in range(RUNS)]
-            report["scans"][f"n{n}-{target}"] = {
-                "build_s": median_of(runs, "build_s"),
-                "scan_s": median_of(runs, "scan_s"),
-                "vertices": runs[0]["vertices"],
-                "pairs": runs[0]["pairs"],
-                "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
-            }
+            record("scans", f"n{n}-{target}", ("scan", str(n), target),
+                   ("build_s", "scan_s"), ("vertices", "pairs"))
     # a product over K_m has at most 2^m terms; the budget admits m <= this
     for m in range(2, TERM_BUDGET.bit_length()):
-        runs = [run_job("zcl", str(m)) for _ in range(RUNS)]
-        report["compute_zcl"][f"m{m}"] = {
-            "zcl_s": median_of(runs, "zcl_s"),
-            "zcl": runs[0]["zcl"],
-            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
-        }
+        record("compute_zcl", f"m{m}", ("zcl", str(m)), ("zcl_s",), ("zcl",))
     for name in MESH_IO_FILES:
-        runs = [run_job("mesh-io", name) for _ in range(RUNS)]
-        report["mesh_io"][name] = {
-            "write_s": median_of(runs, "write_s"),
-            "read_s": median_of(runs, "read_s"),
-            "bytes": runs[0]["bytes"],
-            "vertices": runs[0]["vertices"],
-            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
-        }
+        record("mesh_io", name, ("mesh-io", name), ("write_s", "read_s"), ("bytes", "vertices"))
     for name, n in RING_CASES:
-        runs = [run_job("ring", name, str(n)) for _ in range(RUNS)]
-        report["ring"][f"{name}-n{n}"] = {
-            "seconds": median_of(runs, "seconds"),
-            "answer": runs[0]["answer"],
-            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
-        }
+        record("ring", f"{name}-n{n}", ("ring", name, str(n)), ("seconds",), ("answer",))
     for dim in QUAD_DIMS:
-        runs = [run_job("quad-scan", str(dim)) for _ in range(RUNS)]
-        report["quad_scans"][f"R{dim}"] = {
-            "scan_s": median_of(runs, "scan_s"),
-            "pairs": runs[0]["pairs"],
-            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
-        }
-    path = f"BENCH_{args.label}.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {path}: verify-paper {report['verify_paper']['wall_s']} s (median of {RUNS})")
+        record("quad_scans", f"R{dim}", ("quad-scan", str(dim)), ("scan_s",), ("pairs",))
+    for label, report in reports.items():
+        path = f"BENCH_{label}.json"
+        with open(path, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {path}: verify-paper {report['verify_paper']['wall_s']} s (median of {RUNS})")
     return 0
 
 

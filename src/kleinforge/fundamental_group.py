@@ -23,7 +23,7 @@ from .abelian import AbelianGroup
 from .cohomology_f2 import _check_dimension
 from .linalg import abelian_invariants
 
-_TOKEN = re.compile(r"a(n|\d+)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"a(n|\d+)(?:\^(-?\d+))?$", re.ASCII)
 
 
 @dataclass(frozen=True)

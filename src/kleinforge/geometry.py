@@ -19,12 +19,14 @@ Appending sin(2t) as one extra coordinate separates the branches and
 gives an embedding in R^(n+2).
 
 Meshes sample the parameter grid, welding the t = pi row onto the t = 0
-row through the flip (this needs an even theta resolution).  The
-self-intersection scan hashes vertices into cells of side `radius`, joins
-neighbouring cells one axis at a time, and reports close pairs that are
-not mesh neighbours, where "neighbour" means graph distance at most 2 in
-the share-a-quad adjacency.  Both stages are array code over any quad
-mesh: grid metadata is never used.
+row through the flip (this needs an even theta resolution).  Quad corners
+come from one grid step per axis: theta steps wrap, and the t step from
+the last kept row lands on row 0 through the flip, the one place the weld
+is applied.  The self-intersection scan hashes vertices into cells of
+side `radius`, joins neighbouring cells one axis at a time, and reports
+close pairs that are not mesh neighbours, where "neighbour" means graph
+distance at most 2 in the share-a-quad adjacency.  Both stages are array
+code over any quad mesh: grid metadata is never used.
 """
 
 from __future__ import annotations
@@ -302,31 +304,32 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     return Mesh(vertices, faces, t_values, spec, weld_error)
 
 
-def _flat_ids(indices, A: int, T: int) -> np.ndarray:
-    """Kept-vertex ids for grid indices, applying theta wrap and t weld."""
-    axes = [np.asarray(ix) % A for ix in indices[:-1]]
-    tt = np.asarray(indices[-1])
-    at_weld = tt == T - 1
-    axes[0] = np.where(at_weld, grid_weld_index(axes[0], A), axes[0])
-    tt = np.where(at_weld, 0, tt)
-    shape = tuple([A] * len(axes)) + (T - 1,)
-    return np.ravel_multi_index(tuple(axes) + (tt,), shape)
+def _step(ids: np.ndarray, axis: int) -> np.ndarray:
+    """Each grid point's entry of `ids` one step along `axis` (last axis t).
+
+    theta axes wrap; the t step from the last kept row lands on row 0
+    through the weld theta_1 -> pi - theta_1.
+    """
+    if axis < ids.ndim - 1:
+        return np.roll(ids, -1, axis=axis)
+    welded = ids[grid_weld_index(np.arange(len(ids)), len(ids)), ..., :1]
+    return np.concatenate([ids[..., 1:], welded], axis=-1)
 
 
 def _grid_faces(n: int, A: int, T: int) -> np.ndarray:
-    """Quads (base, +e_a, +e_a+e_b, +e_b) for every axis pair a < b."""
-    kept = tuple([A] * (n - 1)) + (T - 1,)
-    base = [g.ravel() for g in np.indices(kept)]
+    """Quads (base, +e_a, +e_a+e_b, +e_b) for every axis pair a < b.
+
+    The corner +e_a+e_b steps along b first, so that a weld on the t step
+    acts on the theta_1 the a step has already moved.
+    """
+    kept = (A,) * (n - 1) + (T - 1,)
+    ids = np.arange(A ** (n - 1) * (T - 1), dtype=np.int64).reshape(kept)
     quads = []
     for a, b in combinations(range(n), 2):
-        corners = []
-        for da, db in ((0, 0), (1, 0), (1, 1), (0, 1)):
-            idx = list(base)
-            idx[a] = idx[a] + da
-            idx[b] = idx[b] + db
-            corners.append(_flat_ids(idx, A, T))
-        quads.append(np.stack(corners, axis=1))
-    return np.concatenate(quads, axis=0).astype(np.int64)
+        step_b = _step(ids, b)
+        corners = (ids, _step(ids, a), _step(step_b, a), step_b)
+        quads.append(np.stack(corners, axis=-1).reshape(-1, 4))
+    return np.concatenate(quads, axis=0)
 
 
 def mesh_edges(faces: np.ndarray) -> np.ndarray:
@@ -453,7 +456,8 @@ def _candidate_pairs(P: np.ndarray, radius: float):
         J = order[starts[b][pair] + within % width]
         keep = (a != b)[pair] | (I < J)
         I, J = I[keep], J[keep]
-        close = np.sum((P[I] - P[J]) ** 2, axis=1) <= radius * radius
+        d2 = np.sum((np.take(P, I, axis=0) - np.take(P, J, axis=0)) ** 2, axis=1)
+        close = d2 <= radius * radius
         found.append((I[close], J[close]))
     return tuple(map(np.concatenate, zip(*found)))
 
@@ -483,7 +487,7 @@ def _balls(faces: np.ndarray, vertices: np.ndarray, num_vertices: int):
     # a vertex in no quad reads some other entry, overwritten below
     k = np.minimum(np.arange(deg.max()), np.maximum(deg, 1)[:, None] - 1)
     slot = np.minimum(first[vertices][:, None] + k, max(len(flat) - 1, 0))
-    corners = faces.astype(ids, copy=False)[incidence[slot] // faces.shape[1]]
+    corners = np.take(faces.astype(ids, copy=False), incidence[slot] // faces.shape[1], axis=0)
     rows = np.empty((len(vertices), 1 + corners[0].size), dtype=ids)
     rows[:, 0] = vertices
     rows[:, 1:] = corners.reshape(len(vertices), -1)
@@ -509,7 +513,9 @@ def _mesh_near_mask(
     distance <= 2 is exactly ball(i) meeting ball(j).  Only balls of
     vertices that occur in candidate pairs are built.  The pairs go in
     order of their wider ball, cut to that width w, so one vertex of high
-    degree slows only its own pairs.  Each block of pairs first tests
+    degree slows only its own pairs: each width gathers its rows with
+    np.take from one contiguous copy of the table cut to w (the table
+    itself at full width).  Each block of pairs first tests
     j in ball(i), w compares a pair: j is in ball(j), so a hit means the
     balls meet, and on the mesh grids it settles about three pairs in four.
     Only the pairs it leaves compare every entry of ball(i) with every entry
@@ -527,15 +533,16 @@ def _mesh_near_mask(
     widths, starts, counts = np.unique(width[order], return_index=True, return_counts=True)
     near = np.empty(len(I), dtype=bool)
     for w, start, count in zip(widths.tolist(), starts.tolist(), counts.tolist()):
+        cut = np.ascontiguousarray(balls[:, :w])  # np.take would copy a strided view per call
         # w^2 compares per pair: blocks sized from w keep memory bounded
         block = max(1, _NEAR_BLOCK // (w * w))
         for lo in range(start, start + count, block):
             pick = order[lo : min(lo + block, start + count)]
-            bi = balls[row[I[pick]], :w]
+            bi = np.take(cut, row[I[pick]], axis=0)
             shared = (bi == J[pick][:, None]).any(axis=1)
             near[pick] = shared
             pick, bi = pick[~shared], bi[~shared]
-            bj = balls[row[J[pick]], :w]
+            bj = np.take(cut, row[J[pick]], axis=0)
             same = bi[:, :, None] == bj[:, None, :]
             near[pick] = same.reshape(len(pick), w * w).any(axis=1)
     return near

@@ -472,6 +472,22 @@ def test_broken_cup_is_caught(monkeypatch):
     assert not vf.check_ring_oracle(max_n=3, triples=50).passed
 
 
+def test_ring_oracle_samples_reach_the_last_dimension(monkeypatch):
+    real = coh.cup
+
+    def broken(a, b):  # not commutative, and only at n = 5
+        if a.n == 5 and min(a.keys, default=0) < min(b.keys, default=0):
+            return coh.CohomologyClass.zero(5)
+        return real(a, b)
+
+    assert vf.check_ring_oracle(max_n=5, triples=200).passed
+    monkeypatch.setattr(coh, "cup", broken)
+    check = vf.check_ring_oracle(max_n=5, triples=200)
+    assert not check.passed
+    # a sample block that ran dry would fail with StopIteration instead
+    assert check.detail.endswith("broke at n=5")
+
+
 # ------------------------------------------------------------ file round trip
 
 def test_mesh_then_scan_files(tmp_path, capsys):

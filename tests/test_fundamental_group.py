@@ -29,6 +29,10 @@ def test_parse_rejects_garbage():
     for text in ("a4", "b1", "a4^0", "a0^0"):
         with pytest.raises(ValueError):
             fg.GroupWord.parse(3, text)
+    # digits outside ASCII 0-9: a Devanagari one, an Arabic-Indic three
+    for text in ("a१", "a1^٣"):
+        with pytest.raises(ValueError, match="cannot parse letter"):
+            fg.GroupWord.parse(3, text)
     with pytest.raises(ValueError):
         fg.GroupWord(3, ((1, 0),))
 

@@ -4,6 +4,7 @@ Frozen scan counts are exact: the pipeline is deterministic float math on a
 fixed grid, so a changed count means changed geometry, not noise.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -176,6 +177,39 @@ def test_grid_weld_involution():
             j = geo.grid_weld_index(i, A)
             assert 0 <= j < A
             assert geo.grid_weld_index(j, A) == i
+
+
+def per_corner_faces(n, A, T):
+    """Grid quads built one corner at a time from the index formula: theta
+    indices wrap, and a corner on row T - 1 takes theta_1 through
+    grid_weld_index and goes to row 0."""
+    kept = (A,) * (n - 1) + (T - 1,)
+    base = [g.ravel() for g in np.indices(kept)]
+    quads = []
+    for a, b in itertools.combinations(range(n), 2):
+        corners = []
+        for da, db in ((0, 0), (1, 0), (1, 1), (0, 1)):
+            idx = list(base)
+            idx[a] = idx[a] + da
+            idx[b] = idx[b] + db
+            thetas = [ix % A for ix in idx[:-1]]
+            at_weld = idx[-1] == T - 1
+            thetas[0] = np.where(at_weld, geo.grid_weld_index(thetas[0], A), thetas[0])
+            t = np.where(at_weld, 0, idx[-1])
+            corners.append(np.ravel_multi_index((*thetas, t), kept))
+        quads.append(np.stack(corners, axis=1))
+    return np.concatenate(quads, axis=0).astype(np.int64)
+
+
+def test_grid_faces_match_the_per_corner_formula():
+    small = [(n, A, T) for n in range(2, 6) for A, T in ((4, 3), (4, 5), (6, 4), (8, 6))]
+    # verify-paper's scan grids, then the mesh-files workload's
+    used = [(2, 200, 400), (3, 48, 96), (2, 100, 200), (3, 32, 64), (3, 24, 48)]
+    for n, A, T in small + used:
+        got = geo._grid_faces(n, A, T)
+        expected = per_corner_faces(n, A, T)
+        assert got.dtype == expected.dtype == np.int64
+        assert np.array_equal(got, expected), (n, A, T)
 
 
 def test_build_mesh_n2_shape():
