@@ -10,7 +10,7 @@ run's own and no cache carries over between runs.  The file records:
   build_mesh and of self_intersection_scan, with vertex and pair counts;
 - for each m from 2 to the largest the zcl term budget admits: median
   seconds of tensor_zcl.compute_zcl(m) and the zcl it returns;
-- for each file of the mesh-files perfbench workload (MESH_IO_FILES): median
+- for each file of the mesh-files perfbench workload (mesh_io_files): median
   seconds to write it (write_obj or write_mesh_text) and to read it back
   (load_mesh), and its size in bytes;
 - for each case of RING_CASES: median seconds of char_classes.manifold_report(n)
@@ -35,6 +35,7 @@ import json
 import os
 import platform
 import resource
+import runpy
 import statistics
 import subprocess
 import sys
@@ -42,16 +43,24 @@ import tempfile
 import time
 
 RUNS = 3  # runs of each measurement; the file reports their median
-# the files `perfbench/run.py --workload mesh-files` writes and scans:
-# name -> (n, target, res_theta, res_t); a .obj name is written as OBJ
-MESH_IO_FILES = {
-    "k2-immersion.obj": (2, "immersion", 200, 400),
-    "k2-coarse.obj": (2, "immersion", 100, 200),
-    "k2-immersion.mesh": (2, "immersion", 200, 400),
-    "k2-embedding.mesh": (2, "embedding", 200, 400),
-    "k3-immersion.mesh": (3, "immersion", 32, 64),
-    "k3-embedding.mesh": (3, "embedding", 24, 48),
-}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def mesh_io_files() -> dict:
+    """The files `perfbench/run.py --workload mesh-files` writes and scans.
+
+    name -> (n, target, res_theta, res_t), read from the `mesh` argv of the
+    workload list, which imports nothing from klein-forge; run_path compiles
+    it without writing bytecode.  A .obj name is written as OBJ.
+    """
+    workloads = runpy.run_path(os.path.join(ROOT, "perfbench", "workloads.py"))
+    files = {}
+    for name, tail, _ in workloads["MESH_FILES"]:
+        opts = dict(zip(tail[::2], tail[1::2]))
+        theta, _, t = opts["--res"].partition("x")
+        files[name] = (int(opts["--n"]), opts.get("--target", "immersion"), int(theta), int(t))
+    return files
+
 
 # (function, n) cases of the ring job: the Wu and Stiefel-Whitney solves
 # behind `manifold`, and the Smith form behind `pi1` and `check` at n = 63
@@ -108,7 +117,7 @@ def job_zcl(m: int) -> dict:
 def job_mesh_io(name: str) -> dict:
     from kleinforge import geometry as geo
 
-    mesh = geo.build_mesh(geo.MeshSpec(*MESH_IO_FILES[name]))
+    mesh = geo.build_mesh(geo.MeshSpec(*mesh_io_files()[name]))
     write = geo.write_obj if name.endswith(".obj") else geo.write_mesh_text
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name)
@@ -239,8 +248,7 @@ def main() -> int:
     from kleinforge.tensor_zcl import TERM_BUDGET
     from kleinforge.verification import SCAN_SETTINGS
 
-    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    trees = {args.label: here}
+    trees = {args.label: os.path.join(ROOT, "src")}
     if args.parent:
         trees[f"{args.label}_parent"] = os.path.join(os.path.abspath(args.parent), "src")
     reports = {
@@ -275,7 +283,7 @@ def main() -> int:
     # a product over K_m has at most 2^m terms; the budget admits m <= this
     for m in range(2, TERM_BUDGET.bit_length()):
         record("compute_zcl", f"m{m}", ("zcl", str(m)), ("zcl_s",), ("zcl",))
-    for name in MESH_IO_FILES:
+    for name in mesh_io_files():
         record("mesh_io", name, ("mesh-io", name), ("write_s", "read_s"), ("bytes", "vertices"))
     for name, n in RING_CASES:
         record("ring", f"{name}-n{n}", ("ring", name, str(n)), ("seconds",), ("answer",))

@@ -5,9 +5,10 @@ splitting, check, pi1, zcl, tc, genes, mesh, scan) plus `verify-paper`,
 which runs the bundled cross-checks end to end.
 
 Output is deterministic byte-for-byte for fixed parameters: stable
-orderings everywhere, timings on stderr only.  Every subcommand takes
---json for a machine-readable form carrying a "schema" field, "1" unless
-the payload dict sets its own: `integral`, `splitting` and `pi1` without
+orderings everywhere, timings on stderr only.  Every subcommand but `mesh`
+and `verify-paper` (which always prints JSON) takes --json for a
+machine-readable form carrying a "schema" field, "1" unless the payload
+dict sets its own: `integral`, `splitting` and `pi1` without
 --word set "2", which writes torsion as [order, multiplicity] pairs.
 `_emit_json` is the one place JSON is formed: a result dataclass is
 written as its fields, in declaration order, and a Fraction as its
@@ -74,16 +75,8 @@ def cmd_manifold(args) -> int:
         _emit_json(report)
         return 0
     print(f"K_{report.n} ({report.n}-manifold)")
-    rows = [
-        ("orientable", report.orientable),
-        ("parallelizable", report.parallelizable),
-        ("span", report.span),
-        ("immersion_dim", report.immersion_dim),
-        ("embedding_dim", report.embedding_dim),
-        ("category", report.category),
-    ]
-    for name, value in rows:
-        print(f"  {name}: {value} [{report.provenance[name]}]")
+    for name, source in report.provenance.items():
+        print(f"  {name}: {getattr(report, name)} [{source}]")
     return 0
 
 

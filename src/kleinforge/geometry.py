@@ -384,16 +384,16 @@ def _neighbour_cells(cells: np.ndarray, scan: str):
     sort.  Each group is also paired with itself, without an entry; that
     pair extends to its children's own pairs and to siblings one coordinate
     apart, so every pair comes out once.  The pairs of each axis are
-    counted against SCAN_CANDIDATE_BUDGET before they are built.
+    counted against SCAN_CANDIDATE_BUDGET before they are built.  A scan
+    has no more cells than vertices, which the budget keeps within int32.
     """
-    ids = np.int32 if len(cells) <= np.iinfo(np.int32).max else np.int64
     # fresh[a, k]: cell a starts a new run of its first k + 1 coordinates
     fresh = np.ones(cells.shape, dtype=bool)
     fresh[1:] = np.logical_or.accumulate(cells[1:] != cells[:-1], axis=1)
-    group = np.zeros(len(cells), dtype=ids)  # each cell's group, from the empty prefix
-    p = q = np.zeros(0, dtype=ids)
+    group = np.zeros(len(cells), dtype=np.int32)  # each cell's group, from the empty prefix
+    p = q = np.zeros(0, dtype=np.int32)
     for k in range(cells.shape[1]):
-        child_first = np.flatnonzero(fresh[:, k]).astype(ids)
+        child_first = np.flatnonzero(fresh[:, k]).astype(np.int32)
         parent = group[child_first]
         value = cells[child_first, k].astype(np.int64)
         same = parent[1:] == parent[:-1]
@@ -404,12 +404,12 @@ def _neighbour_cells(cells: np.ndarray, scan: str):
         c = _ragged(begin[p], kids)
         keys = (parent.astype(np.int64) << 32) + value
         home = (np.repeat(q, kids).astype(np.int64) << 32) + value[c]
-        lo_d = np.searchsorted(keys, home - 1).astype(ids)
+        lo_d = np.searchsorted(keys, home - 1).astype(np.int32)
         size = np.searchsorted(keys, home + 1, side="right") - lo_d
         _check_budget(len(sib) + int(size.sum()), f"cell prefix pairs on axis {k}", scan)
-        p = np.concatenate([sib, np.repeat(c, size)]).astype(ids)
-        q = np.concatenate([sib + 1, _ragged(lo_d, size)]).astype(ids)
-        group = (np.cumsum(fresh[:, k]) - 1).astype(ids)
+        p = np.concatenate([sib, np.repeat(c, size)]).astype(np.int32)
+        q = np.concatenate([sib + 1, _ragged(lo_d, size)]).astype(np.int32)
+        group = (np.cumsum(fresh[:, k]) - 1).astype(np.int32)
     return p, q
 
 
@@ -422,11 +422,15 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     still puts every close pair in neighbouring cells.  Points at distance
     <= radius lie in cells differing by at most one per axis: each occupied
     cell with itself and the pairs _neighbour_cells joins.  The raw
-    candidates (every point pair of two such cells) are counted and checked
-    against SCAN_CANDIDATE_BUDGET before any is gathered; they then go
-    through the exact d^2 test a block at a time.
+    candidates (every point pair of two such cells) are at least N, as each
+    point pairs with itself, so a scan of more than SCAN_CANDIDATE_BUDGET
+    vertices is refused before any sort.  The rest are counted and checked
+    against the budget before any is gathered; they then go through the
+    exact d^2 test a block at a time.
     """
     N, dim = P.shape
+    scan = f"a scan of {N} vertices at radius {radius!r}"
+    _check_budget(N, "candidate pairs", scan)
     lo = P.min(axis=0)
     # Python floats, so a span beyond the float range is inf without a warning
     extent = max(h - l for h, l in zip(P.max(axis=0).tolist(), lo.tolist()))
@@ -438,7 +442,6 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     coords = coords[order]
     starts = np.flatnonzero(np.r_[True, (coords[1:] != coords[:-1]).any(axis=1)])
     counts = np.diff(starts, append=N)
-    scan = f"a scan of {N} vertices at radius {radius!r}"
     p, q = _neighbour_cells(coords[starts], scan)
     each = np.arange(len(starts), dtype=p.dtype)
     a, b = np.concatenate([each, p]), np.concatenate([each, q])
@@ -468,10 +471,9 @@ def _balls(faces: np.ndarray, vertices: np.ndarray, num_vertices: int):
     One row per entry of `vertices`, as wide as the widest of their balls.
     A ball fills the front of its row and repeats its smallest entry after
     that, so any cut of a row at least as wide as its ball holds that ball
-    and nothing else.  Vertex ids are int32 whenever they fit, which
-    halves the bytes the pair test moves.
+    and nothing else.  Vertex ids are int32, which holds every vertex of a
+    scan the candidate budget admits and halves the bytes the pair test moves.
     """
-    ids = np.int32 if num_vertices <= np.iinfo(np.int32).max else np.int64
     flat = faces.ravel()
     degree = np.bincount(flat, minlength=num_vertices)
     first = np.cumsum(degree) - degree
@@ -487,8 +489,8 @@ def _balls(faces: np.ndarray, vertices: np.ndarray, num_vertices: int):
     # a vertex in no quad reads some other entry, overwritten below
     k = np.minimum(np.arange(deg.max()), np.maximum(deg, 1)[:, None] - 1)
     slot = np.minimum(first[vertices][:, None] + k, max(len(flat) - 1, 0))
-    corners = np.take(faces.astype(ids, copy=False), incidence[slot] // faces.shape[1], axis=0)
-    rows = np.empty((len(vertices), 1 + corners[0].size), dtype=ids)
+    corners = np.take(faces.astype(np.int32, copy=False), incidence[slot] // faces.shape[1], axis=0)
+    rows = np.empty((len(vertices), 1 + corners[0].size), dtype=np.int32)
     rows[:, 0] = vertices
     rows[:, 1:] = corners.reshape(len(vertices), -1)
     rows[deg == 0] = vertices[deg == 0, None]
@@ -496,7 +498,7 @@ def _balls(faces: np.ndarray, vertices: np.ndarray, num_vertices: int):
     rows.sort(axis=1)
     dup = np.zeros(rows.shape, dtype=bool)
     dup[:, 1:] = rows[:, 1:] == rows[:, :-1]
-    sentinel = np.iinfo(ids).max
+    sentinel = np.iinfo(np.int32).max
     rows[dup] = sentinel
     rows.sort(axis=1)
     size = (~dup).sum(axis=1)

@@ -69,7 +69,8 @@ def prepare_lengths(values, epsilon=None) -> PreparedLengths:
 
     ``values`` may be ints, strings or Fractions; negatives are rejected.
     With zeros present and no explicit epsilon, the default described in the
-    module docstring is computed (in the original scale).
+    module docstring is computed (in the original scale).  An explicit
+    epsilon must be positive, even where no zero needs it.
     """
     lengths = [_fraction(v) for v in values]
     n = len(lengths)
@@ -83,6 +84,8 @@ def prepare_lengths(values, epsilon=None) -> PreparedLengths:
         raise ValueError("side lengths must be nonnegative")
     zeros = sum(1 for x in lengths if x == 0)
     eps = _fraction(epsilon) if epsilon is not None else None
+    if eps is not None and eps <= 0:
+        raise ValueError("epsilon must be positive")
     if zeros:
         if eps is None:
             positive = [x for x in lengths if x > 0]
@@ -91,10 +94,8 @@ def prepare_lengths(values, epsilon=None) -> PreparedLengths:
             scale = lcm(*(x.denominator for x in positive))
             scaled_total = sum(x * scale for x in positive)
             eps = Fraction(1, 4 * n * (1 + scaled_total)) / scale
-        if eps <= 0:
-            raise ValueError("epsilon must be positive")
         lengths = [eps if x == 0 else x for x in lengths]
-    elif eps is not None:
+    else:
         eps = None  # nothing to substitute
     lengths.sort()
     return PreparedLengths(tuple(lengths), eps, zeros)

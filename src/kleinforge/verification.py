@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -239,13 +238,8 @@ def check_ring_oracle(max_n: int = 8, triples: int = 10_000) -> Verification:
     """Cup vs the free-reduction oracle, plus ring laws on random classes.
 
     Oracle agreement on every basis pair for n <= 4; associativity and
-    commutativity on `triples` seeded random triples spread over n <= max_n
-    (at most 32).  The samples are the top bits of one block of seeded 32-bit
-    words: each class has 1 + (top 2 bits) keys, each key the top n bits of
-    the next word.  numpy draws an integer below a power of two 2^k <= 2^32
-    as the top k bits of one 32-bit word, so these are the same classes
-    that one rng.integers(1, 5) and one rng.integers(0, 2^n, size) per
-    class would give.
+    commutativity on `triples` seeded random triples spread over n <= max_n.
+    Each n draws its class sizes (1 to 4 keys) and then all its keys at once.
     """
     def body():
         pair_count = 0
@@ -257,20 +251,21 @@ def check_ring_oracle(max_n: int = 8, triples: int = 10_000) -> Verification:
                         return False, f"oracle mismatch at n={n}: {a.text()} * {b.text()}"
                     pair_count += 1
         rng = np.random.default_rng(RNG_SEED)
-        # a triple reads at most 3 * (1 + 4) words
-        words = iter(rng.integers(0, 1 << 32, size=15 * triples, dtype=np.uint64).tolist())
         ns = list(range(1, max_n + 1))
         per = triples // len(ns)
         done = 0
         for n in ns:
             budget = per if n != ns[-1] else triples - per * (len(ns) - 1)
-            for _ in range(budget):
-                cls = []
-                for _ in range(3):
-                    size = 1 + (next(words) >> 30)
-                    keys = [w >> (32 - n) for w in islice(words, size)]
-                    cls.append(coh.CohomologyClass(n, frozenset(keys)))
-                a, b, c = cls
+            sizes = rng.integers(1, 5, size=3 * budget)
+            keys = rng.integers(0, 1 << n, size=int(sizes.sum()), dtype=np.uint64).tolist()
+            starts = (np.cumsum(sizes) - sizes).tolist()
+            # one generator zipped with itself yields the classes three at a
+            # time, so only the classes of one triple are alive at once
+            cls = (
+                coh.CohomologyClass(n, frozenset(keys[start : start + size]))
+                for start, size in zip(starts, sizes.tolist())
+            )
+            for a, b, c in zip(cls, cls, cls):
                 ab = a * b
                 if ab * c != a * (b * c):
                     return False, f"associativity broke at n={n}"

@@ -111,6 +111,64 @@ def test_json_key_order_is_pinned(capsys, tmp_path, monkeypatch):
     assert list(data["checks"][0]) == ["name", "passed", "detail"]
 
 
+TEXT_OUTPUTS = {
+    ("manifold", "--n", "4"): """\
+K_4 (4-manifold)
+  orientable: False [computed (w_1 = 0 test)]
+  parallelizable: False [cited]
+  span: 3 [cited]
+  immersion_dim: 5 [cited]
+  embedding_dim: 6 [cited]
+  category: 4 [computed (cup length)]
+""",
+    ("integral", "--n", "4"): """\
+H^0 = Z
+H^1 = Z
+H^2 = Z^3 + (Z/2)^3
+H^3 = Z^3
+H^4 = Z/2
+""",
+    ("splitting", "--n", "4"): """\
+Sigma K_4 = S^2 v 3 x M^3(2) v 3 x S^3 v 3 x S^4 v M^5(2)
+H_0 = Z
+H_1 = Z + (Z/2)^3
+H_2 = Z^3
+H_3 = Z^3 + Z/2
+H_4 = 0
+""",
+    ("zcl", "--n", "3"): "zcl(K_3) = 5 (exhaustive-search)\n",
+    ("genes", "--lengths", "1/24,1/24,1,1,1,2"): """\
+lengths (sorted): 1/24 1/24 1 1 1 2
+genetic code: <{6,2,1}>
+gees: {2,1}
+spaces: K_3
+TC(K_3) in [6, 7]
+""",
+    ("scan", "--n", "2", "--res", "36x40", "--radius", "0.15"): """\
+40 close non-neighbour pairs among 1404 vertices at radius 0.15
+collisions confined to min(t, pi-t) <= 1.5305194979027197
+  385 <-> 590  dist 0.14648582338136842
+  424 <-> 590  dist 0.14023481995186712
+  501 <-> 591  dist 0.1302486663603932
+  501 <-> 630  dist 0.1394798884033018
+  540 <-> 591  dist 0.12603032140688342
+  540 <-> 630  dist 0.12381738497162655
+  579 <-> 630  dist 0.13186767495731289
+  617 <-> 631  dist 0.13992069371147262
+  617 <-> 670  dist 0.12768414652129179
+  638 <-> 641  dist 0.14772390866767404
+  ... 30 more
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(TEXT_OUTPUTS), ids=lambda argv: " ".join(argv[:3]))
+def test_text_output_is_pinned(argv, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == TEXT_OUTPUTS[argv]
+
+
 def test_pi1_word_prints_bare_normal_form(capsys):
     code, out, _ = run(capsys, "pi1", "--n", "3", "--word", "a1 an a1")
     assert code == 0
@@ -238,6 +296,19 @@ def test_oversized_scan_exits_3_before_gathering_pairs(capsys, monkeypatch):
     assert out == ""
 
 
+def test_scan_of_more_vertices_than_the_budget_exits_3_before_sorting(capsys, monkeypatch):
+    # each vertex is a raw candidate with itself, so the vertex count alone
+    # exceeds the budget: the scan is refused before any cell is hashed
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the vertex count must be checked before the cell sort")
+
+    monkeypatch.setattr(geo, "SCAN_CANDIDATE_BUDGET", 1403)
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    code, out, err = run(capsys, "scan", "--n", "2", "--res", "36x40", "--radius", "0.15")
+    assert (code, out) == (3, "")
+    assert "a scan of 1404 vertices at radius 0.15 has over 1403 candidate pairs" in err
+
+
 @pytest.mark.parametrize("dim", [13, 40])
 def test_tiny_mesh_in_high_dimension_scans_in_under_a_second(tmp_path, capsys, dim):
     # the cell join visits occupied neighbours only, never the 3^dim offsets
@@ -326,6 +397,9 @@ def test_zcl_basis_and_pairing_guards_exit_3_before_any_work(argv, capsys, monke
         (("genes", "--lengths", "1,1,1,0", "--epsilon", "1/0"), 2),
         (("cohomology", "--n", "-1"), 2),
         (("cohomology", "--n", "-1", "--json"), 2),
+        # epsilon is checked even when no length is zero
+        (("genes", "--lengths", "1,1,1,1,1,4", "--epsilon", "-1"), 2),
+        (("genes", "--lengths", "1,1,1,1,1,4", "--epsilon", "0"), 2),
     ],
 )
 def test_malformed_input_exits_cleanly(argv, expected, capsys):
@@ -486,6 +560,12 @@ def test_ring_oracle_samples_reach_the_last_dimension(monkeypatch):
     assert not check.passed
     # a sample block that ran dry would fail with StopIteration instead
     assert check.detail.endswith("broke at n=5")
+
+
+def test_ring_oracle_draws_keys_up_to_the_bit_mask_limit():
+    check = vf.check_ring_oracle(max_n=63, triples=2000)
+    assert check.passed, check.detail
+    assert check.detail == "340 oracle basis pairs, 2000 random triples to n=63"
 
 
 # ------------------------------------------------------------ file round trip
