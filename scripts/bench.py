@@ -8,8 +8,9 @@ run's own and no cache carries over between runs.  The file records:
   median seconds of each of its checks;
 - for each (n, target) of verification.SCAN_SETTINGS: median seconds of
   build_mesh and of self_intersection_scan, with vertex and pair counts;
-- for each m from 2 to the largest the zcl term budget admits: median
-  seconds of tensor_zcl.compute_zcl(m) and the zcl it returns;
+- for each m from 2 to the largest the zcl search budget admits: median
+  seconds of tensor_zcl.compute_zcl(m) and the zcl it returns, or "refused"
+  where a tree exits 3 (a FeasibilityError);
 - for each file of the mesh-files perfbench workload (mesh_io_files): median
   seconds to write it (write_obj or write_mesh_text) and to read it back
   (load_mesh), and its size in bytes;
@@ -107,10 +108,14 @@ def job_scan(n: int, target: str) -> dict:
 
 
 def job_zcl(m: int) -> dict:
+    from kleinforge.errors import FeasibilityError
     from kleinforge.tensor_zcl import compute_zcl
 
     start = time.perf_counter()
-    zcl = compute_zcl(m)
+    try:
+        zcl = compute_zcl(m)
+    except FeasibilityError:
+        zcl = "refused"
     return {"zcl_s": time.perf_counter() - start, "zcl": zcl, "peak_rss_mb": peak_rss_mb()}
 
 
@@ -245,7 +250,7 @@ def main() -> int:
 
     import numpy
 
-    from kleinforge.tensor_zcl import TERM_BUDGET
+    from kleinforge.tensor_zcl import SEARCH_BUDGET, count_canonical_multisets
     from kleinforge.verification import SCAN_SETTINGS
 
     trees = {args.label: os.path.join(ROOT, "src")}
@@ -280,9 +285,11 @@ def main() -> int:
         for target in ("immersion", "embedding"):
             record("scans", f"n{n}-{target}", ("scan", str(n), target),
                    ("build_s", "scan_s"), ("vertices", "pairs"))
-    # a product over K_m has at most 2^m terms; the budget admits m <= this
-    for m in range(2, TERM_BUDGET.bit_length()):
+    # compute_zcl(m) searches lengths up to 2m + 1, the most multisets
+    m = 2
+    while count_canonical_multisets(m, 2 * m + 1) <= SEARCH_BUDGET:
         record("compute_zcl", f"m{m}", ("zcl", str(m)), ("zcl_s",), ("zcl",))
+        m += 1
     for name in mesh_io_files():
         record("mesh_io", name, ("mesh-io", name), ("write_s", "read_s"), ("bytes", "vertices"))
     for name, n in RING_CASES:

@@ -29,6 +29,7 @@ exact too.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -58,6 +59,25 @@ class PreparedLengths:
 
 
 def _fraction(value) -> Fraction:
+    """Fraction(value), refusing first a decimal exponent too large to build.
+
+    Fraction builds 10^|exponent|, in time that grows faster than the
+    exponent.  A nonzero mantissa has at most len(value) digits, so beyond
+    the int-to-str limit plus that many the value's numerator or denominator
+    has more digits than str() may print, and the token is refused unbuilt.
+    """
+    limit = sys.get_int_max_str_digits()  # 0 when unlimited
+    if isinstance(value, str) and limit:
+        _, e, exponent = value.lower().partition("e")
+        try:
+            size = abs(int(exponent)) if e else 0
+        except ValueError:  # not a decimal exponent; Fraction judges the token
+            size = 0
+        if size > limit + len(value):
+            raise ValueError(
+                f"{value[:40]!r} has a decimal exponent past the {limit}-digit "
+                "int-to-str limit"
+            )
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -101,10 +121,10 @@ def prepare_lengths(values, epsilon=None) -> PreparedLengths:
     return PreparedLengths(tuple(lengths), eps, zeros)
 
 
-def _as_prepared(lengths, epsilon=None) -> PreparedLengths:
+def _as_prepared(lengths) -> PreparedLengths:
     if isinstance(lengths, PreparedLengths):
         return lengths
-    return prepare_lengths(lengths, epsilon)
+    return prepare_lengths(lengths)
 
 
 def subset_sum(prep: PreparedLengths, subset) -> Fraction:
@@ -123,25 +143,35 @@ def _subset_sums(prep: PreparedLengths) -> tuple[np.ndarray, int]:
     every comparison stays exact: a subset is short when its entry is below
     the total.  Entry ``mask`` holds the subset whose bit j marks index
     j + 1; the table doubles once per index.  The entries are int64 when
-    twice the total fits below 2^62, and Python ints otherwise.
+    twice the total fits below 2^62, and Python ints otherwise, each a
+    pointer to an int no larger than twice the total.  A table of more
+    bytes than the int64 table at SUBSET_LIMIT is refused unallocated.
     """
     scale = lcm(*(x.denominator for x in prep.lengths))
     twice = [int(2 * x * scale) for x in prep.lengths]
     total = sum(twice) // 2
-    sums = np.empty(1 << (prep.n - 1), dtype=np.int64 if 2 * total < 1 << 62 else object)
+    wide = 2 * total >= 1 << 62
+    entry = 8 + sys.getsizeof(2 * total) if wide else 8
+    if entry << (prep.n - 1) > 8 << (SUBSET_LIMIT - 1):
+        raise FeasibilityError(
+            f"the subset table of {prep.n} lengths with {(2 * total).bit_length()}-bit "
+            f"sums needs about {entry << (prep.n - 1)} bytes; the limit is "
+            f"{8 << (SUBSET_LIMIT - 1)}"
+        )
+    sums = np.empty(1 << (prep.n - 1), dtype=object if wide else np.int64)
     sums[0] = twice[-1]  # subset {n}
     for j, length in enumerate(twice[:-1]):
         np.add(sums[: 1 << j], length, out=sums[1 << j : 2 << j])
     return sums, total
 
 
-def is_generic(lengths, epsilon=None) -> bool:
+def is_generic(lengths) -> bool:
     """No subset sums to exactly half the total.
 
     Scans the subsets containing index n: a subset and its complement split
     the half-sum property.
     """
-    sums, total = _subset_sums(_as_prepared(lengths, epsilon))
+    sums, total = _subset_sums(_as_prepared(lengths))
     return not np.any(sums == total)
 
 
@@ -174,7 +204,7 @@ class GeneticCode:
         return f"<{inner}>"
 
 
-def genetic_code(lengths, epsilon=None) -> GeneticCode:
+def genetic_code(lengths) -> GeneticCode:
     """Compute the genetic code of a generic length vector.
 
     Enumerates the short subsets containing n, then keeps the maximal ones
@@ -183,7 +213,7 @@ def genetic_code(lengths, epsilon=None) -> GeneticCode:
     exactly when none of its covers is short: adding index 1, or raising
     one index i to i + 1 when i + 1 is not in the subset.
     """
-    prep = _as_prepared(lengths, epsilon)
+    prep = _as_prepared(lengths)
     n = prep.n
     sums, total = _subset_sums(prep)
     if np.any(sums == total):

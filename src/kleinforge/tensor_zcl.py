@@ -41,12 +41,11 @@ The exhaustive search therefore enumerates one canonical representative per
 multiset: Rbar^r * Vbar_1^(e1) * ... with e1 >= e2 >= ...  It is the only
 route to zcl.
 
-Two budgets are checked from (n, length) before any product is formed.
-SEARCH_BUDGET caps the canonical multisets of one length.  TERM_BUDGET caps
-the terms of one expanded product: every nonzero power of a generator zero
-divisor has two terms (Rbar^2 = 0, Vbar^4 = 0), so a product of powers of k
-distinct generators has at most 2^k terms, and a length-L product over K_n
-at most 2^min(n, L).
+The search answers to one budget: SEARCH_BUDGET caps the canonical
+multisets of one length, counted before any product is formed.  TERM_BUDGET
+caps the terms that `zcl_witness` lists: every nonzero power of a generator
+zero divisor has two terms (Rbar^2 = 0, Vbar^4 = 0), so a product of powers
+of k distinct generators has at most 2^k terms.
 """
 
 from __future__ import annotations
@@ -58,9 +57,7 @@ from .errors import FeasibilityError
 
 # canonical exponent multisets per exhaustive search, not raw products
 SEARCH_BUDGET = 10**6
-# terms of one expanded product, at most 2^min(n, length); admits m <= 22.
-# It bounds the expansion in zcl_witness.  The search never expands a product,
-# but the budget stays on it so that no exit code moves.
+# terms of the product zcl_witness expands, at most 2^n over K_n
 TERM_BUDGET = 1 << 22
 
 
@@ -161,15 +158,6 @@ def _expand(r: int, v_powers: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     )
 
 
-def _check_term_budget(n: int, length: int) -> None:
-    terms = 1 << min(n, length)
-    if terms > TERM_BUDGET:
-        raise FeasibilityError(
-            f"a length-{length} zero-divisor product over K_{n} may have "
-            f"2^{min(n, length)} terms; the budget is {TERM_BUDGET}"
-        )
-
-
 @dataclass(frozen=True)
 class FactorMultiset:
     """A product Rbar^rbar * Vbar_1^v[0] * Vbar_2^v[1] * ... (v descending)."""
@@ -240,6 +228,13 @@ def count_canonical_multisets(n: int, length: int) -> int:
     return total
 
 
+def _check_search_budget(n: int, length: int) -> None:
+    if count_canonical_multisets(n, length) > SEARCH_BUDGET:
+        raise FeasibilityError(
+            f"more than {SEARCH_BUDGET} exponent multisets of length {length} over K_{n}"
+        )
+
+
 @dataclass(frozen=True)
 class ZclSearchResult:
     n: int
@@ -253,18 +248,13 @@ def zcl_exhaustive(n: int, length: int) -> ZclSearchResult:
     """Check every length-``length`` product of generator zero divisors.
 
     Enumerates canonical exponent multisets (see module docstring) in a fixed
-    order and stops at the first nonzero product.  Raises FeasibilityError if
-    the terms of one product or the multiset count exceed their budgets.
+    order and stops at the first nonzero product.  Raises FeasibilityError
+    before testing any product if the multisets exceed SEARCH_BUDGET.
     """
     _check_dimension(n)
     if length < 1:
         raise ValueError("product length must be >= 1")
-    _check_term_budget(n, length)
-    total = count_canonical_multisets(n, length)
-    if total > SEARCH_BUDGET:
-        raise FeasibilityError(
-            f"more than {SEARCH_BUDGET} exponent multisets of length {length} over K_{n}"
-        )
+    _check_search_budget(n, length)
     checked = 0
     witness = None
     for r, parts in _canonical_multisets(n, length):
@@ -280,13 +270,19 @@ def zcl_witness(n: int) -> tuple[FactorMultiset, frozenset[tuple[int, int]]]:
 
     Defined for n >= 3; its length is n + 2.  Returns the factor multiset and
     the packed key pairs of the full product; `check_tensor_witness` checks
-    that it is nonzero and holds R V_1 ... V_(n-2) (x) R V_1 V_(n-1).
+    that it is nonzero and holds R V_1 ... V_(n-2) (x) R V_1 V_(n-1).  Raises
+    FeasibilityError before expanding when its 2^n terms could exceed
+    TERM_BUDGET.
     """
     _check_dimension(n)
     if n < 3:
         raise ValueError("the long witness needs n >= 3")
+    if 1 << n > TERM_BUDGET:
+        raise FeasibilityError(
+            f"the length-{n + 2} witness over K_{n} may have 2^{n} terms; "
+            f"the budget is {TERM_BUDGET}"
+        )
     powers = (3, 2) + (1,) * (n - 3)
-    _check_term_budget(n, n + 2)
     value = _expand(0, powers)
     return FactorMultiset(n, 0, powers), value
 
@@ -305,13 +301,13 @@ def compute_zcl(m: int) -> int:
 
     Scans lengths upward until every product vanishes (monotone: any longer
     product contains a vanishing sub-product).  Raises FeasibilityError up
-    front when a product of the longest length scanned, 2m + 1, could exceed
-    the term budget.
+    front when the longest length scanned, 2m + 1, has more multisets than
+    SEARCH_BUDGET; no shorter length has more.
     """
     _check_dimension(m)
     if m < 2:
         raise ValueError("zcl needs m >= 2")
-    _check_term_budget(m, 2 * m + 1)
+    _check_search_budget(m, 2 * m + 1)
     last_nonzero = 0
     for length in range(1, 2 * m + 2):
         if zcl_exhaustive(m, length).all_zero:

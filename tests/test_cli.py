@@ -367,8 +367,10 @@ def test_scan_rejects_non_finite_t_values(tmp_path, capsys, bad):
         ("zcl", "--n", "3", "--max-len", "1000000000"),
         ("zcl", "--n", "3", "--max-len", "2000"),  # 1,002,001 multisets
         ("cohomology", "--n", "30"),  # 2^30 basis monomials
-        ("zcl", "--n", "63", "--max-len", "64"),  # 2^63 terms in one product
+        ("zcl", "--n", "63", "--max-len", "64"),  # over 10^6 multisets of length 64
         ("verify-paper", "--max-n", "14"),  # the degree-7 pairing has 3432^2 entries
+        ("zcl", "--n", "24"),  # 1,050,355 multisets of length 49
+        ("tc", "--m", "24"),
     ],
 )
 def test_zcl_basis_and_pairing_guards_exit_3_before_any_work(argv, capsys, monkeypatch):
@@ -400,6 +402,9 @@ def test_zcl_basis_and_pairing_guards_exit_3_before_any_work(argv, capsys, monke
         # epsilon is checked even when no length is zero
         (("genes", "--lengths", "1,1,1,1,1,4", "--epsilon", "-1"), 2),
         (("genes", "--lengths", "1,1,1,1,1,4", "--epsilon", "0"), 2),
+        # Fraction would build 10^30000000 before any check
+        (("genes", "--lengths", "1e30000000,1,1,1"), 2),
+        (("genes", "--lengths", "0,1,1,1", "--epsilon", "1e-30000000"), 2),
     ],
 )
 def test_malformed_input_exits_cleanly(argv, expected, capsys):
@@ -455,6 +460,36 @@ def test_large_groups_and_powers_exit_0_in_bounded_time(argv, expect, capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert expect(out)
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        pytest.param(
+            ("zcl", "--n", "23"),
+            lambda out: out == "zcl(K_23) = 25 (exhaustive-search)\n",
+            id="zcl-23",
+        ),
+        pytest.param(
+            ("tc", "--m", "23", "--json"),
+            lambda out: (json.loads(out)["lower"], json.loads(out)["upper"]) == (26, 47),
+            id="tc-23",
+        ),
+        # 2^30 terms a product could have, which the search never lists
+        pytest.param(
+            ("zcl", "--n", "30", "--max-len", "40", "--json"),
+            lambda out: (json.loads(out)["all_zero"], json.loads(out)["checked"])
+            == (True, 214885),
+            id="zcl-30-len-40",
+        ),
+    ],
+)
+def test_search_budget_alone_bounds_the_zcl_search(argv, expect, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10.0
     assert (code, err) == (0, "")
     assert expect(out)
 

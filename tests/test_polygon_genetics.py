@@ -169,6 +169,21 @@ def test_subset_scan_beyond_int64():
         pg.genetic_code(tied)
 
 
+def test_wide_subset_table_is_refused_before_allocating(monkeypatch):
+    # at SUBSET_LIMIT = n, the table may take what 2^(n-1) int64 entries do;
+    # Python ints of these 104-bit sums take six times as many bytes
+    lengths = [f"{k}/{p}" for k, p in zip((1, 2, 3, 5, 8), BIG_PRIMES)] + ["1", "1", "3/2"]
+    monkeypatch.setattr(pg, "SUBSET_LIMIT", len(lengths))
+    prep = pg.prepare_lengths(lengths)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the subset table was allocated")
+
+    monkeypatch.setattr(pg.np, "empty", no_table)
+    with pytest.raises(FeasibilityError, match="subset table"):
+        pg.genetic_code(prep)
+
+
 def test_scale_invariance():
     base = ("1/24", "1/24", "1", "1", "1", "2")
     scaled = tuple(str(Fraction(v) * Fraction(7, 3)) for v in base)

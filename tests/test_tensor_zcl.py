@@ -10,6 +10,7 @@ from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
 from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
+from kleinforge.errors import FeasibilityError
 
 
 # -------------------------------------------------------- tensor structure
@@ -150,8 +151,9 @@ def test_search_records_of_the_exhaustive_route_at_m18():
     assert vanished.checked == 3492
 
 
-def test_compute_zcl_is_m_plus_2_up_to_the_term_budget():
-    assert [tz.compute_zcl(m) for m in range(3, 23)] == list(range(5, 25))
+def test_compute_zcl_is_m_plus_2_up_to_the_search_budget():
+    # m = 23 has 738,853 multisets of length 2m + 1; m = 24 is refused
+    assert [tz.compute_zcl(m) for m in range(3, 24)] == list(range(5, 26))
 
 
 def test_canonical_reduction_agrees_with_full_enumeration():
@@ -190,6 +192,15 @@ def test_witness_shape_and_anchor_term():
 def test_witness_rejects_small_n():
     with pytest.raises(ValueError):
         tz.zcl_witness(2)
+
+
+def test_witness_terms_are_bounded_before_expanding(monkeypatch):
+    def fail(*args):
+        raise AssertionError("expanded before the term budget was checked")
+
+    monkeypatch.setattr(tz, "_expand", fail)
+    with pytest.raises(FeasibilityError, match="2\\^23 terms"):
+        tz.zcl_witness(23)
 
 
 # ------------------------------------------------------------------ bounds
