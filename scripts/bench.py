@@ -7,7 +7,9 @@ run's own and no cache carries over between runs.  The file records:
 - verify-paper (max_n = 8) wall time, the median of RUNS runs, and the
   median seconds of each of its checks;
 - for each (n, target) of verification.SCAN_SETTINGS: median seconds of
-  build_mesh and of self_intersection_scan, with vertex and pair counts;
+  build_mesh and of self_intersection_scan, with vertex and pair counts,
+  and the peak RSS after build_mesh as well as after the scan, so that the
+  scan's own rise shows;
 - for each m from 2 to the largest the zcl search budget admits: median
   seconds of tensor_zcl.compute_zcl(m) and the zcl it returns, or "refused"
   where a tree exits 3 (a FeasibilityError);
@@ -96,6 +98,7 @@ def job_scan(n: int, target: str) -> dict:
     start = time.perf_counter()
     mesh = geo.build_mesh(geo.MeshSpec(n, target, s["res_theta"], s["res_t"]))
     built = time.perf_counter()
+    build_rss = peak_rss_mb()
     result = geo.self_intersection_scan(mesh, s["radius"])
     done = time.perf_counter()
     return {
@@ -103,6 +106,7 @@ def job_scan(n: int, target: str) -> dict:
         "scan_s": done - built,
         "vertices": result.num_vertices,
         "pairs": result.num_pairs,
+        "build_peak_rss_mb": build_rss,
         "peak_rss_mb": peak_rss_mb(),
     }
 
@@ -209,15 +213,15 @@ def median_of(runs: list[dict], key: str) -> float:
     return round(statistics.median(r[key] for r in runs), 3)
 
 
-def peak_of(runs: list[dict]) -> float:
-    return round(max(r["peak_rss_mb"] for r in runs), 1)
+def peak_of(runs: list[dict], key: str = "peak_rss_mb") -> float:
+    return round(max(r[key] for r in runs), 1)
 
 
 def summary(runs: list[dict], medians: tuple[str, ...], facts: tuple[str, ...]) -> dict:
-    """The median of each timing, the facts of the first run and the largest peak RSS."""
+    """The median of each timing, the facts of the first run and the largest of each peak RSS."""
     out = {key: median_of(runs, key) for key in medians}
     out.update({key: runs[0][key] for key in facts})
-    out["peak_rss_mb"] = peak_of(runs)
+    out.update({key: peak_of(runs, key) for key in runs[0] if key.endswith("peak_rss_mb")})
     return out
 
 

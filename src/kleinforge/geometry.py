@@ -41,8 +41,11 @@ import numpy as np
 from .errors import FeasibilityError
 
 MIN_DIRECTRIX_SPEED = 1e-8
-# vertex coordinates one mesh may hold, checked before sampling; building
-# peaks at about 100-130 bytes per coordinate, so about 1 GB at the budget
+# vertex coordinates one mesh may hold, checked before sampling.  Building
+# peaks (numpy's allocations) at about 37 bytes per coordinate at n = 2, 52
+# at n = 3 and 127 at n = 8 (immersions; embeddings about 10% less), as quads
+# per vertex grow with n(n - 1)/2: about 440 MB at the budget at n = 3 and
+# 1.1 GB at n = 8
 MESH_COORDINATE_BUDGET = 1 << 23
 # raw candidate pairs (every point pair of two neighbouring cells, a cell with
 # c points counting c^2 with itself) one self-intersection scan may gather, and
@@ -55,13 +58,16 @@ MESH_COORDINATE_BUDGET = 1 << 23
 SCAN_CANDIDATE_BUDGET = 1 << 22
 # entries of the ball table the neighbour filter may build (one row of
 # 1 + 4 * (largest degree) ids per vertex in a candidate pair), checked before
-# building it.  Building peaks at about 17 bytes per entry, so about 570 MB at
-# the budget.  The largest table in use, verify-paper's n = 3 scans, has
+# building it.  It is built a block of _BALL_BLOCK entries at a time and each
+# block is cut to its own widest ball: building peaks at about 2-7 bytes per
+# entry (the fewest when a few wide rows set the count), at most about 230 MB
+# at the budget.  The largest table in use, verify-paper's n = 3 scans, has
 # 10,725,120 (218,880 rows of degree 12); one vertex of degree 1,000 in a mesh
 # file widens every row to 4,001.
 SCAN_BALL_BUDGET = 1 << 25
 _NEAR_BLOCK = 1 << 21  # ball-entry compares per block of the neighbour test
 _GATHER_BLOCK = 1 << 15  # raw candidates gathered per block of the d^2 test
+_BALL_BLOCK = 1 << 20  # working ball entries per block of vertices
 # rows formatted per write when saving a mesh file, so that a mesh near the
 # coordinate budget is never held as one string
 _IO_ROWS = 1 << 13
@@ -324,12 +330,13 @@ def _grid_faces(n: int, A: int, T: int) -> np.ndarray:
     """
     kept = (A,) * (n - 1) + (T - 1,)
     ids = np.arange(A ** (n - 1) * (T - 1), dtype=np.int64).reshape(kept)
-    quads = []
-    for a, b in combinations(range(n), 2):
+    pairs = list(combinations(range(n), 2))
+    quads = np.empty((len(pairs), ids.size, 4), dtype=np.int64)
+    for block, (a, b) in zip(quads, pairs):
         step_b = _step(ids, b)
-        corners = (ids, _step(ids, a), _step(step_b, a), step_b)
-        quads.append(np.stack(corners, axis=-1).reshape(-1, 4))
-    return np.concatenate(quads, axis=0)
+        for c, corner in enumerate((ids, _step(ids, a), _step(step_b, a), step_b)):
+            block[:, c] = corner.ravel()
+    return quads.reshape(-1, 4)
 
 
 def mesh_edges(faces: np.ndarray) -> np.ndarray:
@@ -473,37 +480,58 @@ def _balls(faces: np.ndarray, vertices: np.ndarray, num_vertices: int):
     that, so any cut of a row at least as wide as its ball holds that ball
     and nothing else.  Vertex ids are int32, which holds every vertex of a
     scan the candidate budget admits and halves the bytes the pair test moves.
+
+    The rows are gathered, sorted and deduplicated a block of vertices at a
+    time, about _BALL_BLOCK working entries each: a row starts 1 + 4 * (the
+    block's largest degree) wide, and on the grids half or more of its
+    entries are repeats.  Each block is cut to its own widest ball before the next one is
+    built, then copied into the table, so the working rows of every vertex
+    never exist at once.
     """
     flat = faces.ravel()
     degree = np.bincount(flat, minlength=num_vertices)
     first = np.cumsum(degree) - degree
-    incidence = np.argsort(flat, kind="stable")
     deg = degree[vertices]
-    entries = len(vertices) * (1 + faces.shape[1] * int(deg.max()))
+    width = 1 + faces.shape[1] * int(deg.max())
+    entries = len(vertices) * width
     if entries > SCAN_BALL_BUDGET:
         raise FeasibilityError(
             f"the neighbour test needs {entries} ball entries for {len(vertices)} "
             f"vertices, over {SCAN_BALL_BUDGET} (the budget)"
         )
-    # the k-th quad at each vertex, repeating its last quad past its degree;
-    # a vertex in no quad reads some other entry, overwritten below
-    k = np.minimum(np.arange(deg.max()), np.maximum(deg, 1)[:, None] - 1)
-    slot = np.minimum(first[vertices][:, None] + k, max(len(flat) - 1, 0))
-    corners = np.take(faces.astype(np.int32, copy=False), incidence[slot] // faces.shape[1], axis=0)
-    rows = np.empty((len(vertices), 1 + corners[0].size), dtype=np.int32)
-    rows[:, 0] = vertices
-    rows[:, 1:] = corners.reshape(len(vertices), -1)
-    rows[deg == 0] = vertices[deg == 0, None]
-    # drop repeats: push them past the end of the sorted row, then cut
-    rows.sort(axis=1)
-    dup = np.zeros(rows.shape, dtype=bool)
-    dup[:, 1:] = rows[:, 1:] == rows[:, :-1]
+    # the quad of each corner, in order of vertex, as int32: 2^31 quads of
+    # int64 ids would not fit in memory
+    quad_of = (np.argsort(flat, kind="stable") // faces.shape[1]).astype(np.int32)
+    quads = faces.astype(np.int32, copy=False)
     sentinel = np.iinfo(np.int32).max
-    rows[dup] = sentinel
-    rows.sort(axis=1)
-    size = (~dup).sum(axis=1)
-    rows = rows[:, : int(size.max())]
-    return np.where(rows == sentinel, rows[:, :1], rows), size
+    size = np.empty(len(vertices), dtype=np.int64)
+    step = max(1, _BALL_BLOCK // width)
+    blocks = []
+    for lo in range(0, len(vertices), step):
+        v, d = vertices[lo : lo + step], deg[lo : lo + step]
+        # the k-th quad at each vertex, repeating its last quad past its degree;
+        # a vertex in no quad reads some other entry, overwritten below
+        k = np.minimum(np.arange(d.max()), np.maximum(d, 1)[:, None] - 1)
+        slot = np.minimum(first[v][:, None] + k, max(len(flat) - 1, 0))
+        rows = np.empty((len(v), 1 + faces.shape[1] * k.shape[1]), dtype=np.int32)
+        rows[:, 0] = v
+        rows[:, 1:] = np.take(quads, quad_of[slot], axis=0).reshape(len(v), -1)
+        rows[d == 0] = v[d == 0, None]
+        # drop repeats: push them past the end of the sorted row, then cut
+        rows.sort(axis=1)
+        dup = np.zeros(rows.shape, dtype=bool)
+        dup[:, 1:] = rows[:, 1:] == rows[:, :-1]
+        rows[dup] = sentinel
+        rows.sort(axis=1)
+        size[lo : lo + step] = (~dup).sum(axis=1)
+        rows = rows[:, : int(size[lo : lo + step].max())]
+        blocks.append(np.where(rows == sentinel, rows[:, :1], rows))
+    del quad_of, quads
+    table = np.empty((len(vertices), int(size.max())), dtype=np.int32)
+    for lo, rows in zip(range(0, len(vertices), step), blocks):
+        table[lo : lo + step] = rows[:, :1]
+        table[lo : lo + step, : rows.shape[1]] = rows
+    return table, size
 
 
 def _mesh_near_mask(

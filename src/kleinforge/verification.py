@@ -571,6 +571,7 @@ def check_self_intersection(n: int = 2) -> Verification:
         reach = scan.seam_confinement
         if reach >= SEAM_BAND * np.pi:
             return False, f"collisions reach min(t,pi-t) = {reach!r}, beyond {SEAM_BAND}*pi"
+        del mesh  # one mesh alive at a time: the embedding scan sets the peak
         emesh = geo.build_mesh(geo.MeshSpec(n, "embedding", s["res_theta"], s["res_t"]))
         if emesh.weld_error > WELD_TOL:
             return False, f"embedding weld error {emesh.weld_error!r}"

@@ -713,6 +713,7 @@ def test_scripts_run_on_the_public_api():
     assert bench.returncode == 0, bench.stderr
     data = json.loads(bench.stdout)
     assert (data["vertices"], data["pairs"]) == (79800, 73)
+    assert 0 < data["build_peak_rss_mb"] <= data["peak_rss_mb"]
 
     bench = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "mesh-io", "k2-coarse.obj"],

@@ -6,6 +6,7 @@ fixed grid, so a changed count means changed geometry, not noise.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,93 @@ def test_ball_table_over_budget_is_infeasible(monkeypatch):
         geo.self_intersection_scan(mesh, 0.05)
     monkeypatch.setattr(geo, "SCAN_BALL_BUDGET", 402 * 401)
     assert geo.self_intersection_scan(mesh, 0.05).num_pairs
+
+
+def one_shot_balls(faces, vertices, num_vertices):
+    """The ball table built in one piece: every row at 1 + 4 * (largest degree)."""
+    flat = faces.ravel()
+    degree = np.bincount(flat, minlength=num_vertices)
+    first = np.cumsum(degree) - degree
+    incidence = np.argsort(flat, kind="stable")
+    deg = degree[vertices]
+    k = np.minimum(np.arange(deg.max()), np.maximum(deg, 1)[:, None] - 1)
+    slot = np.minimum(first[vertices][:, None] + k, max(len(flat) - 1, 0))
+    corners = np.take(faces.astype(np.int32), incidence[slot] // faces.shape[1], axis=0)
+    rows = np.empty((len(vertices), 1 + corners[0].size), dtype=np.int32)
+    rows[:, 0] = vertices
+    rows[:, 1:] = corners.reshape(len(vertices), -1)
+    rows[deg == 0] = vertices[deg == 0, None]
+    rows.sort(axis=1)
+    dup = np.zeros(rows.shape, dtype=bool)
+    dup[:, 1:] = rows[:, 1:] == rows[:, :-1]
+    sentinel = np.iinfo(np.int32).max
+    rows[dup] = sentinel
+    rows.sort(axis=1)
+    size = (~dup).sum(axis=1)
+    rows = rows[:, : int(size.max())]
+    return np.where(rows == sentinel, rows[:, :1], rows), size
+
+
+def grid_mesh(n, res_theta, res_t):
+    return geo.build_mesh(geo.MeshSpec(n, "immersion", res_theta, res_t))
+
+
+def mesh_with_isolated_vertices(tmp_path):
+    """Two squares, one with a second quad on its edge, and vertices 4, 5 and 12 in no quad."""
+    path = tmp_path / "isolated.txt"
+    path.write_text(
+        SQUARE_VERTICES
+        + "v 5 5 0\nv 6 6 0\n"
+        + "v 2 0 0\nv 3 0 0\nv 3 1 0\nv 2 1 0\nv 1 2 0\nv 0 2 0\n"
+        + "v 4 4 0\n"
+        + "f 0 1 2 3\nf 6 7 8 9\nf 3 2 10 11\n"
+    )
+    return geo.load_mesh(str(path))
+
+
+@pytest.mark.parametrize(
+    "make, subset, rows",
+    [
+        (lambda tmp: grid_mesh(2, 200, 400), False, 701),
+        (lambda tmp: grid_mesh(3, 48, 96), False, 251),
+        (lambda tmp: two_fans(100), False, 5),
+        (mesh_with_isolated_vertices, False, 2),
+        (lambda tmp: grid_mesh(3, 12, 10), True, 7),
+    ],
+    ids=["n2-grid", "n3-grid", "two-fans", "isolated-vertices", "random-subset"],
+)
+def test_ball_blocks_match_the_one_shot_table(tmp_path, monkeypatch, make, subset, rows):
+    # a block of `rows` vertices: its boundaries split rows of different
+    # widths on the fans and the isolated vertices, and the last block is short
+    mesh = make(tmp_path)
+    V = mesh.num_vertices
+    wanted = np.arange(V)
+    if subset:
+        rng = np.random.default_rng(19)
+        wanted = rng.choice(V, size=V // 3, replace=False)
+    width = 1 + 4 * int(np.bincount(mesh.faces.ravel(), minlength=V)[wanted].max())
+    monkeypatch.setattr(geo, "_BALL_BLOCK", rows * width + width - 1)
+    assert len(wanted) % rows
+    table, size = geo._balls(mesh.faces, wanted, V)
+    expected_table, expected_size = one_shot_balls(mesh.faces, wanted, V)
+    assert table.dtype == expected_table.dtype and size.dtype == expected_size.dtype
+    assert np.array_equal(table, expected_table)
+    assert np.array_equal(size, expected_size)
+
+
+def test_scan_working_memory_stays_bounded():
+    # tracemalloc counts numpy's buffers, so the peak is exact: about 68 MB
+    # with the ball table built a block of vertices at a time, 195 MB in one piece
+    s = vf.SCAN_SETTINGS[3]
+    mesh = geo.build_mesh(geo.MeshSpec(3, "immersion", s["res_theta"], s["res_t"]))
+    tracemalloc.start()
+    try:
+        result = geo.self_intersection_scan(mesh, s["radius"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.num_pairs == 216
+    assert peak < 100e6, peak
 
 
 def test_scan_distances_below_radius():
