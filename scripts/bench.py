@@ -21,6 +21,8 @@ run's own and no cache carries over between runs.  The file records:
 - for each dimension of QUAD_DIMS: median seconds to scan one unit square,
   padded with zero coordinates and read back from a mesh text file, with its
   pair count, or "refused" where the scan exits 3 (a FeasibilityError);
+- for each degree of FAN_DEGREES: median seconds to scan two quad fans, each
+  around one pole of that degree, with the pair count or "refused";
 - the peak RSS of each of those, the largest of its runs.
 
 Only public API is used, so the same script measures any commit.  With
@@ -70,6 +72,8 @@ def mesh_io_files() -> dict:
 RING_CASES = [("manifold_report", n) for n in range(8, 14)] + [("abelianization", 63)]
 # dimensions of the one-square scans: the cost of a scan that is not its pairs
 QUAD_DIMS = (4, 10, 13)
+# pole degrees of the two-fan scans: the neighbour test's cost at high degree
+FAN_DEGREES = (100, 500)
 
 
 def peak_rss_mb() -> float:
@@ -176,6 +180,32 @@ def job_quad_scan(dim: int) -> dict:
     return {"scan_s": time.perf_counter() - start, "pairs": pairs, "peak_rss_mb": peak_rss_mb()}
 
 
+def job_fan_scan(quads: int) -> dict:
+    """Two quad fans 0.01 apart, each around one pole of degree `quads`.
+
+    The ring has radius 0.03, so at radius 0.05 each pole is a candidate
+    with every ring vertex of both fans.
+    """
+    import numpy as np
+
+    from kleinforge import geometry as geo
+    from kleinforge.errors import FeasibilityError
+
+    angle = np.linspace(0, 2 * np.pi, 2 * quads, endpoint=False)
+    ring = 0.03 * np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
+    fan = np.concatenate([ring, np.zeros((1, 3))])
+    k = np.arange(quads)
+    faces = np.stack([0 * k + 2 * quads, 2 * k, 2 * k + 1, (2 * k + 2) % (2 * quads)], axis=1)
+    vertices = np.concatenate([fan, fan + [0.0, 0.0, 0.01]])
+    mesh = geo.Mesh(vertices, np.concatenate([faces, faces + len(fan)]), None, None, float("nan"))
+    start = time.perf_counter()
+    try:
+        pairs = geo.self_intersection_scan(mesh, 0.05).num_pairs
+    except FeasibilityError:
+        pairs = "refused"
+    return {"scan_s": time.perf_counter() - start, "pairs": pairs, "peak_rss_mb": peak_rss_mb()}
+
+
 JOBS = {
     "verify-paper": job_verify_paper,
     "scan": lambda n, target: job_scan(int(n), target),
@@ -183,6 +213,7 @@ JOBS = {
     "mesh-io": job_mesh_io,
     "ring": lambda name, n: job_ring(name, int(n)),
     "quad-scan": lambda dim: job_quad_scan(int(dim)),
+    "fan-scan": lambda quads: job_fan_scan(int(quads)),
 }
 
 
@@ -275,6 +306,7 @@ def main() -> int:
             "mesh_io": {},
             "ring": {},
             "quad_scans": {},
+            "fan_scans": {},
         }
         for label in trees
     }
@@ -300,6 +332,8 @@ def main() -> int:
         record("ring", f"{name}-n{n}", ("ring", name, str(n)), ("seconds",), ("answer",))
     for dim in QUAD_DIMS:
         record("quad_scans", f"R{dim}", ("quad-scan", str(dim)), ("scan_s",), ("pairs",))
+    for quads in FAN_DEGREES:
+        record("fan_scans", f"degree{quads}", ("fan-scan", str(quads)), ("scan_s",), ("pairs",))
     for label, report in reports.items():
         path = f"BENCH_{label}.json"
         with open(path, "w") as fh:

@@ -25,8 +25,9 @@ the last kept row lands on row 0 through the flip, the one place the weld
 is applied.  The self-intersection scan hashes vertices into cells of
 side `radius`, joins neighbouring cells one axis at a time, and reports
 close pairs that are not mesh neighbours, where "neighbour" means graph
-distance at most 2 in the share-a-quad adjacency.  Both stages are array
-code over any quad mesh: grid metadata is never used.
+distance at most 2 in the share-a-quad adjacency; each vertex's ball is
+read straight off the quads around it.  Both stages are array code over any
+quad mesh: grid metadata is never used.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ import numpy as np
 from .errors import FeasibilityError
 
 MIN_DIRECTRIX_SPEED = 1e-8
-# vertex coordinates one mesh may hold, checked before sampling.  Building
-# peaks (numpy's allocations) at about 37 bytes per coordinate at n = 2, 52
-# at n = 3 and 127 at n = 8 (immersions; embeddings about 10% less), as quads
-# per vertex grow with n(n - 1)/2: about 440 MB at the budget at n = 3 and
-# 1.1 GB at n = 8
-MESH_COORDINATE_BUDGET = 1 << 23
+# vertex coordinates plus quad corners (2n(n - 1) a vertex) one mesh may
+# hold, checked before sampling.  Building peaks (numpy's allocations) at
+# about 16 bytes per entry at n = 2, 13 at n = 3 and 10 at n = 8, so at about
+# 135 MB at the budget.  verify-paper's largest mesh, the n = 3 embedding, has
+# 3,720,960 entries.
+MESH_ENTRY_BUDGET = 1 << 23
 # raw candidate pairs (every point pair of two neighbouring cells, a cell with
 # c points counting c^2 with itself) one self-intersection scan may gather, and
 # cell prefix pairs its join may build on one axis, each counted before its
@@ -56,20 +57,17 @@ MESH_COORDINATE_BUDGET = 1 << 23
 # radius exceeds the mesh, nearly every candidate is reported, at about 340
 # bytes per pair as a ScanResult.
 SCAN_CANDIDATE_BUDGET = 1 << 22
-# entries of the ball table the neighbour filter may build (one row of
-# 1 + 4 * (largest degree) ids per vertex in a candidate pair), checked before
-# building it.  It is built a block of _BALL_BLOCK entries at a time and each
-# block is cut to its own widest ball: building peaks at about 2-7 bytes per
-# entry (the fewest when a few wide rows set the count), at most about 230 MB
-# at the budget.  The largest table in use, verify-paper's n = 3 scans, has
-# 10,725,120 (218,880 rows of degree 12); one vertex of degree 1,000 in a mesh
-# file widens every row to 4,001.
+# ball ids the neighbour test may gather (4 * max(deg i, deg j, 1) for each
+# candidate pair (i, j)), counted before any is gathered.  It gathers them a
+# block of _NEAR_BLOCK ids at a time, so the blocks bound its memory and the
+# budget its time.  The largest count in use, verify-paper's n = 3 immersion,
+# is 15,542,688 (the embedding 15,287,040); a vertex of degree 1,000 in a
+# mesh file costs 4,000 for each pair it is in.
 SCAN_BALL_BUDGET = 1 << 25
-_NEAR_BLOCK = 1 << 21  # ball-entry compares per block of the neighbour test
+_NEAR_BLOCK = 1 << 20  # ball ids gathered per block of the neighbour test
 _GATHER_BLOCK = 1 << 15  # raw candidates gathered per block of the d^2 test
-_BALL_BLOCK = 1 << 20  # working ball entries per block of vertices
 # rows formatted per write when saving a mesh file, so that a mesh near the
-# coordinate budget is never held as one string
+# entry budget is never held as one string
 _IO_ROWS = 1 << 13
 _INDEX_PARTS = r"(?<=\S)/\S*"  # the /vt/vn parts of an OBJ face index
 
@@ -273,11 +271,12 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     vertices are kept.  Quads are emitted for every pair of grid axes.
     """
     n, A, T = spec.n, spec.res_theta, spec.res_t
-    coordinates = A ** (n - 1) * (T - 1) * spec.dim
-    if coordinates > MESH_COORDINATE_BUDGET:
+    # each vertex has dim coordinates and starts one quad per axis pair
+    entries = A ** (n - 1) * (T - 1) * (spec.dim + 2 * n * (n - 1))
+    if entries > MESH_ENTRY_BUDGET:
         raise FeasibilityError(
-            f"a {A}x{T} mesh of K_{n} has {coordinates} vertex coordinates; "
-            f"the budget is {MESH_COORDINATE_BUDGET}"
+            f"a {A}x{T} mesh of K_{n} has {entries} vertex coordinates and quad "
+            f"corners; the budget is {MESH_ENTRY_BUDGET}"
         )
     point = immersion_point if spec.target == "immersion" else embedding_point
 
@@ -472,109 +471,67 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     return tuple(map(np.concatenate, zip(*found)))
 
 
-def _balls(faces: np.ndarray, vertices: np.ndarray, num_vertices: int):
-    """Padded rows ball(v) = {v} + every vertex sharing a quad with v, and the ball sizes.
-
-    One row per entry of `vertices`, as wide as the widest of their balls.
-    A ball fills the front of its row and repeats its smallest entry after
-    that, so any cut of a row at least as wide as its ball holds that ball
-    and nothing else.  Vertex ids are int32, which holds every vertex of a
-    scan the candidate budget admits and halves the bytes the pair test moves.
-
-    The rows are gathered, sorted and deduplicated a block of vertices at a
-    time, about _BALL_BLOCK working entries each: a row starts 1 + 4 * (the
-    block's largest degree) wide, and on the grids half or more of its
-    entries are repeats.  Each block is cut to its own widest ball before the next one is
-    built, then copied into the table, so the working rows of every vertex
-    never exist at once.
-    """
-    flat = faces.ravel()
-    degree = np.bincount(flat, minlength=num_vertices)
-    first = np.cumsum(degree) - degree
-    deg = degree[vertices]
-    width = 1 + faces.shape[1] * int(deg.max())
-    entries = len(vertices) * width
-    if entries > SCAN_BALL_BUDGET:
-        raise FeasibilityError(
-            f"the neighbour test needs {entries} ball entries for {len(vertices)} "
-            f"vertices, over {SCAN_BALL_BUDGET} (the budget)"
-        )
-    # the quad of each corner, in order of vertex, as int32: 2^31 quads of
-    # int64 ids would not fit in memory
-    quad_of = (np.argsort(flat, kind="stable") // faces.shape[1]).astype(np.int32)
-    quads = faces.astype(np.int32, copy=False)
-    sentinel = np.iinfo(np.int32).max
-    size = np.empty(len(vertices), dtype=np.int64)
-    step = max(1, _BALL_BLOCK // width)
-    blocks = []
-    for lo in range(0, len(vertices), step):
-        v, d = vertices[lo : lo + step], deg[lo : lo + step]
-        # the k-th quad at each vertex, repeating its last quad past its degree;
-        # a vertex in no quad reads some other entry, overwritten below
-        k = np.minimum(np.arange(d.max()), np.maximum(d, 1)[:, None] - 1)
-        slot = np.minimum(first[v][:, None] + k, max(len(flat) - 1, 0))
-        rows = np.empty((len(v), 1 + faces.shape[1] * k.shape[1]), dtype=np.int32)
-        rows[:, 0] = v
-        rows[:, 1:] = np.take(quads, quad_of[slot], axis=0).reshape(len(v), -1)
-        rows[d == 0] = v[d == 0, None]
-        # drop repeats: push them past the end of the sorted row, then cut
-        rows.sort(axis=1)
-        dup = np.zeros(rows.shape, dtype=bool)
-        dup[:, 1:] = rows[:, 1:] == rows[:, :-1]
-        rows[dup] = sentinel
-        rows.sort(axis=1)
-        size[lo : lo + step] = (~dup).sum(axis=1)
-        rows = rows[:, : int(size[lo : lo + step].max())]
-        blocks.append(np.where(rows == sentinel, rows[:, :1], rows))
-    del quad_of, quads
-    table = np.empty((len(vertices), int(size.max())), dtype=np.int32)
-    for lo, rows in zip(range(0, len(vertices), step), blocks):
-        table[lo : lo + step] = rows[:, :1]
-        table[lo : lo + step, : rows.shape[1]] = rows
-    return table, size
-
-
 def _mesh_near_mask(
     faces: np.ndarray, num_vertices: int, I: np.ndarray, J: np.ndarray
 ) -> np.ndarray:
     """Which candidate pairs are within graph distance 2 of each other.
 
     Adjacency is "shares a quad".  With ball(v) = {v} + its neighbours,
-    distance <= 2 is exactly ball(i) meeting ball(j).  Only balls of
-    vertices that occur in candidate pairs are built.  The pairs go in
-    order of their wider ball, cut to that width w, so one vertex of high
-    degree slows only its own pairs: each width gathers its rows with
-    np.take from one contiguous copy of the table cut to w (the table
-    itself at full width).  Each block of pairs first tests
-    j in ball(i), w compares a pair: j is in ball(j), so a hit means the
-    balls meet, and on the mesh grids it settles about three pairs in four.
-    Only the pairs it leaves compare every entry of ball(i) with every entry
-    of ball(j), w^2 compares a pair.  The ball table is checked against
-    SCAN_BALL_BUDGET before it is built.
+    distance <= 2 is exactly ball(i) meeting ball(j).  row(v) is the corners
+    of v's quads, read off the vertex-to-quad incidence with repeats left
+    in, so its entries are ball(v); a vertex in no quad reads itself alone.
+    A pair with d = max(deg i, deg j, 1) reads both rows at width 4d, v's
+    last quad repeating past deg v, so a vertex of high degree slows only
+    its own pairs.  Pairs go in order of d, a block of about _NEAR_BLOCK
+    gathered ids at a time.  j in row(i) means the balls meet (j is in
+    ball(j)); on the mesh grids that settles about three pairs in four.
+    The rest tag row(i) as 2 id and row(j) as 2 id + 1 and sort each pair's
+    tagged rows: adjacent entries that differ in the tag bit alone are one
+    id from both balls, while repeats within a row are equal, so nothing is
+    deduplicated.  The 4d ids a pair are counted against SCAN_BALL_BUDGET
+    before any is gathered.
     """
-    seen = np.zeros(num_vertices, dtype=bool)
-    seen[I] = True
-    seen[J] = True
-    wanted = np.flatnonzero(seen)
-    row = np.cumsum(seen) - 1
-    balls, size = _balls(faces, wanted, num_vertices)
-    width = np.maximum(size[row[I]], size[row[J]])
-    order = np.argsort(width, kind="stable")
-    widths, starts, counts = np.unique(width[order], return_index=True, return_counts=True)
+    corners = faces.shape[1]
+    flat = faces.ravel()
+    degree = np.bincount(flat, minlength=num_vertices)
+    d = np.maximum(np.maximum(degree[I], degree[J]), 1)
+    entries = corners * int(d.sum())
+    if entries > SCAN_BALL_BUDGET:
+        raise FeasibilityError(
+            f"the neighbour test needs {entries} ball entries for {len(I)} "
+            f"candidate pairs, over {SCAN_BALL_BUDGET} (the budget)"
+        )
+    if not len(flat):
+        return np.zeros(len(I), dtype=bool)  # every ball is one vertex
+    first = np.cumsum(degree) - degree
+    # the quad of each corner, in order of vertex.  int32 holds every id: a
+    # scan has fewer than 2^22 vertices (the candidate budget), so 2 id + 1
+    # fits, and 2^31 quads would not fit in memory
+    quad_of = (np.argsort(flat, kind="stable") // corners).astype(np.int32)
+    quads = faces.astype(np.int32, copy=False)
+
+    def rows(v: np.ndarray, deg: int) -> np.ndarray:
+        k = np.minimum(np.arange(deg), np.maximum(degree[v], 1)[:, None] - 1)
+        slot = np.minimum(first[v][:, None] + k, len(flat) - 1)
+        out = np.take(quads, quad_of[slot], axis=0).reshape(len(v), corners * deg)
+        lonely = degree[v] == 0
+        out[lonely] = v[lonely, None]
+        return out
+
+    order = np.argsort(d, kind="stable")
+    degrees, starts, counts = np.unique(d[order], return_index=True, return_counts=True)
     near = np.empty(len(I), dtype=bool)
-    for w, start, count in zip(widths.tolist(), starts.tolist(), counts.tolist()):
-        cut = np.ascontiguousarray(balls[:, :w])  # np.take would copy a strided view per call
-        # w^2 compares per pair: blocks sized from w keep memory bounded
-        block = max(1, _NEAR_BLOCK // (w * w))
+    for deg, start, count in zip(degrees.tolist(), starts.tolist(), counts.tolist()):
+        block = max(1, _NEAR_BLOCK // (corners * deg))
         for lo in range(start, start + count, block):
             pick = order[lo : min(lo + block, start + count)]
-            bi = np.take(cut, row[I[pick]], axis=0)
+            bi = rows(I[pick], deg)
             shared = (bi == J[pick][:, None]).any(axis=1)
             near[pick] = shared
-            pick, bi = pick[~shared], bi[~shared]
-            bj = np.take(cut, row[J[pick]], axis=0)
-            same = bi[:, :, None] == bj[:, None, :]
-            near[pick] = same.reshape(len(pick), w * w).any(axis=1)
+            pick = pick[~shared]
+            tagged = np.concatenate([bi[~shared] << 1, rows(J[pick], deg) << 1 | 1], axis=1)
+            tagged.sort(axis=1)
+            near[pick] = ((tagged[:, 1:] ^ tagged[:, :-1]) == 1).any(axis=1)
     return near
 
 

@@ -272,11 +272,13 @@ def test_oversized_mesh_exits_3_before_allocating(tmp_path, capsys, monkeypatch)
         raise AssertionError("the mesh budget must be checked before sampling")
 
     monkeypatch.setattr(np, "meshgrid", no_grid)
-    out_file = tmp_path / "k6.obj"
-    code, _, err = run(capsys, "mesh", "--n", "6", "--res", "40x40", "--out", str(out_file))
-    assert code == 3
-    assert "feasibility guard" in err
-    assert not out_file.exists()
+    # over 2^23 coordinates; and 737,280 coordinates with 9,175,040 quad corners
+    for n, res in (("6", "40x40"), ("8", "4x6")):
+        out_file = tmp_path / f"k{n}.obj"
+        code, _, err = run(capsys, "mesh", "--n", n, "--res", res, "--out", str(out_file))
+        assert code == 3
+        assert "feasibility guard" in err
+        assert not out_file.exists()
 
 
 def test_oversized_scan_exits_3_before_gathering_pairs(capsys, monkeypatch):
@@ -321,6 +323,17 @@ def test_tiny_mesh_in_high_dimension_scans_in_under_a_second(tmp_path, capsys, d
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert out.startswith("0 close non-neighbour pairs among 4 vertices")
+
+
+def test_mesh_without_quads_reports_every_close_pair(tmp_path, capsys):
+    # no vertex shares a quad, so every ball is its vertex alone
+    path = tmp_path / "points.txt"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 5 5 5\n")
+    code, out, _ = run(capsys, "scan", "--in", str(path), "--radius", "1.0", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pairs"] == [[0, 1], [0, 3], [1, 2], [2, 3]]
+    assert data["distances"] == [1.0] * 4
 
 
 @pytest.mark.parametrize(
@@ -730,3 +743,10 @@ def test_scripts_run_on_the_public_api():
     )
     assert bench.returncode == 0, bench.stderr
     assert json.loads(bench.stdout)["answer"] == 6
+
+    bench = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "fan-scan", "100"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert bench.returncode == 0, bench.stderr
+    assert json.loads(bench.stdout)["pairs"] == 24601

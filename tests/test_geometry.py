@@ -407,11 +407,11 @@ def test_nested_family_gap_matches_the_broadcast_minimum():
 
 def test_ball_table_over_budget_is_infeasible(monkeypatch):
     mesh = two_fans(100)
-    # 402 vertices in candidate pairs, each row 1 + 4 * 100 wide before dedupe
-    monkeypatch.setattr(geo, "SCAN_BALL_BUDGET", 402 * 401 - 1)
+    # 4 * max(deg i, deg j, 1) ids for each of the 49,801 candidate pairs
+    monkeypatch.setattr(geo, "SCAN_BALL_BUDGET", 663_200 - 1)
     with pytest.raises(FeasibilityError, match="ball entries"):
         geo.self_intersection_scan(mesh, 0.05)
-    monkeypatch.setattr(geo, "SCAN_BALL_BUDGET", 402 * 401)
+    monkeypatch.setattr(geo, "SCAN_BALL_BUDGET", 663_200)
     assert geo.self_intersection_scan(mesh, 0.05).num_pairs
 
 
@@ -457,39 +457,49 @@ def mesh_with_isolated_vertices(tmp_path):
     return geo.load_mesh(str(path))
 
 
+def one_shot_near(faces, num_vertices, I, J):
+    """ball(i) meets ball(j), every entry of one-shot ball(i) against every entry of ball(j)."""
+    wanted = np.unique(np.concatenate([I, J]))
+    table, _ = one_shot_balls(faces, wanted, num_vertices)
+    bi, bj = np.searchsorted(wanted, I), np.searchsorted(wanted, J)
+    step = max(1, (1 << 22) // table.shape[1] ** 2)
+    return np.concatenate([
+        (table[bi[lo : lo + step], :, None] == table[bj[lo : lo + step], None, :]).any(axis=(1, 2))
+        for lo in range(0, len(I), step)
+    ])
+
+
 @pytest.mark.parametrize(
-    "make, subset, rows",
+    "make, radius, subset, block",
     [
-        (lambda tmp: grid_mesh(2, 200, 400), False, 701),
-        (lambda tmp: grid_mesh(3, 48, 96), False, 251),
-        (lambda tmp: two_fans(100), False, 5),
-        (mesh_with_isolated_vertices, False, 2),
-        (lambda tmp: grid_mesh(3, 12, 10), True, 7),
+        (lambda tmp: grid_mesh(2, 200, 400), 2e-2, False, 16 * 701 + 15),
+        (lambda tmp: grid_mesh(3, 48, 96), 3e-2, False, 48 * 251 + 47),
+        (lambda tmp: two_fans(100), 0.05, False, 399),
+        (mesh_with_isolated_vertices, 10.0, False, 9),
+        (lambda tmp: grid_mesh(3, 12, 10), 0.5, True, 48 * 7 + 5),
     ],
     ids=["n2-grid", "n3-grid", "two-fans", "isolated-vertices", "random-subset"],
 )
-def test_ball_blocks_match_the_one_shot_table(tmp_path, monkeypatch, make, subset, rows):
-    # a block of `rows` vertices: its boundaries split rows of different
-    # widths on the fans and the isolated vertices, and the last block is short
+def test_ball_blocks_match_the_one_shot_table(tmp_path, monkeypatch, make, radius, subset, block):
+    # blocks of `block` gathered ids split each large degree group, most
+    # groups end in a short block, and in some blocks every pair shares a
+    # quad, which leaves the second test empty
     mesh = make(tmp_path)
     V = mesh.num_vertices
-    wanted = np.arange(V)
+    I, J = geo._candidate_pairs(np.asarray(mesh.vertices, dtype=float), radius)
     if subset:
-        rng = np.random.default_rng(19)
-        wanted = rng.choice(V, size=V // 3, replace=False)
-    width = 1 + 4 * int(np.bincount(mesh.faces.ravel(), minlength=V)[wanted].max())
-    monkeypatch.setattr(geo, "_BALL_BLOCK", rows * width + width - 1)
-    assert len(wanted) % rows
-    table, size = geo._balls(mesh.faces, wanted, V)
-    expected_table, expected_size = one_shot_balls(mesh.faces, wanted, V)
-    assert table.dtype == expected_table.dtype and size.dtype == expected_size.dtype
-    assert np.array_equal(table, expected_table)
-    assert np.array_equal(size, expected_size)
+        keep = np.random.default_rng(19).choice(len(I), size=len(I) // 3, replace=False)
+        I, J = I[keep], J[keep]
+    monkeypatch.setattr(geo, "_NEAR_BLOCK", block)
+    near = geo._mesh_near_mask(mesh.faces, V, I, J)
+    expected = one_shot_near(mesh.faces, V, I, J)
+    assert expected.any() and not expected.all()
+    assert np.array_equal(near, expected)
 
 
 def test_scan_working_memory_stays_bounded():
-    # tracemalloc counts numpy's buffers, so the peak is exact: about 68 MB
-    # with the ball table built a block of vertices at a time, 195 MB in one piece
+    # tracemalloc counts numpy's buffers, so the peak is exact: about 54 MB
+    # with ball rows gathered a block of pairs at a time
     s = vf.SCAN_SETTINGS[3]
     mesh = geo.build_mesh(geo.MeshSpec(3, "immersion", s["res_theta"], s["res_t"]))
     tracemalloc.start()
