@@ -245,7 +245,6 @@ def cup_length(n: int) -> tuple[int, list[CohomologyClass]]:
     # reachable product monomial -> factor chain (first hit wins; generators
     # are scanned in canonical order so the witness is deterministic)
     level: dict[int, tuple[int, ...]] = {g: (g,) for g in gens}
-    best = dict(level)
     length = 1
     while length <= n:
         nxt: dict[int, tuple[int, ...]] = {}
@@ -258,8 +257,7 @@ def cup_length(n: int) -> tuple[int, list[CohomologyClass]]:
             break
         level = nxt
         length += 1
-        best = nxt
-    witness_chain = best[min(best)]
+    witness_chain = level[min(level)]
     witness = [CohomologyClass(n, frozenset({k})) for k in witness_chain]
     return length, witness
 

@@ -22,17 +22,6 @@ from .abelian import AbelianGroup
 from .cohomology_f2 import _check_dimension, poincare_polynomial
 from .fundamental_group import abelianization
 
-__all__ = [
-    "AbelianGroup",
-    "integral_cohomology",
-    "WedgeSummand",
-    "splitting",
-    "homology_from_splitting",
-    "cohomology_from_homology",
-    "CheckResult",
-    "ConsistencyReport",
-    "consistency_check",
-]
 
 def _two_torsion(count: int) -> tuple[tuple[int, int], ...]:
     return ((2, count),) if count else ()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -229,6 +230,27 @@ def test_json_output_is_byte_stable(capsys):
         _, out, _ = run(capsys, "splitting", "--n", "7", "--json")
         outs.add(out)
     assert len(outs) == 2
+
+
+def test_benchmark_outputs_match_their_recorded_digests(capsys, tmp_path, monkeypatch):
+    # perfbench/digests.json maps sha256(json.dumps(argv)) to the sha256 of
+    # that argv's stdout; replaying part of it here pins the bytes in Tier-1
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    pinned = {"k2-coarse.obj", "k3-immersion.mesh", "k3-embedding.mesh"}
+    ops = {op.argv: op for op in workloads["algebra_queries_ops"](0)}
+    ops.update(
+        (op.argv, op) for op in workloads["mesh_files_ops"](0)
+        if op.command == "mesh" and op.facts["file"] in pinned
+    )
+    monkeypatch.chdir(tmp_path)  # `mesh --out` writes into the working directory
+    wrong = []
+    for op in ops.values():
+        key = hashlib.sha256(json.dumps(list(op.argv)).encode()).hexdigest()
+        code, out, _ = run(capsys, *op.argv)
+        if (code, hashlib.sha256(out.encode()).hexdigest()) != (op.expect_rc, digests[key]):
+            wrong.append(op.argv[:3])
+    assert len(ops) == 71 and wrong == []
 
 
 # ------------------------------------------------------------- exit codes

@@ -43,6 +43,10 @@ def test_normal_frame():
     # frame flips across the seam: J(pi) = -J(0)
     assert np.allclose(geo.directrix_normal(np.pi), -geo.directrix_normal(0.0), atol=1e-12)
     assert np.allclose(geo.directrix_normal(0.0), [0.0, 1.0], atol=1e-15)
+    # the figure-eight is regular: |a'|^2 = 25 cos^2 t + sin^2 t (6 cos^2 t - 2)^2
+    # has its minimum 1.9905 near t = 4.873, so the normal never divides by 0
+    speed = np.linalg.norm(geo.directrix_velocity(np.linspace(0, 2 * np.pi, 2001)), axis=-1)
+    assert np.min(speed) > 1.9
 
 
 def test_tube_radius_band():
@@ -64,8 +68,13 @@ def test_base_unit_values():
 # -------------------------------------------------------------- tube stack
 
 def test_nested_radii_shrink_and_stay_in_band():
-    for n in (3, 4, 5):
+    # every n that build_mesh admits (MESH_ENTRY_BUDGET refuses n >= 9)
+    for n in range(2, 9):
         unit = geo.base_unit(n)
+        # at both band extremes the margin is min(last, 4D - last) = D
+        for extreme in (unit, 2 * unit):
+            radii = [2.0 ** (n - i) * unit for i in range(1, n - 1)] + [extreme]
+            assert geo.nesting_margin(radii) >= (1 - 1e-9) * unit
         for t in (0.0, 0.3, np.pi / 2, np.pi):
             radii = geo.nested_torus_radii(n, t)
             assert len(radii) == n - 1
@@ -157,6 +166,12 @@ def test_embedding_separator_values():
     for t, want in ((0.0, 0.0), (np.pi / 4, 1.0), (3 * np.pi / 4, -1.0), (np.pi, 0.0)):
         v = geo.embedding_point(2, np.zeros(1), t)
         assert v[-1] == pytest.approx(want, abs=1e-12)
+
+
+def test_maps_accept_zero_samples():
+    thetas, t = np.empty((0, 2)), np.empty(0)
+    assert geo.immersion_point(3, thetas, t).shape == (0, 4)
+    assert geo.embedding_point(3, thetas, t).shape == (0, 5)
 
 
 # ------------------------------------------------------------------ meshes
@@ -405,7 +420,7 @@ def test_nested_family_gap_matches_the_broadcast_minimum():
     assert abs(vf._min_sq_distance(a, b)) < 1e-12
 
 
-def test_ball_table_over_budget_is_infeasible(monkeypatch):
+def test_neighbour_test_over_budget_is_infeasible(monkeypatch):
     mesh = two_fans(100)
     # 4 * max(deg i, deg j, 1) ids for each of the 49,801 candidate pairs
     monkeypatch.setattr(geo, "SCAN_BALL_BUDGET", 663_200 - 1)
@@ -480,7 +495,7 @@ def one_shot_near(faces, num_vertices, I, J):
     ],
     ids=["n2-grid", "n3-grid", "two-fans", "isolated-vertices", "random-subset"],
 )
-def test_ball_blocks_match_the_one_shot_table(tmp_path, monkeypatch, make, radius, subset, block):
+def test_near_mask_matches_the_one_shot_balls(tmp_path, monkeypatch, make, radius, subset, block):
     # blocks of `block` gathered ids split each large degree group, most
     # groups end in a short block, and in some blocks every pair shares a
     # quad, which leaves the second test empty
