@@ -103,13 +103,14 @@ def cmd_splitting(args) -> int:
 
 
 def cmd_check(args) -> int:
-    report = ints.consistency_check(args.n)
+    checks = ints.consistency_check(args.n)
+    passed = all(c.passed for c in checks)
     if args.json:
-        _emit_json({"n": report.n, "passed": report.passed, "checks": report.checks})
+        _emit_json({"n": args.n, "passed": passed, "checks": checks})
     else:
-        for c in report.checks:
+        for c in checks:
             print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def cmd_pi1(args) -> int:
@@ -218,11 +219,12 @@ def _parse_res(text: str) -> tuple[int, int]:
 
 def cmd_mesh(args) -> int:
     res_theta, res_t = _parse_res(args.res)
-    spec = geo.MeshSpec(args.n, args.target, res_theta, res_t)
-    mesh = geo.build_mesh(spec)
     axes = None
-    if args.axes:
+    if args.axes is not None:
+        if not args.out.endswith(".obj"):
+            raise ValueError("--axes projects an OBJ file; mesh text keeps every coordinate")
         axes = tuple(int(a) for a in args.axes.split(","))
+    mesh = geo.build_mesh(geo.MeshSpec(args.n, args.target, res_theta, res_t))
     if args.out.endswith(".obj"):
         if mesh.dim > 3 and axes is None:
             axes = (0, 1, 2)
@@ -268,16 +270,16 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    checks = vf.verify_paper(max_n=args.max_n)
-    for c in checks:
-        print(f"{c.name}: {'PASS' if c.passed else 'FAIL'} ({c.seconds:.2f}s)", file=sys.stderr)
-    payload = {
-        "max_n": args.max_n,
-        "passed": all(c.passed for c in checks),
-        "checks": [c.to_json() for c in checks],
-    }
-    _emit_json(payload)
-    return 0 if payload["passed"] else 1
+    checks = []
+    last = time.perf_counter()
+    for c in vf.verify_paper(max_n=args.max_n):  # each check runs as it is drawn
+        now = time.perf_counter()
+        print(f"{c.name}: {'PASS' if c.passed else 'FAIL'} ({now - last:.2f}s)", file=sys.stderr)
+        checks.append(c)
+        last = now
+    passed = all(c.passed for c in checks)
+    _emit_json({"max_n": args.max_n, "passed": passed, "checks": checks})
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------- plumbing
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("immersion", "embedding"), default="immersion")
     p.add_argument("--res", required=True, help="grid as THETAxT, e.g. 200x400")
     p.add_argument("--out", required=True)
-    p.add_argument("--axes", help="projection axes for OBJ beyond 3D, e.g. 0,1,2")
+    p.add_argument("--axes", help="projection axes for an .obj --out beyond 3D, e.g. 0,1,2")
 
     p = add("scan", cmd_scan, "self-intersection scan of a mesh")
     p.add_argument("--in", dest="infile", help="mesh file (.obj or mesh text)")

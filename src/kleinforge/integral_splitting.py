@@ -113,22 +113,14 @@ def cohomology_from_homology(groups: list[AbelianGroup]) -> list[AbelianGroup]:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named cross-check: whether it passed, and what it compared."""
+
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    n: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def consistency_check(n: int) -> ConsistencyReport:
+def consistency_check(n: int) -> tuple[CheckResult, ...]:
     """Cross-check the integral, mod-2 and splitting descriptions of K_n.
 
     (a) dim H^d(F2) = b_d + t_d + t_(d+1) where b/t are integral Betti and
@@ -188,4 +180,4 @@ def consistency_check(n: int) -> ConsistencyReport:
             f"chi = {chi_int} (integral), {chi_f2} (mod 2)",
         )
     )
-    return ConsistencyReport(n, tuple(checks))
+    return tuple(checks)

@@ -11,15 +11,15 @@ Each check recomputes a claim by a second route and compares:
   zero-divisor factors;
 * the geometric identities numerically, at tolerances fixed here.
 
-`verify_paper` bundles the checks behind one deterministic report; the
-CLI exposes it and the acceptance tests call the same functions with
-their default ranges.
+Each check returns an `integral_splitting.CheckResult`, the one check
+result of the package.  `verify_paper` yields the checks one at a time,
+so its caller can time each one; the CLI exposes it and the acceptance
+tests call the same functions with their default ranges.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -31,32 +31,21 @@ from . import integral_splitting as ints
 from . import polygon_genetics as pg
 from . import tensor_zcl as tz
 from .errors import FeasibilityError
+from .integral_splitting import CheckResult
 from .linalg import f2_is_invertible
 
 RNG_SEED = 988206131  # fixed so every run checks the identical samples
 
 
-@dataclass(frozen=True)
-class Verification:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
-def _run(name: str, fn) -> Verification:
-    """Time one check; any exception but a feasibility guard makes it a FAIL."""
-    start = time.perf_counter()
+def _run(name: str, fn) -> CheckResult:
+    """Run one check; any exception but a feasibility guard makes it a FAIL."""
     try:
         passed, detail = fn()
     except FeasibilityError:
         raise
     except Exception as exc:
         passed, detail = False, f"{type(exc).__name__}: {exc}"
-    return Verification(name, passed, detail, time.perf_counter() - start)
+    return CheckResult(name, passed, detail)
 
 
 # ---------------------------------------------------------------- oracles
@@ -217,7 +206,7 @@ def cohomology_table(n: int) -> dict:
     }
 
 
-def check_cohomology_table() -> Verification:
+def check_cohomology_table() -> CheckResult:
     """Degree-4 table: 16 basis elements, dims (1,4,6,4,1), four Sq1 lines."""
     def body():
         data = cohomology_table(4)
@@ -234,7 +223,7 @@ def check_cohomology_table() -> Verification:
 
 # ------------------------------------------------------------- ring checks
 
-def check_ring_oracle(max_n: int = 8, triples: int = 10_000) -> Verification:
+def check_ring_oracle(max_n: int = 8, triples: int = 10_000) -> CheckResult:
     """Cup vs the free-reduction oracle, plus ring laws on random classes.
 
     Oracle agreement on every basis pair for n <= 4; associativity and
@@ -276,7 +265,7 @@ def check_ring_oracle(max_n: int = 8, triples: int = 10_000) -> Verification:
     return _run("cup-ring-oracle", body)
 
 
-def check_cup_length_duality(max_n: int = 10) -> Verification:
+def check_cup_length_duality(max_n: int = 10) -> CheckResult:
     """cup_length(n) = n with a verified witness; duality nonsingular."""
     def body():
         for n in range(1, max_n + 1):
@@ -296,7 +285,7 @@ def check_cup_length_duality(max_n: int = 10) -> Verification:
     return _run("cup-length-and-duality", body)
 
 
-def check_stiefel_whitney(max_n: int = 10) -> Verification:
+def check_stiefel_whitney(max_n: int = 10) -> CheckResult:
     """w = R exactly when n is even (and only in degree 1), via Wu solve."""
     def body():
         for n in range(2, max_n + 1):
@@ -310,13 +299,12 @@ def check_stiefel_whitney(max_n: int = 10) -> Verification:
     return _run("stiefel-whitney", body)
 
 
-def check_integral_consistency(max_n: int = 12) -> Verification:
+def check_integral_consistency(max_n: int = 12) -> CheckResult:
     """Integral groups, wedge splitting, and mod-2 dimensions agree."""
     def body():
         for n in range(2, max_n + 1):
-            report = ints.consistency_check(n)
-            if not report.passed:
-                bad = [c.name for c in report.checks if not c.passed]
+            bad = [c.name for c in ints.consistency_check(n) if not c.passed]
+            if bad:
                 return False, f"n={n} failed: {', '.join(bad)}"
         h = ints.integral_cohomology(2)
         if [g.text() for g in h] != ["Z", "Z", "Z/2"]:
@@ -330,7 +318,7 @@ def check_integral_consistency(max_n: int = 12) -> Verification:
 
 # ------------------------------------------------------------ tensor checks
 
-def check_tensor_witness(max_n: int = 8) -> Verification:
+def check_tensor_witness(max_n: int = 8) -> CheckResult:
     """Length-(n+2) witness nonzero with its anchor term, 3 <= n <= max_n.
 
     For n <= 5 the whole product is independently recomputed by the
@@ -357,7 +345,7 @@ def check_tensor_witness(max_n: int = 8) -> Verification:
     return _run("tensor-witness", body)
 
 
-def check_zcl_vanishing(max_n: int = 6) -> Verification:
+def check_zcl_vanishing(max_n: int = 6) -> CheckResult:
     """Every length-(n+3) zero-divisor product vanishes, 3 <= n <= max_n."""
     def body():
         counts = []
@@ -370,7 +358,7 @@ def check_zcl_vanishing(max_n: int = 6) -> Verification:
     return _run("zcl-vanishing", body)
 
 
-def check_tc_bounds() -> Verification:
+def check_tc_bounds() -> CheckResult:
     """tc_bounds(4) = (7, 9): both bounds of the motion-planning estimate."""
     def body():
         b = tz.tc_bounds(4)
@@ -381,7 +369,7 @@ def check_tc_bounds() -> Verification:
 
 # ------------------------------------------------- fundamental group checks
 
-def check_word_oracle(max_n: int = 4, max_len: int = 6) -> Verification:
+def check_word_oracle(max_n: int = 4, max_len: int = 6) -> CheckResult:
     """Normal forms vs the rewriting oracle on every short word.
 
     A word w·x is checked by rewriting (rewritten w)·x and comparing it with
@@ -421,7 +409,7 @@ def check_word_oracle(max_n: int = 4, max_len: int = 6) -> Verification:
     return _run("fundamental-group-oracle", body)
 
 
-def check_relators_and_h1(max_n: int = 10) -> Verification:
+def check_relators_and_h1(max_n: int = 10) -> CheckResult:
     """Defining relators normalize to the identity; abelianization is H_1."""
     def body():
         for n in range(2, max_n + 1):
@@ -456,7 +444,7 @@ def _min_sq_distance(a: np.ndarray, b: np.ndarray) -> float:
     )
 
 
-def check_geometry_identities(samples: int = 10_000) -> Verification:
+def check_geometry_identities(samples: int = 10_000) -> CheckResult:
     """The sampled identities of the construction, at fixed tolerances.
 
     Covers the directrix frame, the tube-radius band, the fibre-torus
@@ -553,7 +541,7 @@ SCAN_SETTINGS = {
 SEAM_BAND = 0.4  # fraction of pi: collisions must satisfy min(t, pi-t) < 0.4*pi
 
 
-def check_self_intersection(n: int = 2) -> Verification:
+def check_self_intersection(n: int = 2) -> CheckResult:
     """Immersion scan nonempty near the seam; embedding scan empty.
 
     The immersed tubes genuinely overlap on a band around t = 0 and
@@ -587,7 +575,7 @@ def check_self_intersection(n: int = 2) -> Verification:
 
 # ---------------------------------------------------------- genetic checks
 
-def check_genetic_codes() -> Verification:
+def check_genetic_codes() -> CheckResult:
     """The three hexagon examples, by explicit lengths and by zero-substitution."""
     def body():
         cases = [
@@ -616,30 +604,33 @@ def check_genetic_codes() -> Verification:
 
 # ------------------------------------------------------------ verify-paper
 
-def verify_paper(max_n: int = 8) -> list[Verification]:
+def verify_paper(max_n: int = 8) -> Iterator[CheckResult]:
     """The end-to-end bundle behind `klein-forge verify-paper`.
 
     max_n is checked against the dimension limit and the largest duality
-    pairing the checks build (degree max_n // 2) before any check runs.
+    pairing the checks build (degree max_n // 2) as soon as this is called,
+    before any check runs.  The iterator returned runs each check only when
+    that check is drawn, so the caller can time it.
     """
     if max_n < 4:
         raise ValueError("verify-paper needs max_n >= 4")
     coh._check_dimension(max_n)
     coh._check_pairing_budget(max_n, max_n // 2)
-    checks = [
-        check_cohomology_table(),
-        check_ring_oracle(max_n=max_n),
-        check_cup_length_duality(max_n=max_n),
-        check_stiefel_whitney(max_n=max_n),
-        check_integral_consistency(max_n=max_n),
-        check_tensor_witness(max_n=min(max_n, 8)),
-        check_zcl_vanishing(max_n=min(max_n, 6)),
-        check_tc_bounds(),
-        check_word_oracle(max_n=min(max_n, 4)),
-        check_relators_and_h1(max_n=max_n),
-        check_geometry_identities(),
-        check_self_intersection(2),
-        check_self_intersection(3),
-        check_genetic_codes(),
-    ]
-    return checks
+
+    def checks():
+        yield check_cohomology_table()
+        yield check_ring_oracle(max_n=max_n)
+        yield check_cup_length_duality(max_n=max_n)
+        yield check_stiefel_whitney(max_n=max_n)
+        yield check_integral_consistency(max_n=max_n)
+        yield check_tensor_witness(max_n=min(max_n, 8))
+        yield check_zcl_vanishing(max_n=min(max_n, 6))
+        yield check_tc_bounds()
+        yield check_word_oracle(max_n=min(max_n, 4))
+        yield check_relators_and_h1(max_n=max_n)
+        yield check_geometry_identities()
+        yield check_self_intersection(2)
+        yield check_self_intersection(3)
+        yield check_genetic_codes()
+
+    return checks()

@@ -5,8 +5,11 @@ print.  Each test also asserts its wall-clock budget, so a regression in
 either correctness or feasibility turns the gate red.
 """
 
+import hashlib
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from kleinforge import cohomology_f2 as coh
 from kleinforge import integral_splitting as ints
 from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def gate(num, label, budget_s, passed, elapsed_s, detail=""):
@@ -166,21 +171,31 @@ def test_criterion_09_genetic_codes(capsys):
 
 
 def test_criterion_10_verify_paper_cli(capsys):
+    argv = ["verify-paper", "--max-n", "8"]
     start = time.perf_counter()
-    outs = []
+    outs, errs = [], []
     for _ in range(2):
-        code = cli.main(["verify-paper", "--max-n", "8"])
-        outs.append(capsys.readouterr().out)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        errs.append(captured.err)
         if code != 0:
             break
     elapsed = time.perf_counter() - start
     report = json.loads(outs[-1])
+    # perfbench/digests.json maps sha256(json.dumps(argv)) to the sha256 of its stdout
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    recorded = digests[hashlib.sha256(json.dumps(argv).encode()).hexdigest()]
+    lines = [re.fullmatch(r"(\S+): PASS \(\d+\.\d\ds\)", line) for line in errs[-1].splitlines()]
     ok = (
         code == 0
         and report["passed"] is True
         and len(report["checks"]) == 14
         and len(outs) == 2
         and outs[0] == outs[1]  # byte-for-byte deterministic
+        and hashlib.sha256(outs[-1].encode()).hexdigest() == recorded
+        and all(lines)  # one timed line per check on stderr, in the order of the JSON
+        and [m[1] for m in lines] == [c["name"] for c in report["checks"]]
     )
     with capsys.disabled():
         gate(
@@ -189,5 +204,5 @@ def test_criterion_10_verify_paper_cli(capsys):
             300.0,
             ok,
             elapsed,
-            f"{len(report['checks'])} checks, two identical runs",
+            f"{len(report['checks'])} checks, two identical runs with the recorded digest",
         )

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import runpy
 import shutil
@@ -19,7 +20,7 @@ from kleinforge import geometry as geo
 from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
 from kleinforge.errors import FeasibilityError
-from kleinforge.integral_splitting import CheckResult, ConsistencyReport
+from kleinforge.integral_splitting import CheckResult
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -539,9 +540,7 @@ def test_guards_admit_the_workload_sizes(capsys):
 
 
 def test_verification_failure_exit_1(capsys, monkeypatch):
-    bad = ConsistencyReport(
-        n=2, checks=(CheckResult("euler-characteristic-zero", False, "forced"),)
-    )
+    bad = (CheckResult("euler-characteristic-zero", False, "forced"),)
     monkeypatch.setattr("kleinforge.integral_splitting.consistency_check", lambda n: bad)
     code, out, _ = run(capsys, "check", "--n", "2")
     assert code == 1
@@ -574,6 +573,20 @@ def test_verify_paper_reports_a_raising_check_and_exits_1(exc, capsys, monkeypat
         "name": "tc-bounds", "passed": False, "detail": f"{exc.__name__}: no bounds"
     }
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_n, exc", [(3, ValueError), (64, ValueError), (14, FeasibilityError)])
+def test_verify_paper_checks_max_n_when_called(max_n, exc):
+    with pytest.raises(exc):
+        vf.verify_paper(max_n)  # raises without drawing a check
+
+
+def test_verify_paper_runs_each_check_when_it_is_drawn(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("the second check ran before it was drawn")
+
+    monkeypatch.setattr(vf, "check_ring_oracle", broken)
+    assert next(vf.verify_paper(8)).name == "cohomology-table-n4"
 
 
 def test_help_exits_0(capsys):
@@ -690,6 +703,23 @@ def test_mesh_obj_beyond_3d_warns_and_projects(tmp_path, capsys):
     assert out_file.read_text().count("v ") > 0
 
 
+@pytest.mark.parametrize(
+    "out, axes", [("k2.txt", "9,9,9"), ("k2.txt", "0,1,2"), ("k2.obj", "0,x,2")]
+)
+def test_mesh_axes_are_refused_before_the_mesh_is_built(tmp_path, capsys, monkeypatch, out, axes):
+    def unbuilt(spec):
+        raise AssertionError("the mesh was built before --axes was checked")
+
+    monkeypatch.setattr(geo, "build_mesh", unbuilt)
+    out_file = tmp_path / out
+    code, text, err = run(
+        capsys, "mesh", "--n", "2", "--res", "8x6", "--out", str(out_file), "--axes", axes
+    )
+    assert (code, text) == (2, "")
+    assert err.startswith("error: ")
+    assert not out_file.exists()
+
+
 def _src_env():
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -772,3 +802,12 @@ def test_scripts_run_on_the_public_api():
     )
     assert bench.returncode == 0, bench.stderr
     assert json.loads(bench.stdout)["pairs"] == 24601
+
+    bench = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "verify-paper"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert bench.returncode == 0, bench.stderr
+    data = json.loads(bench.stdout)
+    assert len(data["checks"]) == 14 and data["passed"] is True
+    assert math.fsum(data["checks"].values()) <= data["wall_s"]  # exact: the times telescope
