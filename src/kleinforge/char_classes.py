@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cohomology_f2 as coh
-from .cohomology_f2 import CohomologyClass, _check_dimension
+from .cohomology_f2 import CohomologyClass
 from .linalg import f2_solve
 
 
@@ -20,11 +20,11 @@ def wu_classes(n: int) -> list[CohomologyClass]:
 
     For each j the condition is linear in the coordinates of v_j: pairing a
     candidate against the degree-(n-j) basis must reproduce the top-monomial
-    coefficients of the Sq^j values.  The pairing matrix is invertible, so the
-    solution exists and is unique; a zero right-hand side gives v_j = 0, and
-    only a nonzero one is solved.
+    coefficients of the Sq^j values.  The pairing matrix is square, as
+    C(n, j) = C(n, n-j), and invertible by Poincare duality, so the solution
+    exists and is unique; a zero right-hand side gives v_j = 0, and only a
+    nonzero one is solved.
     """
-    _check_dimension(n)
     out = [CohomologyClass.one(n)]
     for j in range(1, n + 1):
         rhs = 0
@@ -39,13 +39,7 @@ def wu_classes(n: int) -> list[CohomologyClass]:
         # one equation per degree-(n-j) basis element b: sum_a c_a <a, b>
         # equals the top coefficient of Sq^j(b); the cup product commutes,
         # so row b, bit a of the degree-(n-j) pairing is <a, b>
-        rows = coh.duality_pairing(n, n - j)
-        if len(rows) != len(bj):
-            raise RuntimeError("duality pairing is not square; ring is broken")
-        try:
-            sol = f2_solve(rows, rhs, len(bj))
-        except ValueError as exc:  # nonsingularity is a theorem; never expected
-            raise RuntimeError(f"Wu class v_{j} has no solution for n={n}") from exc
+        sol = f2_solve(coh.duality_pairing(n, n - j), rhs, len(bj))
         out.append(
             CohomologyClass(n, frozenset(bj[a] for a in range(len(bj)) if (sol >> a) & 1))
         )
@@ -91,7 +85,6 @@ def manifold_report(n: int) -> ManifoldReport:
     are the known closed-form answers, split by the parity of n, and are
     labelled as cited.
     """
-    _check_dimension(n)
     w = stiefel_whitney(n)
     orientable = w[1].is_zero()
     even = n % 2 == 0

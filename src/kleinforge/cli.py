@@ -209,22 +209,25 @@ def cmd_genes(args) -> int:
     return 0
 
 
-def _parse_res(text: str) -> tuple[int, int]:
+def _mesh_spec(args) -> geo.MeshSpec:
+    """The sampling plan of --n, --target and --res (THETAxT)."""
     try:
-        a, _, t = text.partition("x")
-        return int(a), int(t)
+        a, _, t = args.res.partition("x")
+        res_theta, res_t = int(a), int(t)
     except ValueError:
-        raise ValueError(f"--res wants THETAxT (e.g. 200x400), got {text!r}") from None
+        raise ValueError(f"--res wants THETAxT (e.g. 200x400), got {args.res!r}") from None
+    return geo.MeshSpec(args.n, args.target, res_theta, res_t)
 
 
 def cmd_mesh(args) -> int:
-    res_theta, res_t = _parse_res(args.res)
+    spec = _mesh_spec(args)
     axes = None
     if args.axes is not None:
         if not args.out.endswith(".obj"):
             raise ValueError("--axes projects an OBJ file; mesh text keeps every coordinate")
         axes = tuple(int(a) for a in args.axes.split(","))
-    mesh = geo.build_mesh(geo.MeshSpec(args.n, args.target, res_theta, res_t))
+        geo._check_axes(axes, spec.dim)
+    mesh = geo.build_mesh(spec)
     if args.out.endswith(".obj"):
         if mesh.dim > 3 and axes is None:
             axes = (0, 1, 2)
@@ -246,8 +249,7 @@ def cmd_scan(args) -> int:
     if args.infile:
         mesh = geo.load_mesh(args.infile)
     elif args.n is not None:
-        res_theta, res_t = _parse_res(args.res)
-        mesh = geo.build_mesh(geo.MeshSpec(args.n, args.target, res_theta, res_t))
+        mesh = geo.build_mesh(_mesh_spec(args))
     else:
         raise ValueError("pass --in FILE or --n/--target/--res")
     start = time.perf_counter()
@@ -292,68 +294,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    # options that several subcommands share, each declared once
+    n_opt = argparse.ArgumentParser(add_help=False)
+    n_opt.add_argument("--n", type=int, required=True)
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true")
+    target_opt = argparse.ArgumentParser(add_help=False)
+    target_opt.add_argument("--target", choices=("immersion", "embedding"), default="immersion")
+
+    def add(name, fn, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("cohomology", cmd_cohomology, "mod-2 cohomology basis table with Sq1 pairings")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
+    for name, fn, help_text in (
+        ("cohomology", cmd_cohomology, "mod-2 cohomology basis table with Sq1 pairings"),
+        ("manifold", cmd_manifold, "orientability, span, immersion/embedding dimensions"),
+        ("integral", cmd_integral, "integral cohomology groups"),
+        ("splitting", cmd_splitting, "stable wedge splitting and homology"),
+        ("check", cmd_check, "cross-check integral/mod-2/splitting data (exit 1 on failure)"),
+    ):
+        add(name, fn, help_text, n_opt, json_opt)
 
-    p = add("manifold", cmd_manifold, "orientability, span, immersion/embedding dimensions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("integral", cmd_integral, "integral cohomology groups")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("splitting", cmd_splitting, "stable wedge splitting and homology")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("check", cmd_check, "cross-check integral/mod-2/splitting data (exit 1 on failure)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("pi1", cmd_pi1, "fundamental group: presentation, normal forms, abelianization")
-    p.add_argument("--n", type=int, required=True)
+    p = add("pi1", cmd_pi1, "fundamental group: presentation, normal forms, abelianization",
+            n_opt, json_opt)
     p.add_argument("--word", help='word in a1..an to normalize, e.g. "a1 an a1"')
-    p.add_argument("--json", action="store_true")
 
-    p = add("zcl", cmd_zcl, "zero-divisor cup length of K_n")
-    p.add_argument("--n", type=int, required=True)
+    p = add("zcl", cmd_zcl, "zero-divisor cup length of K_n", n_opt, json_opt)
     p.add_argument("--max-len", type=int, help="only test products of this exact length")
     p.add_argument(
         "--exhaustive", action="store_true",
         help="accepted and ignored: the exhaustive search is the only route",
     )
-    p.add_argument("--json", action="store_true")
 
-    p = add("tc", cmd_tc, "topological-complexity bounds for K_m")
+    p = add("tc", cmd_tc, "topological-complexity bounds for K_m", json_opt)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = add("genes", cmd_genes, "genetic code of a planar polygon length vector")
+    p = add("genes", cmd_genes, "genetic code of a planar polygon length vector", json_opt)
     p.add_argument("--lengths", required=True, help="comma-separated rationals; zeros allowed")
     p.add_argument("--epsilon", help="override the zero-substitution value (a rational)")
-    p.add_argument("--json", action="store_true")
 
-    p = add("mesh", cmd_mesh, "sample the immersion/embedding to OBJ or mesh text")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", choices=("immersion", "embedding"), default="immersion")
+    p = add("mesh", cmd_mesh, "sample the immersion/embedding to OBJ or mesh text",
+            n_opt, target_opt)
     p.add_argument("--res", required=True, help="grid as THETAxT, e.g. 200x400")
     p.add_argument("--out", required=True)
     p.add_argument("--axes", help="projection axes for an .obj --out beyond 3D, e.g. 0,1,2")
 
-    p = add("scan", cmd_scan, "self-intersection scan of a mesh")
+    p = add("scan", cmd_scan, "self-intersection scan of a mesh", target_opt, json_opt)
     p.add_argument("--in", dest="infile", help="mesh file (.obj or mesh text)")
     p.add_argument("--n", type=int, help="build the mesh instead of reading one")
-    p.add_argument("--target", choices=("immersion", "embedding"), default="immersion")
     p.add_argument("--res", default="200x400", help="grid as THETAxT when building")
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--json", action="store_true")
 
     p = add("verify-paper", cmd_verify_paper, "run all cross-checks; JSON report on stdout")
     p.add_argument("--max-n", type=int, default=8)

@@ -693,6 +693,11 @@ def read_mesh_text(path: str) -> Mesh:
     return Mesh(vertices, faces, t_values, spec, float(meta.get("weld_error", "nan")))
 
 
+def _check_axes(axes: tuple[int, ...], dim: int) -> None:
+    if len(axes) != 3 or any(a < 0 or a >= dim for a in axes):
+        raise ValueError("axes must be three valid coordinate indices")
+
+
 def write_obj(mesh: Mesh, path: str, axes: tuple[int, int, int] | None = None) -> None:
     """Export as Wavefront OBJ (quads, 1-based).
 
@@ -702,8 +707,7 @@ def write_obj(mesh: Mesh, path: str, axes: tuple[int, int, int] | None = None) -
         axes = (0, 1, 2)
     if axes is None:
         raise ValueError(f"mesh lives in R^{mesh.dim}; pass axes=(i,j,k) to project")
-    if len(axes) != 3 or any(a < 0 or a >= mesh.dim for a in axes):
-        raise ValueError("axes must be three valid coordinate indices")
+    _check_axes(axes, mesh.dim)
     with open(path, "w") as fh:
         fh.write("# klein-forge OBJ export\n")
         _write_rows(fh, "v %r %r %r\n", mesh.vertices[:, list(axes)])

@@ -121,7 +121,7 @@ class CheckResult:
 
 
 def consistency_check(n: int) -> tuple[CheckResult, ...]:
-    """Cross-check the integral, mod-2 and splitting descriptions of K_n.
+    """Cross-check the integral, mod-2 and splitting descriptions of K_n, n >= 2.
 
     (a) dim H^d(F2) = b_d + t_d + t_(d+1) where b/t are integral Betti and
         2-torsion counts (universal coefficients with F2);
@@ -130,9 +130,6 @@ def consistency_check(n: int) -> tuple[CheckResult, ...]:
     (c) H_1 from the splitting equals the abelianized fundamental group;
     (d) the Euler characteristic vanishes, via both descriptions.
     """
-    _check_dimension(n)
-    if n < 2:
-        raise ValueError("consistency_check needs the splitting, so n >= 2")
     integral = integral_cohomology(n)
     f2 = poincare_polynomial(n)
     homology = homology_from_splitting(n)

@@ -93,15 +93,9 @@ def _local_mul(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
 
 
 def _powers(x, one, mul) -> tuple:
-    """one, x, x^2, ... up to the last nonzero power of x.
-
-    x must be nilpotent; in an algebra of dimension 16 over Z2, such as
-    A_i (x) A_i, that makes x^16 = 0.
-    """
+    """one, x, x^2, ... up to the last nonzero power of x, which is nilpotent."""
     powers = [one]
     while nxt := mul(powers[-1], x):
-        if len(powers) == 16:
-            raise ArithmeticError(f"{x} is not nilpotent")
         powers.append(nxt)
     return tuple(powers)
 

@@ -428,6 +428,7 @@ def check_relators_and_h1(max_n: int = 10) -> CheckResult:
 
 WELD_TOL = 1e-9
 FRAME_TOL = 1e-12
+WELD_SAMPLES = 10_000  # random angle vectors per n for the weld and symmetry identities
 
 
 def _min_sq_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -444,7 +445,7 @@ def _min_sq_distance(a: np.ndarray, b: np.ndarray) -> float:
     )
 
 
-def check_geometry_identities(samples: int = 10_000) -> CheckResult:
+def check_geometry_identities() -> CheckResult:
     """The sampled identities of the construction, at fixed tolerances.
 
     Covers the directrix frame, the tube-radius band, the fibre-torus
@@ -478,7 +479,7 @@ def check_geometry_identities(samples: int = 10_000) -> CheckResult:
             if np.max(np.abs(r - 0.5)) > band + 1e-12:
                 return False, f"tube radius leaves its band at n={n}"
             # weld identity on random samples
-            th = rng.uniform(0, 2 * np.pi, size=(samples, n - 1))
+            th = rng.uniform(0, 2 * np.pi, size=(WELD_SAMPLES, n - 1))
             gap = np.abs(
                 geo.immersion_point(n, th, 0.0) + geo.immersion_point(n, -th, np.pi)
             ).max()
@@ -530,7 +531,7 @@ def check_geometry_identities(samples: int = 10_000) -> CheckResult:
         # their gap^2 is 0.002975, four times the threshold, far above rounding
         if _min_sq_distance(inner, outer) <= (0.3 * unit) ** 2:
             return False, "nested family members touch"
-        return True, f"directrix frame, radius band, weld and symmetry identities hold ({samples} samples)"
+        return True, f"directrix frame, radius band, weld and symmetry identities hold ({WELD_SAMPLES} samples)"
     return _run("geometry-identities", body)
 
 
@@ -626,7 +627,7 @@ def verify_paper(max_n: int = 8) -> Iterator[CheckResult]:
         yield check_tensor_witness(max_n=min(max_n, 8))
         yield check_zcl_vanishing(max_n=min(max_n, 6))
         yield check_tc_bounds()
-        yield check_word_oracle(max_n=min(max_n, 4))
+        yield check_word_oracle()
         yield check_relators_and_h1(max_n=max_n)
         yield check_geometry_identities()
         yield check_self_intersection(2)

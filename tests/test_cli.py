@@ -1,5 +1,6 @@
 """Command-line surface: pinned outputs, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -256,6 +257,40 @@ def test_benchmark_outputs_match_their_recorded_digests(capsys, tmp_path, monkey
 
 # ------------------------------------------------------------- exit codes
 
+def test_each_subcommand_keeps_its_option_set():
+    # a dropped or renamed option still ends in exit 2, so the fuzz test
+    # would not notice it; pin each subcommand's option strings instead
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    got = {
+        name: {s for a in p._actions for s in a.option_strings} for name, p in sub.choices.items()
+    }
+    help_opts = {"-h", "--help"}
+    assert got == {
+        "cohomology": help_opts | {"--n", "--json"},
+        "manifold": help_opts | {"--n", "--json"},
+        "integral": help_opts | {"--n", "--json"},
+        "splitting": help_opts | {"--n", "--json"},
+        "check": help_opts | {"--n", "--json"},
+        "pi1": help_opts | {"--n", "--word", "--json"},
+        "zcl": help_opts | {"--n", "--max-len", "--exhaustive", "--json"},
+        "tc": help_opts | {"--m", "--json"},
+        "genes": help_opts | {"--lengths", "--epsilon", "--json"},
+        "mesh": help_opts | {"--n", "--target", "--res", "--out", "--axes"},
+        "scan": help_opts | {"--in", "--n", "--target", "--res", "--radius", "--json"},
+        "verify-paper": help_opts | {"--max-n"},
+    }
+    # --n is required wherever it is declared, except where scan builds a mesh
+    required_n = {
+        name
+        for name, p in sub.choices.items()
+        for a in p._actions
+        if "--n" in a.option_strings and a.required
+    }
+    assert required_n == {n for n in got if "--n" in got[n]} - {"scan"}
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "cohomology", "--n", "0")[0] == 2
     assert run(capsys, "pi1", "--n", "3", "--word", "b2")[0] == 2
@@ -367,6 +402,7 @@ def test_mesh_without_quads_reports_every_close_pair(tmp_path, capsys):
         ("missing-vertex.txt", "f 0 1 2 99\n"),
         ("missing-vertex.obj", "f 1 2 3 99\n"),
         ("zero-index.obj", "f 1 2 3 0\n"),
+        ("unknown.txt", "x 1 2\n"),
     ],
 )
 def test_bad_record_in_a_later_block_exits_2(tmp_path, capsys, monkeypatch, name, bad):
@@ -378,6 +414,15 @@ def test_bad_record_in_a_later_block_exits_2(tmp_path, capsys, monkeypatch, name
     code, out, err = run(capsys, "scan", "--in", str(path), "--radius", "0.5")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, face", [("faces.txt", "f 0 1 2 3\n"), ("faces.obj", "f 1 2 3 4\n")])
+def test_mesh_file_with_faces_but_no_vertices_exits_2(tmp_path, capsys, name, face):
+    path = tmp_path / name
+    path.write_text(face * 2)
+    code, out, err = run(capsys, "scan", "--in", str(path), "--radius", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "no vertices" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -441,6 +486,10 @@ def test_zcl_basis_and_pairing_guards_exit_3_before_any_work(argv, capsys, monke
         # Fraction would build 10^30000000 before any check
         (("genes", "--lengths", "1e30000000,1,1,1"), 2),
         (("genes", "--lengths", "0,1,1,1", "--epsilon", "1e-30000000"), 2),
+        (("genes", "--lengths", "0,0,0"), 2),  # all side lengths are zero
+        (("genes", "--lengths", "1e5x,1,1"), 2),  # "e" that starts no decimal exponent
+        (("scan", "--radius", "0.1"), 2),  # neither --in nor --n
+        (("check", "--n", "1"), 2),  # the splitting is stated for n >= 2
     ],
 )
 def test_malformed_input_exits_cleanly(argv, expected, capsys):
@@ -489,6 +538,12 @@ def _torsion_count(groups):
             ("pi1", "--n", "3", "--word", "a1^-99999999999999999999"),
             lambda out: out == "a1^-99999999999999999999\n",
             id="word-a1^-1e20",
+        ),
+        pytest.param(
+            ("zcl", "--n", "1", "--max-len", "1"),
+            lambda out: out == "length-1 zero-divisor products over K_1: "
+            "nonzero: Rbar (1 canonical products checked)\n",
+            id="zcl-1-rbar",
         ),
     ],
 )
@@ -704,7 +759,15 @@ def test_mesh_obj_beyond_3d_warns_and_projects(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "out, axes", [("k2.txt", "9,9,9"), ("k2.txt", "0,1,2"), ("k2.obj", "0,x,2")]
+    "out, axes",
+    [
+        ("k2.txt", "9,9,9"),
+        ("k2.txt", "0,1,2"),
+        ("k2.obj", "0,x,2"),
+        # out of range for R^3, which the MeshSpec fixes before any sampling
+        ("k2.obj", "9,9,9"),
+        ("k2.obj", "-1,0,1"),
+    ],
 )
 def test_mesh_axes_are_refused_before_the_mesh_is_built(tmp_path, capsys, monkeypatch, out, axes):
     def unbuilt(spec):
@@ -712,8 +775,9 @@ def test_mesh_axes_are_refused_before_the_mesh_is_built(tmp_path, capsys, monkey
 
     monkeypatch.setattr(geo, "build_mesh", unbuilt)
     out_file = tmp_path / out
+    # --axes=VALUE, so that a value with a leading minus reaches cmd_mesh
     code, text, err = run(
-        capsys, "mesh", "--n", "2", "--res", "8x6", "--out", str(out_file), "--axes", axes
+        capsys, "mesh", "--n", "2", "--res", "8x6", "--out", str(out_file), f"--axes={axes}"
     )
     assert (code, text) == (2, "")
     assert err.startswith("error: ")
@@ -802,6 +866,14 @@ def test_scripts_run_on_the_public_api():
     )
     assert bench.returncode == 0, bench.stderr
     assert json.loads(bench.stdout)["pairs"] == 24601
+
+    for m, zcl in (("3", 5), ("24", "refused")):
+        bench = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "zcl", m],
+            capture_output=True, text=True, env=_src_env(), timeout=120,
+        )
+        assert bench.returncode == 0, bench.stderr
+        assert json.loads(bench.stdout)["zcl"] == zcl
 
     bench = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "verify-paper"],
