@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import CapacityError, FeasibilityError
+from .errors import CapacityError, check_budget
 
 # Variable subsets sit in a machine word: bit i-1 holds V_i.
 MAX_DIMENSION = 63
@@ -152,11 +152,7 @@ class CohomologyClass:
 
 def _check_pairing_budget(n: int, d: int) -> None:
     entries = comb(n, d) * comb(n, n - d)  # dim H^d = C(n, d)
-    if entries > PAIRING_BUDGET:
-        raise FeasibilityError(
-            f"the degree-{d} duality pairing of K_{n} has {entries} entries; "
-            f"the budget is {PAIRING_BUDGET}"
-        )
+    check_budget(entries, PAIRING_BUDGET, f"entries in the degree-{d} duality pairing of K_{n}")
 
 
 def basis(n: int, d: int) -> list[int]:
@@ -166,10 +162,7 @@ def basis(n: int, d: int) -> list[int]:
     ones.
     """
     _check_dimension(n)
-    if 1 << n > BASIS_BUDGET:
-        raise FeasibilityError(
-            f"H^*(K_{n}) has 2^{n} basis monomials; the budget is {BASIS_BUDGET}"
-        )
+    check_budget(1 << n, BASIS_BUDGET, f"basis monomials in H^*(K_{n})")
     if d < 0 or d > n:
         return []
     out: list[int] = []

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the one budget check."""
 
 
 class CapacityError(ValueError):
@@ -7,3 +7,9 @@ class CapacityError(ValueError):
 
 class FeasibilityError(RuntimeError):
     """A search or enumeration would exceed its configured work budget."""
+
+
+def check_budget(count: int, budget: int, what: str) -> None:
+    """Raise "<count> <what>, over the budget of <budget>" when count > budget."""
+    if count > budget:
+        raise FeasibilityError(f"{count} {what}, over the budget of {budget}")

@@ -39,7 +39,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import FeasibilityError
+from .errors import FeasibilityError, check_budget
 
 # vertex coordinates plus quad corners (2n(n - 1) a vertex) one mesh may
 # hold, checked before sampling.  Building peaks (numpy's allocations) at
@@ -233,7 +233,8 @@ class Mesh:
     per axis pair of the parameter grid, wrapped in theta and welded in t.
     t_values: per-vertex sweep parameter (None for meshes loaded without it).
     weld_error: max distance between the t = pi row and its flipped t = 0
-    image, measured before the row was identified away.
+    image, measured before the row was identified away.  A mesh read from a
+    file has spec None and weld_error nan.
     """
 
     vertices: np.ndarray
@@ -271,11 +272,8 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     n, A, T = spec.n, spec.res_theta, spec.res_t
     # each vertex has dim coordinates and starts one quad per axis pair
     entries = A ** (n - 1) * (T - 1) * (spec.dim + 2 * n * (n - 1))
-    if entries > MESH_ENTRY_BUDGET:
-        raise FeasibilityError(
-            f"a {A}x{T} mesh of K_{n} has {entries} vertex coordinates and quad "
-            f"corners; the budget is {MESH_ENTRY_BUDGET}"
-        )
+    what = f"vertex coordinates and quad corners in a {A}x{T} mesh of K_{n}"
+    check_budget(entries, MESH_ENTRY_BUDGET, what)
     point = immersion_point if spec.target == "immersion" else embedding_point
 
     theta = 2 * np.pi * np.arange(A) / A
@@ -328,18 +326,6 @@ def _grid_faces(n: int, A: int, T: int) -> np.ndarray:
     return quads.reshape(-1, 4)
 
 
-def mesh_edges(faces: np.ndarray) -> np.ndarray:
-    """Unique undirected edges of a quad array, as sorted (E, 2) rows."""
-    rolled = np.roll(faces, -1, axis=1)
-    e = np.stack([faces.ravel(), rolled.ravel()], axis=1)
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
-
-
-def euler_characteristic(mesh: Mesh) -> int:
-    return mesh.num_vertices - len(mesh_edges(mesh.faces)) + mesh.num_faces
-
-
 @dataclass(frozen=True)
 class ScanResult:
     """Close vertex pairs that are not mesh neighbours.
@@ -363,11 +349,6 @@ def _ragged(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The ranges start[i] .. start[i] + size[i] - 1, laid end to end."""
     base = np.repeat((start - (np.cumsum(size) - size)).astype(start.dtype), size)
     return base + np.arange(len(base), dtype=start.dtype)
-
-
-def _check_budget(count: int, what: str, scan: str) -> None:
-    if count > SCAN_CANDIDATE_BUDGET:
-        raise FeasibilityError(f"{scan} has over {SCAN_CANDIDATE_BUDGET} {what} (the budget)")
 
 
 def _neighbour_cells(cells: np.ndarray, scan: str):
@@ -396,13 +377,14 @@ def _neighbour_cells(cells: np.ndarray, scan: str):
         sib = np.flatnonzero(same & (value[1:] == value[:-1] + 1))
         begin = np.flatnonzero(np.r_[True, ~same])  # first child of each group
         kids = np.diff(begin, append=len(child_first))[p]
-        _check_budget(int(kids.sum()), f"cell prefix pairs on axis {k}", scan)
+        what = f"cell prefix pairs on axis {k} in {scan}"
+        check_budget(int(kids.sum()), SCAN_CANDIDATE_BUDGET, what)
         c = _ragged(begin[p], kids)
         keys = (parent.astype(np.int64) << 32) + value
         home = (np.repeat(q, kids).astype(np.int64) << 32) + value[c]
         lo_d = np.searchsorted(keys, home - 1).astype(np.int32)
         size = np.searchsorted(keys, home + 1, side="right") - lo_d
-        _check_budget(len(sib) + int(size.sum()), f"cell prefix pairs on axis {k}", scan)
+        check_budget(len(sib) + int(size.sum()), SCAN_CANDIDATE_BUDGET, what)
         p = np.concatenate([sib, np.repeat(c, size)]).astype(np.int32)
         q = np.concatenate([sib + 1, _ragged(lo_d, size)]).astype(np.int32)
         group = (np.cumsum(fresh[:, k]) - 1).astype(np.int32)
@@ -426,7 +408,7 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     """
     N, dim = P.shape
     scan = f"a scan of {N} vertices at radius {radius!r}"
-    _check_budget(N, "candidate pairs", scan)
+    check_budget(N, SCAN_CANDIDATE_BUDGET, f"or more candidate pairs in {scan}")
     lo = P.min(axis=0)
     # Python floats, so a span beyond the float range is inf without a warning
     extent = max(h - l for h, l in zip(P.max(axis=0).tolist(), lo.tolist()))
@@ -443,7 +425,7 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     a, b = np.concatenate([each, p]), np.concatenate([each, q])
     raw = counts[a] * counts[b]
     total = int(raw.sum())
-    _check_budget(total, "candidate pairs", scan)
+    check_budget(total, SCAN_CANDIDATE_BUDGET, f"candidate pairs in {scan}")
     found = []
     cuts = np.searchsorted(np.cumsum(raw), np.arange(_GATHER_BLOCK, total, _GATHER_BLOCK))
     for a, b, reps in zip(np.split(a, cuts), np.split(b, cuts), np.split(raw, cuts)):
@@ -485,12 +467,8 @@ def _mesh_near_mask(
     flat = faces.ravel()
     degree = np.bincount(flat, minlength=num_vertices)
     d = np.maximum(np.maximum(degree[I], degree[J]), 1)
-    entries = corners * int(d.sum())
-    if entries > SCAN_BALL_BUDGET:
-        raise FeasibilityError(
-            f"the neighbour test needs {entries} ball entries for {len(I)} "
-            f"candidate pairs, over {SCAN_BALL_BUDGET} (the budget)"
-        )
+    what = f"ball entries in the neighbour test of {len(I)} candidate pairs"
+    check_budget(corners * int(d.sum()), SCAN_BALL_BUDGET, what)
     if not len(flat):
         return np.zeros(len(I), dtype=bool)  # every ball is one vertex
     first = np.cumsum(degree) - degree
@@ -655,7 +633,7 @@ def write_mesh_text(mesh: Mesh, path: str) -> None:
 
 
 def read_mesh_text(path: str) -> Mesh:
-    meta: dict[str, str] = {}
+    """Read the mesh text format; `meta` records are for people, skipped like comments."""
     floats = partial(_parse_rows, dtype=np.float64)
     rows = {"v": _Rows(floats), "t": _Rows(floats), "f": _Rows(_quads, np.empty((0, 4), np.int64))}
     with open(path) as fh:
@@ -667,10 +645,7 @@ def read_mesh_text(path: str) -> Mesh:
                 kind, _, rest = line.partition(" ")
                 if kind in rows:
                     rows[kind].add(rest)
-                elif kind == "meta":
-                    key, _, val = rest.partition(" ")
-                    meta[key] = val
-                else:
+                elif kind != "meta":
                     raise ValueError(f"unrecognised mesh line: {line!r}")
             for block in rows.values():
                 block.flush()
@@ -685,12 +660,7 @@ def read_mesh_text(path: str) -> Mesh:
         if not np.isfinite(t).all():
             raise ValueError("t values must be finite")
         t_values = t[:, 0]
-    spec = None
-    if {"n", "target", "res_theta", "res_t"} <= meta.keys():
-        spec = MeshSpec(
-            int(meta["n"]), meta["target"], int(meta["res_theta"]), int(meta["res_t"])
-        )
-    return Mesh(vertices, faces, t_values, spec, float(meta.get("weld_error", "nan")))
+    return Mesh(vertices, faces, t_values, None, float("nan"))
 
 
 def _check_axes(axes: tuple[int, ...], dim: int) -> None:

@@ -36,7 +36,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import FeasibilityError
+from .errors import check_budget
 from .tensor_zcl import TcBounds, tc_bounds
 
 SUBSET_LIMIT = 24  # 2^(n-1) subset scans beyond this are refused
@@ -96,10 +96,7 @@ def prepare_lengths(values, epsilon=None) -> PreparedLengths:
     n = len(lengths)
     if n < 3:
         raise ValueError("need at least 3 side lengths")
-    if n > SUBSET_LIMIT:
-        raise FeasibilityError(
-            f"n={n} needs 2^{n - 1} subset scans; limit is n <= {SUBSET_LIMIT}"
-        )
+    check_budget(n, SUBSET_LIMIT, f"side lengths (a scan of 2^{n - 1} subsets)")
     if any(x < 0 for x in lengths):
         raise ValueError("side lengths must be nonnegative")
     zeros = sum(1 for x in lengths if x == 0)
@@ -152,12 +149,9 @@ def _subset_sums(prep: PreparedLengths) -> tuple[np.ndarray, int]:
     total = sum(twice) // 2
     wide = 2 * total >= 1 << 62
     entry = 8 + sys.getsizeof(2 * total) if wide else 8
-    if entry << (prep.n - 1) > 8 << (SUBSET_LIMIT - 1):
-        raise FeasibilityError(
-            f"the subset table of {prep.n} lengths with {(2 * total).bit_length()}-bit "
-            f"sums needs about {entry << (prep.n - 1)} bytes; the limit is "
-            f"{8 << (SUBSET_LIMIT - 1)}"
-        )
+    bits = (2 * total).bit_length()
+    what = f"bytes for the subset table of {prep.n} lengths with {bits}-bit sums"
+    check_budget(entry << (prep.n - 1), 8 << (SUBSET_LIMIT - 1), what)
     sums = np.empty(1 << (prep.n - 1), dtype=object if wide else np.int64)
     sums[0] = twice[-1]  # subset {n}
     for j, length in enumerate(twice[:-1]):

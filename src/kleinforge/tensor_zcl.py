@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology_f2 import _check_dimension
-from .errors import FeasibilityError
+from .errors import check_budget
 
 # canonical exponent multisets per exhaustive search, not raw products
 SEARCH_BUDGET = 10**6
@@ -223,10 +223,8 @@ def count_canonical_multisets(n: int, length: int) -> int:
 
 
 def _check_search_budget(n: int, length: int) -> None:
-    if count_canonical_multisets(n, length) > SEARCH_BUDGET:
-        raise FeasibilityError(
-            f"more than {SEARCH_BUDGET} exponent multisets of length {length} over K_{n}"
-        )
+    what = f"or more exponent multisets of length {length} over K_{n}"  # the count stops early
+    check_budget(count_canonical_multisets(n, length), SEARCH_BUDGET, what)
 
 
 @dataclass(frozen=True)
@@ -271,11 +269,7 @@ def zcl_witness(n: int) -> tuple[FactorMultiset, frozenset[tuple[int, int]]]:
     _check_dimension(n)
     if n < 3:
         raise ValueError("the long witness needs n >= 3")
-    if 1 << n > TERM_BUDGET:
-        raise FeasibilityError(
-            f"the length-{n + 2} witness over K_{n} may have 2^{n} terms; "
-            f"the budget is {TERM_BUDGET}"
-        )
+    check_budget(1 << n, TERM_BUDGET, f"possible terms in the length-{n + 2} witness over K_{n}")
     powers = (3, 2) + (1,) * (n - 3)
     value = _expand(0, powers)
     return FactorMultiset(n, 0, powers), value

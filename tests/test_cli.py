@@ -1,6 +1,7 @@
 """Command-line surface: pinned outputs, exit codes, determinism."""
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -322,7 +323,7 @@ def test_manifold_answers_every_n_the_basis_budget_admits(capsys):
     assert json.loads(out)["category"] == 14
     code, out, err = run(capsys, "manifold", "--n", "20")
     assert (code, out) == (3, "")
-    assert "2^20 basis monomials" in err
+    assert "1048576 basis monomials in H^*(K_20), over the budget of 524288" in err
 
 
 def test_oversized_mesh_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
@@ -366,7 +367,101 @@ def test_scan_of_more_vertices_than_the_budget_exits_3_before_sorting(capsys, mo
     monkeypatch.setattr(np, "lexsort", no_sort)
     code, out, err = run(capsys, "scan", "--n", "2", "--res", "36x40", "--radius", "0.15")
     assert (code, out) == (3, "")
-    assert "a scan of 1404 vertices at radius 0.15 has over 1403 candidate pairs" in err
+    assert (
+        "1404 or more candidate pairs in a scan of 1404 vertices at radius 0.15, "
+        "over the budget of 1403"
+    ) in err
+
+
+WIDE_LENGTHS = ["1/1000003", "2/1000033", "3/1000037", "5/1000039", "8/1000081", "1", "1", "3/2"]
+
+
+@pytest.mark.parametrize(
+    "target, patch, message",
+    [
+        pytest.param(
+            ("verify-paper", "--max-n", "14"), {},
+            "11778624 entries in the degree-7 duality pairing of K_14, over the budget of 4000000",
+            id="pairing",
+        ),
+        pytest.param(
+            ("cohomology", "--n", "20"), {},
+            "1048576 basis monomials in H^*(K_20), over the budget of 524288",
+            id="basis",
+        ),
+        pytest.param(
+            ("zcl", "--n", "63", "--max-len", "64"), {},
+            "1091745 or more exponent multisets of length 64 over K_63, "
+            "over the budget of 1000000",
+            id="search",
+        ),
+        pytest.param(
+            lambda: tz.zcl_witness(23), {},
+            "8388608 possible terms in the length-25 witness over K_23, "
+            "over the budget of 4194304",
+            id="witness-terms",
+        ),
+        pytest.param(
+            ("genes", "--lengths", ",".join(str(2 * i + 1) for i in range(25))), {},
+            "25 side lengths (a scan of 2^24 subsets), over the budget of 24",
+            id="side-lengths",
+        ),
+        pytest.param(
+            ("genes", "--lengths", ",".join(WIDE_LENGTHS)),
+            {"polygon_genetics.SUBSET_LIMIT": len(WIDE_LENGTHS)},
+            "6144 bytes for the subset table of 8 lengths with 104-bit sums, "
+            "over the budget of 1024",
+            id="subset-table",
+        ),
+        pytest.param(
+            ("mesh", "--n", "8", "--res", "4x6", "--out", "{tmp}/k8.mesh"), {},
+            "9912320 vertex coordinates and quad corners in a 4x6 mesh of K_8, "
+            "over the budget of 8388608",
+            id="mesh-entries",
+        ),
+        pytest.param(
+            ("scan", "--n", "2", "--res", "200x400", "--radius", "1e6"), {},
+            "6368040000 candidate pairs in a scan of 79800 vertices at radius 1000000.0, "
+            "over the budget of 4194304",
+            id="scan-candidates",
+        ),
+        pytest.param(
+            ("scan", "--n", "2", "--res", "36x40", "--radius", "0.15"),
+            {"geometry.SCAN_BALL_BUDGET": 42528 - 1},
+            "42528 ball entries in the neighbour test of 2658 candidate pairs, "
+            "over the budget of 42527",
+            id="scan-balls",
+        ),
+    ],
+)
+def test_every_budget_refuses_in_one_shape(target, patch, message, tmp_path, capsys, monkeypatch):
+    # "<count> <what>, over the budget of <budget>", before any output
+    for name, value in patch.items():
+        monkeypatch.setattr(f"kleinforge.{name}", value)
+    if callable(target):
+        with pytest.raises(FeasibilityError) as info:
+            target()
+        assert str(info.value) == message
+        return
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in target))
+    assert (code, out, err) == (3, "", f"feasibility guard: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_only_the_budget_check_raises_feasibility_errors():
+    # every budget goes through errors.check_budget; a scan extent past the
+    # float range, which is no count of work, is the one direct refusal
+    raises = []
+    for path in sorted((ROOT / "src" / "kleinforge").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "FeasibilityError":
+                    raises.append(f"{path.stem}.{func.name}")
+    assert raises == ["errors.check_budget", "geometry._candidate_pairs"]
 
 
 @pytest.mark.parametrize("dim", [13, 40])
@@ -381,6 +476,26 @@ def test_tiny_mesh_in_high_dimension_scans_in_under_a_second(tmp_path, capsys, d
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert out.startswith("0 close non-neighbour pairs among 4 vertices")
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        "meta n 2\nmeta target immersion\nmeta res_theta 5\nmeta res_t 4\n",
+        "meta weld_error oops\n",
+    ],
+    ids=["odd-res-theta", "weld-error-not-a-number"],
+)
+def test_scan_skips_mesh_metadata(tmp_path, capsys, meta):
+    # the scan reads vertices, faces and t values only, so no meta record refuses a mesh
+    quad = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 0 1 2 3\n"
+    plain, tagged = tmp_path / "plain.txt", tmp_path / "tagged.txt"
+    plain.write_text(quad)
+    tagged.write_text(meta + quad)
+    for argv in ((), ("--json",)):
+        expected = run(capsys, "scan", "--in", str(plain), "--radius", "2.0", *argv)
+        code, out, _ = run(capsys, "scan", "--in", str(tagged), "--radius", "2.0", *argv)
+        assert (code, out) == (0, expected[1])
 
 
 def test_mesh_without_quads_reports_every_close_pair(tmp_path, capsys):
