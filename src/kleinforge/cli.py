@@ -14,8 +14,11 @@ dict sets its own: `integral`, `splitting` and `pi1` without
 written as its fields, in declaration order, and a Fraction as its
 string, so a result's fields are its JSON schema.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 feasibility
-guard tripped.
+Each `cmd_*` returns its payload (the dict or result dataclass that --json
+writes) and its plain-text lines; `main` alone picks which to print.
+Exit codes: 0 ok, 1 verification failure, 2 usage error (a failed stdout
+write too), 3 feasibility guard tripped.  Only a payload whose "passed" is
+false, a failed `check` or `verify-paper`, exits 1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import time
 from fractions import Fraction
 
 from . import char_classes as cc
-from . import cohomology_f2 as coh
 from . import fundamental_group as fg
 from . import geometry as geo
 from . import integral_splitting as ints
@@ -55,158 +57,110 @@ def _emit_json(payload) -> None:
 
 # ------------------------------------------------------------ subcommands
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args):
     data = vf.cohomology_table(args.n)
-    if args.json:
-        _emit_json(data)
-        return 0
-    print(f"H^*(K_{args.n}; Z2)  dimensions: " + " ".join(str(d) for d in data["dims"]))
-    for d, row in enumerate(data["basis"]):
-        print(f"deg {d}: " + "  ".join(row))
-    print("Sq1 pairings:")
-    for src, dst in data["sq1"]:
-        print(f"  {src} -> {dst}")
-    return 0
+    lines = [f"H^*(K_{args.n}; Z2)  dimensions: " + " ".join(str(d) for d in data["dims"])]
+    lines += [f"deg {d}: " + "  ".join(row) for d, row in enumerate(data["basis"])]
+    lines += ["Sq1 pairings:", *(f"  {src} -> {dst}" for src, dst in data["sq1"])]
+    return data, lines
 
 
-def cmd_manifold(args) -> int:
+def cmd_manifold(args):
     report = cc.manifold_report(args.n)
-    if args.json:
-        _emit_json(report)
-        return 0
-    print(f"K_{report.n} ({report.n}-manifold)")
-    for name, source in report.provenance.items():
-        print(f"  {name}: {getattr(report, name)} [{source}]")
-    return 0
+    lines = [f"K_{report.n} ({report.n}-manifold)"]
+    lines += [f"  {name}: {getattr(report, name)} [{src}]" for name, src in report.provenance.items()]
+    return report, lines
 
 
-def cmd_integral(args) -> int:
+def cmd_integral(args):
     groups = ints.integral_cohomology(args.n)
-    if args.json:
-        _emit_json({"schema": "2", "n": args.n, "groups": groups})
-        return 0
-    for d, g in enumerate(groups):
-        print(f"H^{d} = {g.text()}")
-    return 0
+    return {"schema": "2", "n": args.n, "groups": groups}, [
+        f"H^{d} = {g.text()}" for d, g in enumerate(groups)
+    ]
 
 
-def cmd_splitting(args) -> int:
+def cmd_splitting(args):
     summands = ints.splitting(args.n)
     homology = ints.homology_from_splitting(args.n)
-    if args.json:
-        _emit_json({"schema": "2", "n": args.n, "summands": summands, "homology": homology})
-        return 0
-    print(f"Sigma K_{args.n} = " + " v ".join(s.text() for s in summands))
-    for d, g in enumerate(homology):
-        print(f"H_{d} = {g.text()}")
-    return 0
+    lines = [f"Sigma K_{args.n} = " + " v ".join(s.text() for s in summands)]
+    lines += [f"H_{d} = {g.text()}" for d, g in enumerate(homology)]
+    return {"schema": "2", "n": args.n, "summands": summands, "homology": homology}, lines
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     checks = ints.consistency_check(args.n)
-    passed = all(c.passed for c in checks)
-    if args.json:
-        _emit_json({"n": args.n, "passed": passed, "checks": checks})
-    else:
-        for c in checks:
-            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-    return 0 if passed else 1
+    return {"n": args.n, "passed": all(c.passed for c in checks), "checks": checks}, [
+        f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks
+    ]
 
 
-def cmd_pi1(args) -> int:
+def cmd_pi1(args):
     n = args.n
     if args.word is not None:
         nf = fg.reduce_word(fg.GroupWord.parse(n, args.word))
-        if args.json:
-            _emit_json(
-                {
-                    "word": args.word,
-                    "normal_form": nf,
-                    "text": nf.text(),
-                    "in_double_cover_image": fg.in_double_cover_image(nf),
-                }
-            )
-        else:
-            print(nf.text())
-        return 0
+        text = nf.text()
+        payload = {
+            "word": args.word,
+            "normal_form": nf,
+            "text": text,
+            "in_double_cover_image": fg.in_double_cover_image(nf),
+        }
+        return payload, [text]
     ab = fg.abelianization(n)
-    relators = fg.defining_relators(n)
-    if args.json:
-        _emit_json(
-            {
-                "schema": "2",
-                "n": n,
-                "generators": [f"a{i}" for i in range(1, n + 1)],
-                "relators": [r.text() for r in relators],
-                "abelianization": ab,
-            }
-        )
-        return 0
-    print(f"pi_1(K_{n}) = <a1..a{n} | a_j a{n} a_j a{n}^-1 (j < {n}), commutators>")
-    print(f"relators: {', '.join(r.text() for r in relators)}")
-    print(f"abelianization: {ab.text()}")
-    return 0
+    relators = [r.text() for r in fg.defining_relators(n)]
+    payload = {
+        "schema": "2",
+        "n": n,
+        "generators": [f"a{i}" for i in range(1, n + 1)],
+        "relators": relators,
+        "abelianization": ab,
+    }
+    return payload, [
+        f"pi_1(K_{n}) = <a1..a{n} | a_j a{n} a_j a{n}^-1 (j < {n}), commutators>",
+        f"relators: {', '.join(relators)}",
+        f"abelianization: {ab.text()}",
+    ]
 
 
-def cmd_zcl(args) -> int:
+def cmd_zcl(args):
     if args.max_len is not None:
         res = tz.zcl_exhaustive(args.n, args.max_len)
-        if args.json:
-            _emit_json(res)
-        else:
-            state = "all zero" if res.all_zero else f"nonzero: {res.witness.text()}"
-            print(
-                f"length-{res.length} zero-divisor products over K_{res.n}: "
-                f"{state} ({res.checked} canonical products checked)"
-            )
-        return 0
+        state = "all zero" if res.all_zero else f"nonzero: {res.witness.text()}"
+        return res, [
+            f"length-{res.length} zero-divisor products over K_{res.n}: "
+            f"{state} ({res.checked} canonical products checked)"
+        ]
     value = tz.compute_zcl(args.n)
-    if args.json:
-        _emit_json({"n": args.n, "zcl": value, "method": "exhaustive-search"})
-    else:
-        print(f"zcl(K_{args.n}) = {value} (exhaustive-search)")
-    return 0
+    return {"n": args.n, "zcl": value, "method": "exhaustive-search"}, [
+        f"zcl(K_{args.n}) = {value} (exhaustive-search)"
+    ]
 
 
-def cmd_tc(args) -> int:
+def cmd_tc(args):
     bounds = tz.tc_bounds(args.m)
-    if args.json:
-        _emit_json(bounds)
-    else:
-        print(
-            f"TC(K_{bounds.m}) in [{bounds.lower}, {bounds.upper}] "
-            f"(zcl {bounds.zcl}; {bounds.method})"
-        )
-    return 0
+    return bounds, [
+        f"TC(K_{bounds.m}) in [{bounds.lower}, {bounds.upper}] "
+        f"(zcl {bounds.zcl}; {bounds.method})"
+    ]
 
 
-def cmd_genes(args) -> int:
+def cmd_genes(args):
     values = [v.strip() for v in args.lengths.split(",") if v.strip()]
     prep = pg.prepare_lengths(values, epsilon=args.epsilon)
     code = pg.genetic_code(prep)
     cls = pg.classify(code)
-    if args.json:
-        _emit_json(
-            {
-                "input": values,
-                "prepared": prep,
-                "code": code,
-                "gees": code.gees(),
-                "classification": cls,
-            }
-        )
-        return 0
-    print("lengths (sorted): " + " ".join(str(x) for x in prep.lengths))
+    gees = code.gees()
+    lines = ["lengths (sorted): " + " ".join(str(x) for x in prep.lengths)]
     if prep.epsilon is not None:
-        print(f"epsilon: {prep.epsilon} (substituted for {prep.substituted} zero length(s))")
-    print(f"genetic code: {code.text()}")
-    gees = ", ".join("{" + ",".join(map(str, g)) + "}" for g in code.gees())
-    print(f"gees: {gees}")
+        lines.append(f"epsilon: {prep.epsilon} (substituted for {prep.substituted} zero length(s))")
+    lines.append(f"genetic code: {code.text()}")
+    lines.append("gees: " + ", ".join("{" + ",".join(map(str, g)) + "}" for g in gees))
     if cls.spaces:
-        print("spaces: " + ", ".join(cls.spaces))
+        lines.append("spaces: " + ", ".join(cls.spaces))
     if cls.tc is not None:
-        print(f"TC(K_{cls.klein_m}) in [{cls.tc.lower}, {cls.tc.upper}]")
-    return 0
+        lines.append(f"TC(K_{cls.klein_m}) in [{cls.tc.lower}, {cls.tc.upper}]")
+    payload = {"input": values, "prepared": prep, "code": code, "gees": gees, "classification": cls}
+    return payload, lines
 
 
 def _mesh_spec(args) -> geo.MeshSpec:
@@ -219,7 +173,7 @@ def _mesh_spec(args) -> geo.MeshSpec:
     return geo.MeshSpec(args.n, args.target, res_theta, res_t)
 
 
-def cmd_mesh(args) -> int:
+def cmd_mesh(args):
     spec = _mesh_spec(args)
     axes = None
     if args.axes is not None:
@@ -238,14 +192,13 @@ def cmd_mesh(args) -> int:
         geo.write_obj(mesh, args.out, axes=axes)
     else:
         geo.write_mesh_text(mesh, args.out)
-    print(
+    return None, [
         f"wrote {args.out}: {mesh.num_vertices} vertices, {mesh.num_faces} quads "
         f"in R^{mesh.dim}, weld error {mesh.weld_error!r}"
-    )
-    return 0
+    ]
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     if args.infile:
         mesh = geo.load_mesh(args.infile)
     elif args.n is not None:
@@ -255,23 +208,22 @@ def cmd_scan(args) -> int:
     start = time.perf_counter()
     result = geo.self_intersection_scan(mesh, args.radius)
     print(f"scan took {time.perf_counter() - start:.2f}s", file=sys.stderr)
-    if args.json:
-        _emit_json(result)
-        return 0
-    print(
+    lines = [
         f"{result.num_pairs} close non-neighbour pairs among {result.num_vertices} "
         f"vertices at radius {result.radius!r}"
-    )
+    ]
     if result.seam_confinement is not None:
-        print(f"collisions confined to min(t, pi-t) <= {result.seam_confinement!r}")
-    for (a, b), dist in list(zip(result.pairs, result.distances))[:10]:
-        print(f"  {a} <-> {b}  dist {dist!r}")
+        lines.append(f"collisions confined to min(t, pi-t) <= {result.seam_confinement!r}")
+    lines += [
+        f"  {a} <-> {b}  dist {dist!r}"
+        for (a, b), dist in zip(result.pairs[:10], result.distances[:10])
+    ]
     if result.num_pairs > 10:
-        print(f"  ... {result.num_pairs - 10} more")
-    return 0
+        lines.append(f"  ... {result.num_pairs - 10} more")
+    return result, lines
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args):
     checks = []
     last = time.perf_counter()
     for c in vf.verify_paper(max_n=args.max_n):  # each check runs as it is drawn
@@ -279,9 +231,7 @@ def cmd_verify_paper(args) -> int:
         print(f"{c.name}: {'PASS' if c.passed else 'FAIL'} ({now - last:.2f}s)", file=sys.stderr)
         checks.append(c)
         last = now
-    passed = all(c.passed for c in checks)
-    _emit_json({"max_n": args.max_n, "passed": passed, "checks": checks})
-    return 0 if passed else 1
+    return {"max_n": args.max_n, "passed": all(c.passed for c in checks), "checks": checks}, []
 
 
 # ---------------------------------------------------------------- plumbing
@@ -304,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, help_text, *parents):
         p = sub.add_parser(name, help=help_text, parents=parents)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, json=False)
         return p
 
     for name, fn, help_text in (
@@ -348,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-paper", cmd_verify_paper, "run all cross-checks; JSON report on stdout")
     p.add_argument("--max-n", type=int, default=8)
+    p.set_defaults(json=True)  # the report is JSON only
 
     return parser
 
@@ -359,13 +310,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        payload, lines = args.fn(args)
+        if args.json:
+            _emit_json(payload)
+        else:
+            print("\n".join(lines))
     except FeasibilityError as exc:
         print(f"feasibility guard: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a failed stdout write included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return int(isinstance(payload, dict) and payload.get("passed") is False)
 
 
 def entry() -> None:

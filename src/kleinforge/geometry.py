@@ -642,9 +642,10 @@ def read_mesh_text(path: str) -> Mesh:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                kind, _, rest = line.partition(" ")
+                parts = line.split(None, 1)  # the letter ends at any whitespace, as in read_obj
+                kind = parts[0]
                 if kind in rows:
-                    rows[kind].add(rest)
+                    rows[kind].add(parts[1] if len(parts) > 1 else "")
                 elif kind != "meta":
                     raise ValueError(f"unrecognised mesh line: {line!r}")
             for block in rows.values():

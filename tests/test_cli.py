@@ -115,7 +115,19 @@ def test_json_key_order_is_pinned(capsys, tmp_path, monkeypatch):
     assert list(data["checks"][0]) == ["name", "passed", "detail"]
 
 
+# every text form, recorded before the subcommands returned their lines;
+# test ids are the first three tokens, so the argv differ there
 TEXT_OUTPUTS = {
+    ("cohomology", "--n", "3"): """\
+H^*(K_3; Z2)  dimensions: 1 3 3 1
+deg 0: 1
+deg 1: V1  V2  R
+deg 2: V1*V2  R*V1  R*V2
+deg 3: R*V1*V2
+Sq1 pairings:
+  V1 -> R*V1
+  V2 -> R*V2
+""",
     ("manifold", "--n", "4"): """\
 K_4 (4-manifold)
   orientable: False [computed (w_1 = 0 test)]
@@ -140,7 +152,33 @@ H_2 = Z^3
 H_3 = Z^3 + Z/2
 H_4 = 0
 """,
+    ("check", "--n", "3"): """\
+PASS f2-dimension-count: F2 dims [1, 3, 3, 1] vs integral ranks+torsion
+PASS splitting-vs-integral: rebuilt ['Z', 'Z', 'Z + (Z/2)^2', 'Z'] vs closed form ['Z', 'Z', 'Z + (Z/2)^2', 'Z']
+PASS h1-vs-pi1-abelianized: H_1 = Z + (Z/2)^2 vs pi_1 abelianized = Z + (Z/2)^2
+PASS euler-characteristic-zero: chi = 0 (integral), 0 (mod 2)
+""",
+    ("pi1", "--n", "3"): """\
+pi_1(K_3) = <a1..a3 | a_j a3 a_j a3^-1 (j < 3), commutators>
+relators: a1 an a1 an^-1, a2 an a2 an^-1, a1 a2 a1^-1 a2^-1
+abelianization: Z + (Z/2)^2
+""",
+    ("pi1", "--n", "4", "--word", "a1 a4 a2^-1 a1 a3^2"): "a2 a3^-2 an\n",
     ("zcl", "--n", "3"): "zcl(K_3) = 5 (exhaustive-search)\n",
+    ("zcl", "--n", "4", "--max-len", "5"): (
+        "length-5 zero-divisor products over K_4: nonzero: Vbar1^3 * Vbar2^2 "
+        "(3 canonical products checked)\n"
+    ),
+    ("tc", "--m", "3"): (
+        "TC(K_3) in [6, 7] (zcl 5; lower: zcl+1 (exhaustive-search); upper: cited dimension bound)\n"
+    ),
+    ("genes", "--lengths", "0,0,0,1,1,1"): """\
+lengths (sorted): 1/96 1/96 1/96 1 1 1
+epsilon: 1/96 (substituted for 3 zero length(s))
+genetic code: <{6,3,2,1}>
+gees: {3,2,1}
+spaces: T^3
+""",
     ("genes", "--lengths", "1/24,1/24,1,1,1,2"): """\
 lengths (sorted): 1/24 1/24 1 1 1 2
 genetic code: <{6,2,1}>
@@ -163,11 +201,30 @@ collisions confined to min(t, pi-t) <= 1.5305194979027197
   638 <-> 641  dist 0.14772390866767404
   ... 30 more
 """,
+    ("scan", "--res", "20x40", "--n", "2", "--radius", "0.2"): """\
+69 close non-neighbour pairs among 780 vertices at radius 0.2
+collisions confined to min(t, pi-t) <= 1.5305194979027197
+  35 <-> 393  dist 0.19649282160814283
+  36 <-> 393  dist 0.19198360501820097
+  114 <-> 354  dist 0.19291101806257532
+  152 <-> 355  dist 0.19982385254111576
+  153 <-> 315  dist 0.1880804636519205
+  191 <-> 316  dist 0.16073333134010442
+  229 <-> 317  dist 0.15458988133617882
+  230 <-> 316  dist 0.1903902065451036
+  267 <-> 357  dist 0.19107254485045946
+  268 <-> 317  dist 0.14375292867824513
+  ... 59 more
+""",
+    ("mesh", "--n", "2", "--res", "8x6", "--out", "k2.txt"): (
+        "wrote k2.txt: 40 vertices, 40 quads in R^3, weld error 6.613092715395707e-16\n"
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", list(TEXT_OUTPUTS), ids=lambda argv: " ".join(argv[:3]))
-def test_text_output_is_pinned(argv, capsys):
+def test_text_output_is_pinned(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # `mesh --out` writes into the working directory
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == TEXT_OUTPUTS[argv]
@@ -242,9 +299,9 @@ def test_benchmark_outputs_match_their_recorded_digests(capsys, tmp_path, monkey
     digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
     pinned = {"k2-coarse.obj", "k3-immersion.mesh", "k3-embedding.mesh"}
     ops = {op.argv: op for op in workloads["algebra_queries_ops"](0)}
+    # each file's `mesh --out`, then its `scan --in ... --json`
     ops.update(
-        (op.argv, op) for op in workloads["mesh_files_ops"](0)
-        if op.command == "mesh" and op.facts["file"] in pinned
+        (op.argv, op) for op in workloads["mesh_files_ops"](0) if op.facts["file"] in pinned
     )
     monkeypatch.chdir(tmp_path)  # `mesh --out` writes into the working directory
     wrong = []
@@ -253,7 +310,7 @@ def test_benchmark_outputs_match_their_recorded_digests(capsys, tmp_path, monkey
         code, out, _ = run(capsys, *op.argv)
         if (code, hashlib.sha256(out.encode()).hexdigest()) != (op.expect_rc, digests[key]):
             wrong.append(op.argv[:3])
-    assert len(ops) == 71 and wrong == []
+    assert len(ops) == 74 and wrong == []
 
 
 # ------------------------------------------------------------- exit codes
@@ -715,6 +772,26 @@ def test_verification_failure_exit_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--n", "2")
     assert code == 1
     assert "FAIL" in out
+    code, out, _ = run(capsys, "check", "--n", "2", "--json")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_failed_stdout_write_exits_2(json_flag, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    code = cli.main(["integral", "--n", "4", *json_flag])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_a_feasibility_guard_inside_a_check_propagates(monkeypatch):

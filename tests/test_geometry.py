@@ -635,6 +635,24 @@ def test_obj_reader_accepts_common_obj_records(tmp_path):
     assert mesh.t_values is None and mesh.spec is None
 
 
+def test_mesh_text_reader_accepts_tabs_after_the_record_letter(tmp_path):
+    # split at the first run of whitespace, as the OBJ reader does
+    path = tmp_path / "square.txt"
+    path.write_text(
+        "# one unit square\nmeta n 2\n"
+        "v\t0 0 0\nv \t1 0 0\nv\t\t1 1 0\nv 0 1 0\n"
+        "t\t0\nt 1\nt 2\nt 3\n"
+        "f\t0 1 2 3\n"
+    )
+    mesh = geo.load_mesh(str(path))
+    assert mesh.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+    assert mesh.t_values.tolist() == [0, 1, 2, 3]
+    assert mesh.faces.tolist() == [[0, 1, 2, 3]]
+    path.write_text("v 0 0 0\nx\t0 0 0\n")
+    with pytest.raises(ValueError, match="unrecognised mesh line"):
+        geo.load_mesh(str(path))
+
+
 @pytest.mark.parametrize("name", ["mesh.txt", "mesh.obj"])
 def test_mesh_readers_parse_in_blocks(tmp_path, monkeypatch, name):
     # 40 vertices, 40 t values and 40 quads, read three records at a time
