@@ -15,7 +15,9 @@ run's own and no cache carries over between runs.  The file records:
   FeasibilityError); the sweep ends at the first m every tree refuses;
 - for each file of the mesh-files perfbench workload (mesh_io_files): median
   seconds to write it (write_obj or write_mesh_text) and to read it back
-  (load_mesh), and its size in bytes;
+  (load_mesh), its size in bytes and SHA-256, and the peak RSS after the
+  write as well as after the read, so that a --parent pair shows whether
+  the files are byte-identical and which of the two set the peak;
 - for each case of RING_CASES: median seconds of char_classes.manifold_report(n)
   or fundamental_group.abelianization(n), with the category or group it gives;
 - for each dimension of QUAD_DIMS: median seconds to scan one unit square,
@@ -36,6 +38,7 @@ Usage:
 """
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -144,15 +147,21 @@ def job_mesh_io(name: str) -> dict:
         start = time.perf_counter()
         write(mesh, path)
         written = time.perf_counter()
+        write_rss = peak_rss_mb()
         back = geo.load_mesh(path)
         done = time.perf_counter()
+        read_rss = peak_rss_mb()  # before the file is hashed
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         size = os.path.getsize(path)
     return {
         "write_s": written - start,
         "read_s": done - written,
         "bytes": size,
+        "sha256": digest,
         "vertices": back.num_vertices,
-        "peak_rss_mb": peak_rss_mb(),
+        "write_peak_rss_mb": write_rss,
+        "peak_rss_mb": read_rss,
     }
 
 
@@ -332,7 +341,7 @@ def main() -> int:
         if all(report["compute_zcl"][f"m{m}"]["zcl"] == "refused" for report in reports.values()):
             break
     for name in mesh_io_files():
-        record("mesh_io", name, ("mesh-io", name), ("write_s", "read_s"), ("bytes", "vertices"))
+        record("mesh_io", name, ("mesh-io", name), ("write_s", "read_s"), ("bytes", "sha256", "vertices"))
     for name, n in RING_CASES:
         record("ring", f"{name}-n{n}", ("ring", name, str(n)), ("seconds",), ("answer",))
     for dim in QUAD_DIMS:

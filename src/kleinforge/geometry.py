@@ -35,7 +35,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations, groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,10 +66,15 @@ SCAN_CANDIDATE_BUDGET = 1 << 22
 SCAN_BALL_BUDGET = 1 << 25
 _NEAR_BLOCK = 1 << 20  # ball ids gathered per block of the neighbour test
 _GATHER_BLOCK = 1 << 15  # raw candidates gathered per block of the d^2 test
-# rows formatted per write when saving a mesh file, so that a mesh near the
-# entry budget is never held as one string
+# rows formatted per write when saving a mesh file, and lines parsed per block
+# when reading one, so that a mesh near the entry budget is never held as one
+# string, nor its distinct floats as one table
 _IO_ROWS = 1 << 13
-_INDEX_PARTS = r"(?<=\S)/\S*"  # the /vt/vn parts of an OBJ face index
+_INDEX_PARTS = re.compile(r"(?<=\S)/\S*")  # the /vt/vn parts of an OBJ face index
+_MESH_TEXT_LETTERS = ("v", "t", "f")  # the records of a mesh text file
+_OBJ_LETTERS = ("v", "f")  # the OBJ records a mesh is read from
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+_PAST_LETTER = itemgetter(slice(1, None))
 
 
 def base_unit(n: int) -> float:
@@ -544,15 +550,28 @@ def self_intersection_scan(mesh: Mesh, radius: float) -> ScanResult:
 # mesh files: a tiny self-describing text format, plus OBJ export and import
 
 
-def _write_rows(fh, record: str, rows: np.ndarray) -> None:
-    """Write `record % row` for every row, formatting a block of rows per `%`.
+def _write_rows(fh, letter: str, rows: np.ndarray, columns=slice(None), offset: int = 0) -> None:
+    """Write one `letter` record per row, formatting a block of rows per `%`.
 
-    `.tolist()` gives Python floats and ints, and `%r` on a Python float is its
-    shortest round-trip repr, so a float reads back exactly.
+    Each block takes `columns` of its rows and adds a nonzero `offset`, so a
+    projection or 1-based ids never copy the whole array.  A float is
+    written as the repr of a Python float, its shortest round-trip form, so
+    it reads back exactly.  Each distinct value of a block is formatted once,
+    keyed on its bits so that -0.0 stays apart from 0.0.  Entries of any
+    other dtype are written with %d.
     """
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    floats = rows.dtype.kind == "f"
     for start in range(0, len(rows), _IO_ROWS):
-        block = rows[start:start + _IO_ROWS]
-        fh.write(record * len(block) % tuple(block.ravel().tolist()))
+        block = rows[start:start + _IO_ROWS, columns]
+        if offset:
+            block = block + offset
+        values = block.ravel()
+        if floats:
+            bits, where = np.unique(values.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
+            values = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where]
+        record = letter + (" %s" if floats else " %d") * block.shape[1] + "\n"
+        fh.write(record * len(block) % tuple(values.tolist()))
 
 
 def _parse_rows(records: list[str], dtype, usecols=None) -> np.ndarray:
@@ -592,7 +611,7 @@ class _Rows:
 
     def __init__(self, parse, empty=None):
         self.parse, self.empty, self.records, self.blocks = parse, empty, [], []
-        self.add = self.records.append
+        self.extend = self.records.extend
 
     def flush(self) -> None:
         if self.records:
@@ -605,6 +624,45 @@ class _Rows:
         if len({block.shape[1] for block in self.blocks}) > 1:
             raise ValueError("mesh rows differ in length")
         return np.concatenate(self.blocks) if self.blocks else self.empty
+
+
+def _run_records(run: list[str]) -> list[str] | None:
+    """The lines of a run past their shared letter, or None if one needs the per-line reader.
+
+    Each line must have whitespace after the letter and something else after
+    that, and none may hold a `/` (an OBJ face's /vt/vn parts).  Only a
+    file's last line can lack its newline, so if that one has a second
+    character, every line does.
+    """
+    if len(run[-1]) < 2 or "/" in "".join(run) or not "".join(map(_SECOND, run)).isspace():
+        return None
+    records = list(map(_PAST_LETTER, run))
+    return None if any(map(str.isspace, records)) else records
+
+
+def _record_runs(fh, letters: tuple[str, ...], line_record):
+    """Each block of `_IO_ROWS` lines of `fh`, as a list of (letter, records).
+
+    The lines of a block are taken in runs that share a first character.  A
+    run of one of `letters` that `_run_records` accepts is one entry, for
+    numpy to parse in one go.  Any other run goes through `line_record` a
+    line at a time: it returns a line's (letter, record), or None for a line
+    the reader skips, and raises ValueError for a line it refuses.
+    """
+    while lines := list(islice(fh, _IO_ROWS)):
+        runs = []
+        for first, run in groupby(lines, _FIRST):
+            run = list(run)
+            records = _run_records(run) if first in letters else None
+            if records is not None:
+                runs.append((first, records))
+                continue
+            for kind, record in filter(None, map(line_record, run)):
+                if runs and runs[-1][0] == kind:
+                    runs[-1][1].append(record)
+                else:
+                    runs.append((kind, [record]))
+        yield runs
 
 
 def _check_ids(faces: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -626,10 +684,24 @@ def write_mesh_text(mesh: Mesh, path: str) -> None:
             fh.write(f"meta res_t {s.res_t}\n")
         fh.write(f"meta dim {mesh.dim}\n")
         fh.write(f"meta weld_error {mesh.weld_error!r}\n")
-        _write_rows(fh, "v" + " %r" * mesh.dim + "\n", mesh.vertices)
+        _write_rows(fh, "v", mesh.vertices)
         if mesh.t_values is not None:
-            _write_rows(fh, "t %r\n", mesh.t_values)
-        _write_rows(fh, "f" + " %d" * mesh.faces.shape[1] + "\n", mesh.faces)
+            _write_rows(fh, "t", mesh.t_values)
+        _write_rows(fh, "f", mesh.faces)
+
+
+def _mesh_text_record(line: str) -> tuple[str, str] | None:
+    """(letter, numbers) of one mesh text line; None for a comment, `meta` or blank line."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split(None, 1)  # the letter ends at any whitespace, as in read_obj
+    kind = parts[0]
+    if kind in _MESH_TEXT_LETTERS:
+        return kind, parts[1] if len(parts) > 1 else ""
+    if kind != "meta":
+        raise ValueError(f"unrecognised mesh line: {line!r}")
+    return None
 
 
 def read_mesh_text(path: str) -> Mesh:
@@ -637,17 +709,9 @@ def read_mesh_text(path: str) -> Mesh:
     floats = partial(_parse_rows, dtype=np.float64)
     rows = {"v": _Rows(floats), "t": _Rows(floats), "f": _Rows(_quads, np.empty((0, 4), np.int64))}
     with open(path) as fh:
-        while lines := list(islice(fh, _IO_ROWS)):
-            for line in lines:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(None, 1)  # the letter ends at any whitespace, as in read_obj
-                kind = parts[0]
-                if kind in rows:
-                    rows[kind].add(parts[1] if len(parts) > 1 else "")
-                elif kind != "meta":
-                    raise ValueError(f"unrecognised mesh line: {line!r}")
+        for runs in _record_runs(fh, _MESH_TEXT_LETTERS, _mesh_text_record):
+            for kind, records in runs:
+                rows[kind].extend(records)
             for block in rows.values():
                 block.flush()
     vertices = rows["v"].array()
@@ -681,8 +745,22 @@ def write_obj(mesh: Mesh, path: str, axes: tuple[int, int, int] | None = None) -
     _check_axes(axes, mesh.dim)
     with open(path, "w") as fh:
         fh.write("# klein-forge OBJ export\n")
-        _write_rows(fh, "v %r %r %r\n", mesh.vertices[:, list(axes)])
-        _write_rows(fh, "f" + " %d" * mesh.faces.shape[1] + "\n", mesh.faces + 1)
+        _write_rows(fh, "v", mesh.vertices, columns=list(axes))
+        _write_rows(fh, "f", mesh.faces, offset=1)
+
+
+def _obj_record(line: str) -> tuple[str, str] | None:
+    """(letter, numbers) of an OBJ `v` or `f` line, None for any other line.
+
+    A bare letter keeps the letter as its record, which fails to parse.
+    """
+    parts = line.split(None, 1)
+    if not parts or parts[0] not in _OBJ_LETTERS:
+        return None
+    rest = parts[-1]
+    if parts[0] == "f" and "/" in rest:
+        rest = _INDEX_PARTS.sub("", rest)
+    return parts[0], rest
 
 
 def read_obj(path: str) -> Mesh:
@@ -696,19 +774,14 @@ def read_obj(path: str) -> Mesh:
     verts = _Rows(partial(_parse_rows, dtype=np.float64, usecols=(0, 1, 2)))
     faces = _Rows(lambda records: _obj_quads(records, seen), np.empty((0, 4), np.int64))
     with open(path) as fh:
-        while lines := list(islice(fh, _IO_ROWS)):
-            for line in lines:
-                parts = line.split(None, 1)
-                if not parts:
-                    continue
-                # parts[-1] is the record after its letter; a bare letter stays and fails to parse
-                if parts[0] == "v":
-                    verts.add(parts[-1])
-                    count += 1
-                elif parts[0] == "f":
-                    rest = parts[-1]
-                    faces.add(re.sub(_INDEX_PARTS, "", rest) if "/" in rest else rest)
-                    seen.append(count)
+        for runs in _record_runs(fh, _OBJ_LETTERS, _obj_record):
+            for kind, records in runs:
+                if kind == "v":
+                    verts.extend(records)
+                    count += len(records)
+                else:
+                    faces.extend(records)
+                    seen.extend([count] * len(records))
             verts.flush()
             faces.flush()
             seen.clear()

@@ -4,13 +4,16 @@ Frozen scan counts are exact: the pipeline is deterministic float math on a
 fixed grid, so a changed count means changed geometry, not noise.
 """
 
+import functools
 import itertools
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kleinforge import geometry as geo
@@ -710,6 +713,216 @@ def test_mesh_readers_reject_bad_faces(tmp_path, name, faces):
     with pytest.raises(ValueError):
         geo.load_mesh(str(path))
 
+
+def per_line_read_mesh_text(path):
+    """The mesh text reader one line at a time: the reference for the run reader."""
+    floats = functools.partial(geo._parse_rows, dtype=np.float64)
+    rows = {"v": geo._Rows(floats), "t": geo._Rows(floats), "f": geo._Rows(geo._quads, np.empty((0, 4), np.int64))}
+    with open(path) as fh:
+        while lines := list(itertools.islice(fh, geo._IO_ROWS)):
+            for line in lines:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split(None, 1)
+                kind = parts[0]
+                if kind in rows:
+                    rows[kind].records.append(parts[1] if len(parts) > 1 else "")
+                elif kind != "meta":
+                    raise ValueError(f"unrecognised mesh line: {line!r}")
+            for block in rows.values():
+                block.flush()
+    vertices = rows["v"].array()
+    if vertices is None:
+        raise ValueError("mesh file has no vertices")
+    faces = geo._check_ids(rows["f"].array(), len(vertices))
+    t_values = t = rows["t"].array()
+    if t is not None:
+        if t.shape != (len(vertices), 1):
+            raise ValueError("t lines must match v lines one to one, one number each")
+        if not np.isfinite(t).all():
+            raise ValueError("t values must be finite")
+        t_values = t[:, 0]
+    return geo.Mesh(vertices, faces, t_values, None, float("nan"))
+
+
+def per_line_read_obj(path):
+    """The OBJ reader one line at a time: the reference for the run reader."""
+    count, seen = 0, []
+    verts = geo._Rows(functools.partial(geo._parse_rows, dtype=np.float64, usecols=(0, 1, 2)))
+    faces = geo._Rows(lambda records: geo._obj_quads(records, seen), np.empty((0, 4), np.int64))
+    with open(path) as fh:
+        while lines := list(itertools.islice(fh, geo._IO_ROWS)):
+            for line in lines:
+                parts = line.split(None, 1)
+                if not parts:
+                    continue
+                if parts[0] == "v":
+                    verts.records.append(parts[-1])
+                    count += 1
+                elif parts[0] == "f":
+                    rest = parts[-1]
+                    faces.records.append(re.sub(geo._INDEX_PARTS, "", rest) if "/" in rest else rest)
+                    seen.append(count)
+            verts.flush()
+            faces.flush()
+            seen.clear()
+    vertices = verts.array()
+    if vertices is None:
+        raise ValueError(f"no vertices in {path}")
+    return geo.Mesh(vertices, geo._check_ids(faces.array(), len(vertices)), None, None, float("nan"))
+
+
+def read_outcome(read, path):
+    """The bits of what `read` returns, or the type of what it raises."""
+    try:
+        mesh = read(path)
+    except Exception as exc:  # the differential test compares the types
+        return type(exc)
+    return [
+        None if a is None else (a.shape, a.dtype.str, a.tobytes())
+        for a in (mesh.vertices, mesh.faces, mesh.t_values)
+    ]
+
+
+# whitespace that str.split accepts after a record letter, mostly a space,
+# and rarely none
+SEPARATORS = [" "] * 24 + ["\t", "\x0b", "\x0c", "\xa0", "\u3000", "\x1c", "  ", " \t"] * 2 + [""]
+NUMBERS = ["0", "1", "2.5", "-0.0", "1e-3", "-7"]
+# face ids of four vertices or more: 0-based in a mesh text file, 1-based
+# or counting back from the newest vertex in an OBJ file, with /vt/vn parts
+TEXT_IDS = ["0", "1", "2", "3"]
+OBJ_IDS = ["1", "2", "3", "4", "-1", "-2", "-4", "1/1", "2//2", "3/3/3"]
+# lines each reader skips, then lines that one of them refuses or reads
+# differently: leading whitespace, bare letters, a glued number, stray ids
+SKIPPED = ["# note", "#v 1 2 3", "meta n 2", "", "   ", "\t", "#"]
+OBJ_SKIPPED = ["vn 0 0 1", "vt 0.5 0.5", "o part", "s off", "vn 1 1 1"]
+OTHER_LINES = [
+    "x 1 2 3", " v 1 2 3", "\tf 1 2 3 4", " t 1", "v", "f", "t", "v ", "f\t", "v\xa0", "v1 2 3",
+    "meta", "f 1 2 3 4 /5", "f -9 1 2 3", "f 0 1 2 3",
+]
+
+
+@st.composite
+def record_lines(draw, letter, tokens, size):
+    """A `letter` record: a separator, then `size` tokens 24 times in 25."""
+    count = size if draw(st.integers(0, 24)) else draw(st.integers(0, 5))
+    numbers = draw(st.sampled_from([" ", " ", "\t", "\xa0"])).join(
+        draw(st.lists(st.sampled_from(tokens), min_size=count, max_size=count))
+    )
+    return letter + draw(st.sampled_from(SEPARATORS)) + numbers + draw(st.sampled_from(["", "", " ", "\x0c"]))
+
+
+@st.composite
+def mesh_file_texts(draw):
+    """Four to eight vertices, maybe one t each, then faces, with other lines mixed in.
+
+    Half the files are drawn as mesh text and half as OBJ, so that each
+    reader gets files it reads as well as files it refuses.
+    """
+    obj = draw(st.booleans())
+    vertices = draw(st.integers(4, 8))
+    lines = draw(st.lists(record_lines("v", NUMBERS, 3), min_size=vertices, max_size=vertices))
+    if draw(st.booleans()):
+        lines += draw(st.lists(record_lines("t", NUMBERS, 1), min_size=vertices, max_size=vertices))
+    lines += draw(st.lists(record_lines("f", OBJ_IDS if obj else TEXT_IDS, 4), max_size=6))
+    skipped = SKIPPED + OBJ_SKIPPED if obj else SKIPPED
+    for _ in range(draw(st.integers(0, 4))):
+        pool = skipped if draw(st.integers(0, 4)) else OTHER_LINES
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(pool)))
+    text = "".join(line + "\n" for line in lines)
+    return text[:-1] if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def mesh_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("differential") / "mesh")
+
+
+@settings(max_examples=200, derandomize=True)
+@given(text=mesh_file_texts())
+@example(text=SQUARE_VERTICES + "v")  # a last line with no newline and no second character
+@example(text=SQUARE_VERTICES + "f 1 2 3 4\nf")
+def test_run_readers_match_the_per_line_readers(mesh_file, text):
+    # three lines a block, so runs of records cross block ends
+    with open(mesh_file, "w") as fh:
+        fh.write(text)
+    with mock.patch.object(geo, "_IO_ROWS", 3):
+        for read, reference in ((geo.read_mesh_text, per_line_read_mesh_text), (geo.read_obj, per_line_read_obj)):
+            assert read_outcome(read, mesh_file) == read_outcome(reference, mesh_file)
+
+
+@pytest.mark.parametrize("bare", ["v\n", "v \n", "v\t\x0c\n"])
+def test_a_bare_letter_in_a_run_of_records_has_no_numbers(tmp_path, bare):
+    # numpy would skip the blank record, and every face after it would then
+    # name the wrong vertex
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE_VERTICES.replace("v 1 1 0\n", "v 1 1 0\n" + bare) + "f 0 1 2 3\n")
+    with pytest.raises(ValueError, match="a mesh record has no numbers"):
+        geo.read_mesh_text(str(path))
+    path = tmp_path / "square.obj"
+    path.write_text(SQUARE_VERTICES.replace("v 1 1 0\n", "v 1 1 0\n" + bare) + "f 1 2 3 4\n")
+    with pytest.raises(ValueError):
+        geo.read_obj(str(path))
+
+
+def per_row_records(letter, rows, field):
+    """One record per row, each entry formatted on its own with `field`."""
+    rows = np.asarray(rows).reshape(len(rows), -1).tolist()
+    return "".join(letter + "".join(" " + field % x for x in row) + "\n" for row in rows)
+
+
+def test_writers_match_per_row_repr(tmp_path, monkeypatch):
+    # three rows a block, so repeated values span blocks; -0.0 and 0.0 share
+    # a column, and the rest have awkward shortest reprs
+    monkeypatch.setattr(geo, "_IO_ROWS", 3)
+    column = [-0.0, 0.0, 5e-324, 0.0, -0.0, 1e16, 1e-5, math.nan, math.inf, -0.0, 0.1 + 0.2]
+    vertices = np.array([column, column[::-1], column[3:] + column[:3], [0.0] * len(column)]).T.copy()
+    faces = np.arange(4 * len(column)).reshape(-1, 4) % len(column)
+    mesh = geo.Mesh(vertices, faces, vertices[:, 0].copy(), None, 0.1 + 0.2)
+    path = tmp_path / "mesh.txt"
+    geo.write_mesh_text(mesh, str(path))
+    assert path.read_text() == (
+        "# klein-forge mesh\nmeta dim 4\nmeta weld_error 0.30000000000000004\n"
+        + per_row_records("v", vertices, "%r")
+        + per_row_records("t", mesh.t_values, "%r")
+        + per_row_records("f", faces, "%d")
+    )
+    assert "v -0.0 " in path.read_text() and "v 0.0 " in path.read_text()
+    path = tmp_path / "mesh.obj"
+    geo.write_obj(mesh, str(path), axes=(3, 0, 1))
+    assert path.read_text() == (
+        "# klein-forge OBJ export\n"
+        + per_row_records("v", vertices[:, [3, 0, 1]], "%r")
+        + per_row_records("f", faces + 1, "%d")
+    )
+    grid = geo.build_mesh(geo.MeshSpec(2, "immersion", 8, 6))
+    geo.write_mesh_text(grid, str(path))
+    assert path.read_text().endswith(
+        "meta res_t 6\nmeta dim 3\nmeta weld_error %r\n" % grid.weld_error
+        + per_row_records("v", grid.vertices, "%r")
+        + per_row_records("t", grid.t_values, "%r")
+        + per_row_records("f", grid.faces, "%d")
+    )
+
+
+@pytest.mark.parametrize("write", [geo.write_mesh_text, geo.write_obj], ids=["text", "obj"])
+def test_writer_working_memory_stays_bounded(tmp_path, write):
+    # a block of rows at a time, about 3.5 MB traced at either size: a table
+    # of the whole array's distinct values, or a projected copy of the whole
+    # array (2.3 MB, then 4.3 MB), grows with the mesh.  Tracing slows the
+    # writers about ninefold, so the larger mesh has 80,000 vertices, ten
+    # blocks.
+    peaks = []
+    for res in ((100, 200), (200, 400)):
+        mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", *res))
+        tracemalloc.start()
+        try:
+            write(mesh, str(tmp_path / "mesh"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0] and peaks[1] < 6e6, peaks
 
 def test_obj_export_3d(tmp_path):
     mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", 8, 6))
