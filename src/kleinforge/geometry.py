@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, groupby, islice
+from itertools import combinations, groupby, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -71,10 +71,7 @@ _GATHER_BLOCK = 1 << 15  # raw candidates gathered per block of the d^2 test
 # string, nor its distinct floats as one table
 _IO_ROWS = 1 << 13
 _INDEX_PARTS = re.compile(r"(?<=\S)/\S*")  # the /vt/vn parts of an OBJ face index
-_MESH_TEXT_LETTERS = ("v", "t", "f")  # the records of a mesh text file
-_OBJ_LETTERS = ("v", "f")  # the OBJ records a mesh is read from
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)
-_PAST_LETTER = itemgetter(slice(1, None))
+_FIRST, _LAST = itemgetter(0), itemgetter(-1)
 
 
 def base_unit(n: int) -> float:
@@ -137,11 +134,6 @@ def nesting_margin(radii) -> float:
         margin = min(margin, float(np.min(r - tail)))
         tail = tail + r
     return margin
-
-
-def validate_nesting(radii) -> None:
-    if nesting_margin(radii) <= 0:
-        raise ValueError("torus radii are not strictly nested")
 
 
 def torus_point(radii, thetas):
@@ -626,43 +618,36 @@ class _Rows:
         return np.concatenate(self.blocks) if self.blocks else self.empty
 
 
-def _run_records(run: list[str]) -> list[str] | None:
-    """The lines of a run past their shared letter, or None if one needs the per-line reader.
+def _record_runs(fh):
+    """Each block of `_IO_ROWS` lines of `fh`, with its runs of (first token, records).
 
-    Each line must have whitespace after the letter and something else after
-    that, and none may hold a `/` (an OBJ face's /vt/vn parts).  Only a
-    file's last line can lack its newline, so if that one has a second
-    character, every line does.
-    """
-    if len(run[-1]) < 2 or "/" in "".join(run) or not "".join(map(_SECOND, run)).isspace():
-        return None
-    records = list(map(_PAST_LETTER, run))
-    return None if any(map(str.isspace, records)) else records
-
-
-def _record_runs(fh, letters: tuple[str, ...], line_record):
-    """Each block of `_IO_ROWS` lines of `fh`, as a list of (letter, records).
-
-    The lines of a block are taken in runs that share a first character.  A
-    run of one of `letters` that `_run_records` accepts is one entry, for
-    numpy to parse in one go.  Any other run goes through `line_record` a
-    line at a time: it returns a line's (letter, record), or None for a line
-    the reader skips, and raises ValueError for a line it refuses.
+    Every line is split once, at its first run of whitespace (any character
+    `str.split` splits on), and blank lines drop out; the rest are taken in
+    runs that share a first token.  A record is the line past its token, or
+    the token itself for a line with nothing else.  A file's last line gets
+    the newline it may lack, so every other record ends in whitespace.
     """
     while lines := list(islice(fh, _IO_ROWS)):
-        runs = []
-        for first, run in groupby(lines, _FIRST):
-            run = list(run)
-            records = _run_records(run) if first in letters else None
-            if records is not None:
-                runs.append((first, records))
-                continue
-            for kind, record in filter(None, map(line_record, run)):
-                if runs and runs[-1][0] == kind:
-                    runs[-1][1].append(record)
-                else:
-                    runs.append((kind, [record]))
-        yield runs
+        if lines[-1][-1] != "\n":
+            lines[-1] += "\n"
+        parts = filter(None, map(str.split, lines, repeat(None), repeat(1)))
+        yield lines, ((token, map(_LAST, run)) for token, run in groupby(parts, _FIRST))
+
+
+def _refuse_bare(letter: str, parse):
+    """`parse` for the records of `letter` lines, refusing first a bare `letter`.
+
+    That is the record `_record_runs` gives a line with no numbers; it is
+    refused when its block is parsed, so a line of the block that no reader
+    knows is reported before it.
+    """
+
+    def checked(records: list[str]) -> np.ndarray:
+        if letter in records:
+            raise ValueError("a mesh record has no numbers")
+        return parse(records)
+
+    return checked
 
 
 def _check_ids(faces: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -690,28 +675,22 @@ def write_mesh_text(mesh: Mesh, path: str) -> None:
         _write_rows(fh, "f", mesh.faces)
 
 
-def _mesh_text_record(line: str) -> tuple[str, str] | None:
-    """(letter, numbers) of one mesh text line; None for a comment, `meta` or blank line."""
-    line = line.strip()
-    if not line or line.startswith("#"):
-        return None
-    parts = line.split(None, 1)  # the letter ends at any whitespace, as in read_obj
-    kind = parts[0]
-    if kind in _MESH_TEXT_LETTERS:
-        return kind, parts[1] if len(parts) > 1 else ""
-    if kind != "meta":
-        raise ValueError(f"unrecognised mesh line: {line!r}")
-    return None
-
-
 def read_mesh_text(path: str) -> Mesh:
     """Read the mesh text format; `meta` records are for people, skipped like comments."""
     floats = partial(_parse_rows, dtype=np.float64)
-    rows = {"v": _Rows(floats), "t": _Rows(floats), "f": _Rows(_quads, np.empty((0, 4), np.int64))}
+    rows = {
+        "v": _Rows(_refuse_bare("v", floats)),
+        "t": _Rows(_refuse_bare("t", floats)),
+        "f": _Rows(_refuse_bare("f", _quads), np.empty((0, 4), np.int64)),
+    }
     with open(path) as fh:
-        for runs in _record_runs(fh, _MESH_TEXT_LETTERS, _mesh_text_record):
-            for kind, records in runs:
-                rows[kind].extend(records)
+        for lines, runs in _record_runs(fh):
+            for token, records in runs:
+                if token in rows:
+                    rows[token].extend(records)
+                elif token != "meta" and token[0] != "#":
+                    line = next(line for line in lines if line.split(None, 1)[:1] == [token])
+                    raise ValueError(f"unrecognised mesh line: {line.strip()!r}")
             for block in rows.values():
                 block.flush()
     vertices = rows["v"].array()
@@ -749,20 +728,6 @@ def write_obj(mesh: Mesh, path: str, axes: tuple[int, int, int] | None = None) -
         _write_rows(fh, "f", mesh.faces, offset=1)
 
 
-def _obj_record(line: str) -> tuple[str, str] | None:
-    """(letter, numbers) of an OBJ `v` or `f` line, None for any other line.
-
-    A bare letter keeps the letter as its record, which fails to parse.
-    """
-    parts = line.split(None, 1)
-    if not parts or parts[0] not in _OBJ_LETTERS:
-        return None
-    rest = parts[-1]
-    if parts[0] == "f" and "/" in rest:
-        rest = _INDEX_PARTS.sub("", rest)
-    return parts[0], rest
-
-
 def read_obj(path: str) -> Mesh:
     """Read a quad OBJ file: `v` lines (first three coordinates) and `f` lines.
 
@@ -770,18 +735,19 @@ def read_obj(path: str) -> Mesh:
     `v` line read so far, so -1 is the newest vertex.  Only `v/...` index
     parts are used.  The result carries no grid metadata or t values.
     """
-    count, seen = 0, []  # v lines so far, and before each f line of the block
-    verts = _Rows(partial(_parse_rows, dtype=np.float64, usecols=(0, 1, 2)))
-    faces = _Rows(lambda records: _obj_quads(records, seen), np.empty((0, 4), np.int64))
+    count, seen = 0, []  # v lines of earlier blocks; v lines before each f line of this block
+    verts = _Rows(_refuse_bare("v", partial(_parse_rows, dtype=np.float64, usecols=(0, 1, 2))))
+    faces = _Rows(_refuse_bare("f", lambda records: _obj_quads(records, seen)), np.empty((0, 4), np.int64))
     with open(path) as fh:
-        for runs in _record_runs(fh, _OBJ_LETTERS, _obj_record):
-            for kind, records in runs:
-                if kind == "v":
+        for _, runs in _record_runs(fh):
+            for token, records in runs:
+                if token == "v":
                     verts.extend(records)
-                    count += len(records)
-                else:
-                    faces.extend(records)
-                    seen.extend([count] * len(records))
+                elif token == "f":
+                    records = list(records)
+                    faces.extend(map(partial(_INDEX_PARTS.sub, ""), records) if "/" in "".join(records) else records)
+                    seen.extend([count + len(verts.records)] * len(records))
+            count += len(verts.records)
             verts.flush()
             faces.flush()
             seen.clear()

@@ -555,6 +555,25 @@ def test_scan_skips_mesh_metadata(tmp_path, capsys, meta):
         assert (code, out) == (0, expected[1])
 
 
+def test_obj_as_other_tools_write_it_reads_as_the_plain_file(tmp_path, capsys, monkeypatch):
+    # a comment, an object, a smoothing group, a vt and a vn record per
+    # vertex, i/i/i and i//i faces and tabs, rewritten by the benchmark's
+    # exporter; seven lines a block, so runs of records cross block ends
+    export = runpy.run_path(str(ROOT / "scripts" / "bench.py"))["export_like_other_tools"]
+    plain = str(tmp_path / "plain.obj")
+    geo.write_obj(geo.build_mesh(geo.MeshSpec(2, "immersion", 20, 40)), plain)
+    exported = export(plain, str(tmp_path / "exported.obj"))
+    text = Path(exported).read_text()
+    assert all(part in text for part in ("\nvt ", "\nvn ", "\no ", "\ns off\n", "/1/1 ", "//2 ", "v\t", "f\t"))
+    monkeypatch.setattr(geo, "_IO_ROWS", 7)
+    want, got = geo.read_obj(plain), geo.read_obj(exported)
+    assert want.vertices.tobytes() == got.vertices.tobytes()
+    assert np.array_equal(want.faces, got.faces)
+    scans = [run(capsys, "scan", "--in", path, "--radius", "0.15")[:2] for path in (plain, exported)]
+    assert scans[0] == scans[1] and scans[0][0] == 0
+    assert "20 close non-neighbour pairs among 780 vertices" in scans[0][1]
+
+
 def test_mesh_without_quads_reports_every_close_pair(tmp_path, capsys):
     # no vertex shares a quad, so every ball is its vertex alone
     path = tmp_path / "points.txt"

@@ -84,15 +84,13 @@ def test_nested_radii_shrink_and_stay_in_band():
             for i, r in enumerate(radii[:-1]):
                 assert r == pytest.approx(2.0 ** (n - 1 - i) * unit)
             assert unit - 1e-12 <= radii[-1] <= 2 * unit + 1e-12
-            geo.validate_nesting(radii)
             assert geo.nesting_margin(radii) > 0
 
 
 def test_nesting_margin_flags_overlap():
     assert geo.nesting_margin([1.0, 0.5]) == pytest.approx(0.5)
     assert geo.nesting_margin([1.0, 1.0]) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        geo.validate_nesting([1.0, 0.6, 0.5])  # 0.6 + 0.5 > 1.0
+    assert geo.nesting_margin([1.0, 0.6, 0.5]) < 0  # 0.6 + 0.5 > 1.0
 
 
 def test_torus_point_parity_and_peak():
@@ -773,12 +771,12 @@ def per_line_read_obj(path):
     return geo.Mesh(vertices, geo._check_ids(faces.array(), len(vertices)), None, None, float("nan"))
 
 
-def read_outcome(read, path):
-    """The bits of what `read` returns, or the type of what it raises."""
+def read_outcome(read, path, message):
+    """The bits of what `read` returns, or the type of what it raises, with its message if `message`."""
     try:
         mesh = read(path)
-    except Exception as exc:  # the differential test compares the types
-        return type(exc)
+    except Exception as exc:  # the differential test compares these
+        return (type(exc), str(exc)) if message else type(exc)
     return [
         None if a is None else (a.shape, a.dtype.str, a.tobytes())
         for a in (mesh.vertices, mesh.faces, mesh.t_values)
@@ -843,13 +841,20 @@ def mesh_file(tmp_path_factory):
 @given(text=mesh_file_texts())
 @example(text=SQUARE_VERTICES + "v")  # a last line with no newline and no second character
 @example(text=SQUARE_VERTICES + "f 1 2 3 4\nf")
+@example(text=SQUARE_VERTICES + "f 0 1 2 3\nv v")  # a number that is the letter, on a last line
+@example(text="v \nx 1 2 3\n" + SQUARE_VERTICES)  # a bare letter, then an unknown line, in one block
+@example(text="v 1 2 3\nv\t\nf x\n" + SQUARE_VERTICES)
+@example(text=SQUARE_VERTICES + "vt 0 0\nvn 0 0 1\no part\nusemtl red\nf 1/1/1 2//1 3/3 4\n")
+@example(text="v 0 0 0\nvt 0 0\nv 1 0 0\nvn 0 0 1\nv 1 1 0\nusemtl red\nv 0 1 0\no part\nf -4/1 -3 -2//1 -1\n")
 def test_run_readers_match_the_per_line_readers(mesh_file, text):
-    # three lines a block, so runs of records cross block ends
+    # three lines a block, so runs of records cross block ends.  A mesh text
+    # error must keep its message too; an OBJ error only its type, as a bare
+    # OBJ letter now has no numbers where numpy used to fail to parse it
     with open(mesh_file, "w") as fh:
         fh.write(text)
     with mock.patch.object(geo, "_IO_ROWS", 3):
-        for read, reference in ((geo.read_mesh_text, per_line_read_mesh_text), (geo.read_obj, per_line_read_obj)):
-            assert read_outcome(read, mesh_file) == read_outcome(reference, mesh_file)
+        assert read_outcome(geo.read_mesh_text, mesh_file, True) == read_outcome(per_line_read_mesh_text, mesh_file, True)
+        assert read_outcome(geo.read_obj, mesh_file, False) == read_outcome(per_line_read_obj, mesh_file, False)
 
 
 @pytest.mark.parametrize("bare", ["v\n", "v \n", "v\t\x0c\n"])
