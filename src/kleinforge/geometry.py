@@ -570,11 +570,8 @@ def _parse_rows(records: list[str], dtype, usecols=None) -> np.ndarray:
     """Parse records of whitespace-separated numbers, one array row per record.
 
     numpy's parser rounds floats correctly, as `float` does, and raises
-    ValueError on a ragged row or a token that is not a number.  It would
-    skip an empty record, so that is refused first.
+    ValueError on a ragged row or a token that is not a number.
     """
-    if "" in records:
-        raise ValueError("a mesh record has no numbers")
     return np.loadtxt(records, dtype=dtype, comments=None, usecols=usecols, ndmin=2)
 
 
@@ -599,14 +596,19 @@ class _Rows:
 
     A reader adds the records of at most `_IO_ROWS` lines before each
     `flush`, so it holds one block of their text, not the whole file's.
+    `bare` is the record that a line with no numbers gives.  `flush` refuses
+    it before parsing, not as records are added, so a line of the block that
+    no reader knows is reported first.
     """
 
-    def __init__(self, parse, empty=None):
-        self.parse, self.empty, self.records, self.blocks = parse, empty, [], []
+    def __init__(self, bare: str, parse, empty=None):
+        self.bare, self.parse, self.empty, self.records, self.blocks = bare, parse, empty, [], []
         self.extend = self.records.extend
 
     def flush(self) -> None:
         if self.records:
+            if self.bare in self.records:
+                raise ValueError("a mesh record has no numbers")
             self.blocks.append(self.parse(self.records))
             self.records.clear()
 
@@ -632,22 +634,6 @@ def _record_runs(fh):
             lines[-1] += "\n"
         parts = filter(None, map(str.split, lines, repeat(None), repeat(1)))
         yield lines, ((token, map(_LAST, run)) for token, run in groupby(parts, _FIRST))
-
-
-def _refuse_bare(letter: str, parse):
-    """`parse` for the records of `letter` lines, refusing first a bare `letter`.
-
-    That is the record `_record_runs` gives a line with no numbers; it is
-    refused when its block is parsed, so a line of the block that no reader
-    knows is reported before it.
-    """
-
-    def checked(records: list[str]) -> np.ndarray:
-        if letter in records:
-            raise ValueError("a mesh record has no numbers")
-        return parse(records)
-
-    return checked
 
 
 def _check_ids(faces: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -679,9 +665,9 @@ def read_mesh_text(path: str) -> Mesh:
     """Read the mesh text format; `meta` records are for people, skipped like comments."""
     floats = partial(_parse_rows, dtype=np.float64)
     rows = {
-        "v": _Rows(_refuse_bare("v", floats)),
-        "t": _Rows(_refuse_bare("t", floats)),
-        "f": _Rows(_refuse_bare("f", _quads), np.empty((0, 4), np.int64)),
+        "v": _Rows("v", floats),
+        "t": _Rows("t", floats),
+        "f": _Rows("f", _quads, np.empty((0, 4), np.int64)),
     }
     with open(path) as fh:
         for lines, runs in _record_runs(fh):
@@ -736,8 +722,8 @@ def read_obj(path: str) -> Mesh:
     parts are used.  The result carries no grid metadata or t values.
     """
     count, seen = 0, []  # v lines of earlier blocks; v lines before each f line of this block
-    verts = _Rows(_refuse_bare("v", partial(_parse_rows, dtype=np.float64, usecols=(0, 1, 2))))
-    faces = _Rows(_refuse_bare("f", lambda records: _obj_quads(records, seen)), np.empty((0, 4), np.int64))
+    verts = _Rows("v", partial(_parse_rows, dtype=np.float64, usecols=(0, 1, 2)))
+    faces = _Rows("f", lambda records: _obj_quads(records, seen), np.empty((0, 4), np.int64))
     with open(path) as fh:
         for _, runs in _record_runs(fh):
             for token, records in runs:

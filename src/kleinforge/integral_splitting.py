@@ -50,12 +50,6 @@ class WedgeSummand:
     dim: int
     multiplicity: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("sphere", "moore"):
-            raise ValueError(f"unknown summand kind {self.kind!r}")
-        if self.dim < 1 or self.multiplicity < 1:
-            raise ValueError("bad summand parameters")
-
     def text(self) -> str:
         base = f"S^{self.dim}" if self.kind == "sphere" else f"M^{self.dim}(2)"
         return base if self.multiplicity == 1 else f"{self.multiplicity} x {base}"

@@ -54,9 +54,6 @@ class PreparedLengths:
     def n(self) -> int:
         return len(self.lengths)
 
-    def total(self) -> Fraction:
-        return sum(self.lengths, Fraction(0))
-
 
 def _fraction(value) -> Fraction:
     """Fraction(value), refusing first a decimal exponent too large to build.
@@ -124,15 +121,6 @@ def _as_prepared(lengths) -> PreparedLengths:
     return prepare_lengths(lengths)
 
 
-def subset_sum(prep: PreparedLengths, subset) -> Fraction:
-    return sum((prep.lengths[i - 1] for i in subset), Fraction(0))
-
-
-def is_short(prep: PreparedLengths, subset) -> bool:
-    """sum(S) < sum(S complement)."""
-    return 2 * subset_sum(prep, subset) < prep.total()
-
-
 def _subset_sums(prep: PreparedLengths) -> tuple[np.ndarray, int]:
     """Twice the sums of the 2^(n-1) subsets containing index n, and the total.
 
@@ -167,19 +155,6 @@ def is_generic(lengths) -> bool:
     """
     sums, total = _subset_sums(_as_prepared(lengths))
     return not np.any(sums == total)
-
-
-def dominates(a, b) -> bool:
-    """Whether index set a dominates index set b.
-
-    Equivalent to an index-raising injection of b into a: compare the k-th
-    largest elements pairwise.
-    """
-    aa = sorted(a, reverse=True)
-    bb = sorted(b, reverse=True)
-    if len(aa) < len(bb):
-        return False
-    return all(x >= y for x, y in zip(aa, bb))
 
 
 @dataclass(frozen=True)

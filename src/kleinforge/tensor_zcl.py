@@ -288,20 +288,20 @@ def compute_zcl(m: int) -> int:
     """Zero-divisor cup length of K_m by exhaustive search.
 
     Scans lengths upward until every product vanishes (monotone: any longer
-    product contains a vanishing sub-product).  Raises FeasibilityError up
-    front when the longest length scanned, 2m + 1, has more multisets than
-    SEARCH_BUDGET; no shorter length has more.
+    product contains a vanishing sub-product).  The scan ends by length
+    2m + 1, since K_m x K_m has dimension 2m and so every product of 2m + 1
+    degree-one classes vanishes.  Raises FeasibilityError up front when that
+    longest length has more multisets than SEARCH_BUDGET; no shorter length
+    has more.
     """
     _check_dimension(m)
     if m < 2:
         raise ValueError("zcl needs m >= 2")
     _check_search_budget(m, 2 * m + 1)
-    last_nonzero = 0
-    for length in range(1, 2 * m + 2):
-        if zcl_exhaustive(m, length).all_zero:
-            return last_nonzero
-        last_nonzero = length
-    raise RuntimeError("zero-divisor products never vanished below 2m + 2")
+    length = 1
+    while not zcl_exhaustive(m, length).all_zero:
+        length += 1
+    return length - 1
 
 
 def tc_bounds(m: int) -> TcBounds:

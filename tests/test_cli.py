@@ -1036,6 +1036,16 @@ def test_module_entry_point():
     assert proc.stdout.startswith("TC(K_2) in [4, 5]")
 
 
+def test_readme_python_examples_run():
+    # every ```python block of the README, so one that names a deleted or
+    # renamed function fails here
+    readme = (ROOT / "README.md").read_text()
+    blocks = [part.split("\n```", 1)[0] for part in readme.split("\n```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_scripts_run_on_the_public_api():
     demo = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "genetic_codes_demo.py"), "--samples", "50"],

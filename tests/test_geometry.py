@@ -715,7 +715,12 @@ def test_mesh_readers_reject_bad_faces(tmp_path, name, faces):
 def per_line_read_mesh_text(path):
     """The mesh text reader one line at a time: the reference for the run reader."""
     floats = functools.partial(geo._parse_rows, dtype=np.float64)
-    rows = {"v": geo._Rows(floats), "t": geo._Rows(floats), "f": geo._Rows(geo._quads, np.empty((0, 4), np.int64))}
+    # "" is the record this reader gives a line with no numbers
+    rows = {
+        "v": geo._Rows("", floats),
+        "t": geo._Rows("", floats),
+        "f": geo._Rows("", geo._quads, np.empty((0, 4), np.int64)),
+    }
     with open(path) as fh:
         while lines := list(itertools.islice(fh, geo._IO_ROWS)):
             for line in lines:
@@ -747,8 +752,8 @@ def per_line_read_mesh_text(path):
 def per_line_read_obj(path):
     """The OBJ reader one line at a time: the reference for the run reader."""
     count, seen = 0, []
-    verts = geo._Rows(functools.partial(geo._parse_rows, dtype=np.float64, usecols=(0, 1, 2)))
-    faces = geo._Rows(lambda records: geo._obj_quads(records, seen), np.empty((0, 4), np.int64))
+    verts = geo._Rows("", functools.partial(geo._parse_rows, dtype=np.float64, usecols=(0, 1, 2)))
+    faces = geo._Rows("", lambda records: geo._obj_quads(records, seen), np.empty((0, 4), np.int64))
     with open(path) as fh:
         while lines := list(itertools.islice(fh, geo._IO_ROWS)):
             for line in lines:

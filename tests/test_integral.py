@@ -41,20 +41,18 @@ def test_splitting_small_cases():
 def test_splitting_counts_follow_binomials():
     import math
 
-    for n in range(2, 10):
-        by_kind = {}
-        for s in ints.splitting(n):
-            by_kind[(s.kind, s.dim)] = s.multiplicity
+    for n in range(2, 64):
+        summands = ints.splitting(n)
+        by_kind = {(s.kind, s.dim): s.multiplicity for s in summands}
         # one family of summands per 0 <= i <= n-1, C(n-1, i) copies each;
         # sphere dims never collide across families so counts are exact
-        assert by_kind[("sphere", 2)] == 1  # i = 0
+        expected = {("sphere", 2): 1}  # i = 0
         for i in range(1, n):
-            copies = math.comb(n - 1, i)
-            if i % 2 == 1:
-                assert by_kind.get(("moore", i + 2), 0) == copies
-            else:
-                assert by_kind.get(("sphere", i + 1), 0) == copies
-                assert by_kind.get(("sphere", i + 2), 0) == copies
+            families = [("moore", i + 2)] if i % 2 == 1 else [("sphere", i + 1), ("sphere", i + 2)]
+            expected.update(dict.fromkeys(families, math.comb(n - 1, i)))
+        # exactly these families, each once, and every summand a valid one
+        assert len(summands) == len(by_kind) and by_kind == expected, n
+        assert all(s.kind in ("sphere", "moore") and s.dim >= 2 and s.multiplicity >= 1 for s in summands)
 
 
 def test_homology_matches_pi1_abelianized():
