@@ -18,7 +18,7 @@ from .fundamental_group import GroupWord, NormalForm, abelianization, reduce_wor
 from .geometry import Mesh, MeshSpec, build_mesh, self_intersection_scan
 from .integral_splitting import consistency_check, integral_cohomology, splitting
 from .polygon_genetics import classify, genetic_code, prepare_lengths
-from .tensor_zcl import tc_bounds, zcl_exhaustive, zcl_witness
+from .tensor_zcl import tc_bounds, zcl_exhaustive
 from .verification import verify_paper
 
 __version__ = "0.1.0"
@@ -53,6 +53,5 @@ __all__ = [
     "verify_paper",
     "wu_classes",
     "zcl_exhaustive",
-    "zcl_witness",
     "__version__",
 ]

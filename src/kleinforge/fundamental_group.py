@@ -108,13 +108,7 @@ class NormalForm:
         return GroupWord(self.n, tuple((g, e) for g, e in exponents if e))
 
     def text(self) -> str:
-        def gen(name: str, e: int) -> str:
-            return name if e == 1 else f"{name}^{e}"
-
-        parts = [gen(f"a{i + 1}", e) for i, e in enumerate(self.k) if e] + (
-            [gen("an", self.m)] if self.m else []
-        )
-        return " ".join(parts) if parts else "e"
+        return self.to_word().text()
 
 
 def multiply(x: NormalForm, y: NormalForm) -> NormalForm:

@@ -408,10 +408,12 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     scan = f"a scan of {N} vertices at radius {radius!r}"
     check_budget(N, SCAN_CANDIDATE_BUDGET, f"or more candidate pairs in {scan}")
     lo = P.min(axis=0)
-    # Python floats, so a span beyond the float range is inf without a warning
-    extent = max(h - l for h, l in zip(P.max(axis=0).tolist(), lo.tolist()))
-    if not np.isfinite(extent):
-        raise FeasibilityError(f"the extent of a scan in R^{dim} does not fit in 64 bits")
+    # Python floats, so a span or square beyond the float range is inf without
+    # a warning; with a finite sum of squared spans no squared distance overflows
+    spans = [h - l for h, l in zip(P.max(axis=0).tolist(), lo.tolist())]
+    if not np.isfinite(sum(s * s for s in spans)):
+        raise FeasibilityError(f"the squared extent of a scan in R^{dim} does not fit in 64 bits")
+    extent = max(spans)
     side = max(radius, extent / 2**30)
     coords = np.floor((P - lo) / side).astype(np.min_scalar_type(int(extent / side)))
     order = np.lexsort(coords.T[::-1])

@@ -30,9 +30,7 @@ different choices give two different ones: no terms of different choices
 can cancel.  The product is therefore zero exactly when every choice's
 coefficient, (a + b)^r times one coefficient of each local power, is zero in
 Lambda2.  `_nonzero` decides that from the set of reachable nonzero
-coefficients, at most 15, without ever listing the choices; `_expand` lists
-them for `zcl_witness`, as the key pairs (u, v) of the terms u (x) v, each
-monomial packed as in cohomology_f2.
+coefficients, at most 15, without ever listing the choices.
 
 Permuting the V indices is a ring automorphism (the defining relations are
 symmetric in i) and extends to the tensor square, so whether a product of
@@ -42,10 +40,7 @@ multiset: Rbar^r * Vbar_1^(e1) * ... with e1 >= e2 >= ...  It is the only
 route to zcl.
 
 The search answers to one budget: SEARCH_BUDGET caps the canonical
-multisets of one length, counted before any product is formed.  TERM_BUDGET
-caps the terms that `zcl_witness` lists: every nonzero power of a generator
-zero divisor has two terms (Rbar^2 = 0, Vbar^4 = 0), so a product of powers
-of k distinct generators has at most 2^k terms.
+multisets of one length, counted before any product is formed.
 """
 
 from __future__ import annotations
@@ -57,8 +52,6 @@ from .errors import check_budget
 
 # canonical exponent multisets per exhaustive search, not raw products
 SEARCH_BUDGET = 10**6
-# terms of the product zcl_witness expands, at most 2^n over K_n
-TERM_BUDGET = 1 << 22
 
 
 def _lambda2_mul(x: int, y: int) -> int:
@@ -124,34 +117,6 @@ def _nonzero(r: int, v_powers: tuple[int, ...]) -> bool:
     return True
 
 
-def _expand(r: int, v_powers: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    """Key pairs (u, v) of the terms u (x) v of Rbar^r * Vbar_1^(v_powers[0]) * ...
-
-    Each choice of basis indices keeps its own V bits on both sides, so the
-    choices never collide; each monomial of a choice's coefficient then adds R
-    on the left (a), on the right (b) or on both (ab).
-    """
-    if r >= len(_RBAR_POWERS):
-        return frozenset()
-    # (left V bits, right V bits) of a choice -> its Lambda2 coefficient
-    choices = {(0, 0): _RBAR_POWERS[r]}
-    for i, e in enumerate(v_powers, start=1):
-        if e >= len(_VBAR_POWERS):
-            return frozenset()
-        grown = {}
-        for (left, right), x in choices.items():
-            for j, c in _VBAR_POWERS[e].items():
-                if coefficient := _MUL[x][c]:
-                    grown[left | (j & 1) << i, right | (j >> 1) << i] = coefficient
-        choices = grown
-    return frozenset(
-        (left | m & 1, right | m >> 1)
-        for (left, right), x in choices.items()
-        for m in range(4)
-        if x >> m & 1
-    )
-
-
 @dataclass(frozen=True)
 class FactorMultiset:
     """A product Rbar^rbar * Vbar_1^v[0] * Vbar_2^v[1] * ... (v descending)."""
@@ -159,9 +124,6 @@ class FactorMultiset:
     n: int
     rbar: int
     v_powers: tuple[int, ...]
-
-    def length(self) -> int:
-        return self.rbar + sum(self.v_powers)
 
     def text(self) -> str:
         parts = []
@@ -255,24 +217,6 @@ def zcl_exhaustive(n: int, length: int) -> ZclSearchResult:
             witness = FactorMultiset(n, r, parts)
             break
     return ZclSearchResult(n, length, witness is None, witness, checked)
-
-
-def zcl_witness(n: int) -> tuple[FactorMultiset, frozenset[tuple[int, int]]]:
-    """The canonical maximal nonzero product Vbar_1^3 Vbar_2^2 Vbar_3 ... Vbar_(n-1).
-
-    Defined for n >= 3; its length is n + 2.  Returns the factor multiset and
-    the packed key pairs of the full product; `check_tensor_witness` checks
-    that it is nonzero and holds R V_1 ... V_(n-2) (x) R V_1 V_(n-1).  Raises
-    FeasibilityError before expanding when its 2^n terms could exceed
-    TERM_BUDGET.
-    """
-    _check_dimension(n)
-    if n < 3:
-        raise ValueError("the long witness needs n >= 3")
-    check_budget(1 << n, TERM_BUDGET, f"possible terms in the length-{n + 2} witness over K_{n}")
-    powers = (3, 2) + (1,) * (n - 3)
-    value = _expand(0, powers)
-    return FactorMultiset(n, 0, powers), value
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def expand_zero_divisor_product(n: int, factors) -> frozenset[tuple[int, int]]:
     Each factor x gives x(x)1 + 1(x)x; distributing the product sends a
     subset S of factor positions to (prod_S x) (x) (prod_notS x).  XOR over
     all 2^len subsets, multiplying each side with the public cup product.
-    Returns the packed key pairs of the product, the form `zcl_witness` returns.
+    Returns the packed key pairs (u, v) of the terms u (x) v of the product.
     """
     one = coh.CohomologyClass.one(n)
     terms: set = set()
@@ -319,28 +319,24 @@ def check_integral_consistency(max_n: int = 12) -> CheckResult:
 # ------------------------------------------------------------ tensor checks
 
 def check_tensor_witness(max_n: int = 8) -> CheckResult:
-    """Length-(n+2) witness nonzero with its anchor term, 3 <= n <= max_n.
+    """The search's length-(n+2) witness holds its anchor term, 3 <= n <= max_n.
 
-    For n <= 5 the whole product is independently recomputed by the
-    subset-split expansion.
+    The witness comes from `zcl_exhaustive`, which tests products with the
+    factored evaluator; its product is recomputed here by the subset-split
+    expansion, which must hold R V_1 ... V_(n-2) (x) R V_1 V_(n-1).
     """
     def body():
         for n in range(3, max_n + 1):
-            factors, prod = tz.zcl_witness(n)
-            if not prod or factors.length() != n + 2:
+            factors = tz.zcl_exhaustive(n, n + 2).witness
+            if factors is None:
                 return False, f"witness degenerate at n={n}"
+            classes = [coh.CohomologyClass.r(n)] * factors.rbar
+            for idx, power in enumerate(factors.v_powers, start=1):
+                classes += [coh.CohomologyClass.v(n, idx)] * power
             # R V_1 ... V_(n-2) (x) R V_1 V_(n-1), packed
             anchor = (((1 << (n - 2)) - 1) << 1 | 1, (1 | (1 << (n - 2))) << 1 | 1)
-            if anchor not in prod:
+            if anchor not in expand_zero_divisor_product(n, classes):
                 return False, f"anchor term missing at n={n}"
-            if n <= 5:
-                classes = []
-                classes += [coh.CohomologyClass.r(n)] * factors.rbar
-                for idx, power in enumerate(factors.v_powers, start=1):
-                    classes += [coh.CohomologyClass.v(n, idx)] * power
-                expanded = expand_zero_divisor_product(n, classes)
-                if expanded != prod:
-                    return False, f"subset-split expansion disagrees at n={n}"
         return True, f"witness nonzero with anchor term for 3<=n<={max_n}"
     return _run("tensor-witness", body)
 
@@ -384,22 +380,19 @@ def check_word_oracle(max_n: int = 4, max_len: int = 6) -> CheckResult:
     def body():
         checked = 0
         for n in range(1, max_n + 1):
-            letters = [(g, e) for g in range(1, n + 1) for e in (1, -1)]
-            def letter_nf(g, e):
-                if g == n:
-                    return fg.NormalForm(n, (0,) * (n - 1), e)
-                k = [0] * (n - 1)
-                k[g - 1] = e
-                return fg.NormalForm(n, tuple(k), 0)
+            letter_nf = {
+                (g, e): fg.reduce_word(fg.GroupWord(n, ((g, e),)))
+                for g in range(1, n + 1) for e in (1, -1)
+            }
             level = {(): (fg.NormalForm.identity(n), 1)}
             for depth in range(max_len):
                 deeper = {}
                 for word, (nf, count) in level.items():
-                    for g, e in letters:
-                        rewritten = rewrite_word(n, word + ((g, e),))
-                        fast = fg.multiply(nf, letter_nf(g, e))
+                    for letter, letter_form in letter_nf.items():
+                        rewritten = rewrite_word(n, word + (letter,))
+                        fast = fg.multiply(nf, letter_form)
                         if word_exponents(n, rewritten) != (fast.k, fast.m):
-                            return False, f"oracle mismatch at n={n}, word {word + ((g, e),)}"
+                            return False, f"oracle mismatch at n={n}, word {word + (letter,)}"
                         checked += count
                         if depth + 1 < max_len:
                             _, seen = deeper.get(rewritten, (fast, 0))

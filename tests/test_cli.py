@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kleinforge import cli
+from kleinforge import AbelianGroup, cli
 from kleinforge import cohomology_f2 as coh
 from kleinforge import geometry as geo
 from kleinforge import tensor_zcl as tz
@@ -434,7 +434,7 @@ WIDE_LENGTHS = ["1/1000003", "2/1000033", "3/1000037", "5/1000039", "8/1000081",
 
 
 @pytest.mark.parametrize(
-    "target, patch, message",
+    "argv, patch, message",
     [
         pytest.param(
             ("verify-paper", "--max-n", "14"), {},
@@ -451,12 +451,6 @@ WIDE_LENGTHS = ["1/1000003", "2/1000033", "3/1000037", "5/1000039", "8/1000081",
             "1091745 or more exponent multisets of length 64 over K_63, "
             "over the budget of 1000000",
             id="search",
-        ),
-        pytest.param(
-            lambda: tz.zcl_witness(23), {},
-            "8388608 possible terms in the length-25 witness over K_23, "
-            "over the budget of 4194304",
-            id="witness-terms",
         ),
         pytest.param(
             ("genes", "--lengths", ",".join(str(2 * i + 1) for i in range(25))), {},
@@ -491,23 +485,19 @@ WIDE_LENGTHS = ["1/1000003", "2/1000033", "3/1000037", "5/1000039", "8/1000081",
         ),
     ],
 )
-def test_every_budget_refuses_in_one_shape(target, patch, message, tmp_path, capsys, monkeypatch):
+def test_every_budget_refuses_in_one_shape(argv, patch, message, tmp_path, capsys, monkeypatch):
     # "<count> <what>, over the budget of <budget>", before any output
     for name, value in patch.items():
         monkeypatch.setattr(f"kleinforge.{name}", value)
-    if callable(target):
-        with pytest.raises(FeasibilityError) as info:
-            target()
-        assert str(info.value) == message
-        return
-    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in target))
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert (code, out, err) == (3, "", f"feasibility guard: {message}\n")
     assert not list(tmp_path.iterdir())
 
 
 def test_only_the_budget_check_raises_feasibility_errors():
-    # every budget goes through errors.check_budget; a scan extent past the
-    # float range, which is no count of work, is the one direct refusal
+    # every budget goes through errors.check_budget; a scan whose squared
+    # extent passes the float range, which is no count of work, is the one
+    # direct refusal
     raises = []
     for path in sorted((ROOT / "src" / "kleinforge").glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
@@ -649,10 +639,9 @@ def test_zcl_basis_and_pairing_guards_exit_3_before_any_work(argv, capsys, monke
     def fail(*args):
         raise AssertionError("work started before the feasibility guard")
 
-    # testing or expanding any zero-divisor product fails, so a missing guard
-    # fails the test instead of running out of time or memory
+    # testing any zero-divisor product fails, so a missing guard fails the
+    # test instead of running out of time or memory
     monkeypatch.setattr(tz, "_nonzero", fail)
-    monkeypatch.setattr(tz, "_expand", fail)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -909,6 +898,91 @@ def test_ring_oracle_samples_reach_the_last_dimension(monkeypatch):
     assert not check.passed
     # a sample block that ran dry would fail with StopIteration instead
     assert check.detail.endswith("broke at n=5")
+
+
+def _longer_normal(t, real=geo.directrix_normal):
+    return 2 * real(t)
+
+
+def _embedding_without_separator(n, thetas, t):
+    # the immersion with 0 where sin(2t) goes: its branches still meet
+    imm = geo.immersion_point(n, thetas, t)
+    return np.concatenate([imm, np.zeros(imm.shape[:-1] + (1,))], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "check, target, broken, prefix",
+    [
+        pytest.param(
+            lambda: vf.check_stiefel_whitney(max_n=4),
+            "char_classes.wu_classes",
+            lambda n: [coh.CohomologyClass.one(n)] + [coh.CohomologyClass.zero(n)] * n,
+            "w_1 wrong at n=2",
+            id="stiefel-whitney",
+        ),
+        pytest.param(
+            lambda: vf.check_integral_consistency(max_n=4),
+            "integral_splitting.poincare_polynomial",
+            lambda n: [1] * (n + 1),
+            "n=2 failed: f2-dimension-count",
+            id="integral-consistency",
+        ),
+        pytest.param(
+            lambda: vf.check_tensor_witness(max_n=4),
+            "tensor_zcl._nonzero",
+            lambda r, v: True,
+            "anchor term missing at n=3",
+            id="tensor-witness-always-nonzero",
+        ),
+        pytest.param(
+            lambda: vf.check_tensor_witness(max_n=4),
+            "tensor_zcl._nonzero",
+            lambda r, v: False,
+            "witness degenerate at n=3",
+            id="tensor-witness-always-zero",
+        ),
+        pytest.param(
+            lambda: vf.check_zcl_vanishing(max_n=4),
+            "tensor_zcl._nonzero",
+            lambda r, v: True,
+            "nonzero product of 6 zero divisors at n=3",
+            id="zcl-vanishing",
+        ),
+        pytest.param(
+            lambda: vf.check_relators_and_h1(max_n=4),
+            "fundamental_group.abelianization",
+            lambda n: AbelianGroup(n, ()),
+            "H_1 mismatch at n=2",
+            id="abelianization-h1",
+        ),
+        pytest.param(
+            vf.check_geometry_identities,
+            "geometry.directrix_normal",
+            _longer_normal,
+            "normal is not unit length",
+            id="geometry-identities",
+        ),
+        pytest.param(
+            lambda: vf.check_self_intersection(2),
+            "geometry.embedding_point",
+            _embedding_without_separator,
+            "embedding scan found",
+            id="self-intersection-scan-n2",
+        ),
+        pytest.param(
+            vf.check_genetic_codes,
+            "polygon_genetics.tc_bounds",
+            lambda m: tz.TcBounds(m, 0, 1, 2 * m + 1, "broken"),
+            "tc link (1,7) != (6,7)",
+            id="genetic-codes",
+        ),
+    ],
+)
+def test_each_check_fails_on_a_broken_input(check, target, broken, prefix, monkeypatch):
+    monkeypatch.setattr(f"kleinforge.{target}", broken)
+    result = check()
+    assert not result.passed
+    assert result.detail.startswith(prefix), result.detail
 
 
 def test_ring_oracle_draws_keys_up_to_the_bit_mask_limit():

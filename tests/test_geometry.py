@@ -572,6 +572,23 @@ def test_scan_of_a_mesh_wider_than_the_float_range_is_infeasible():
         geo.self_intersection_scan(mesh, 1.0)
 
 
+def test_scan_refuses_squared_distances_past_the_float_range():
+    # each span fits, but 2e154 squared does not: the scan would report
+    # pairs 2e154 apart as close at distance inf
+    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
+    quads = np.array([[0, 1, 2, 3], [4, 5, 6, 7]])
+    for far, refused in ((2e154, True), (1.3e154, False)):
+        vertices = np.vstack([square, square + [far, 0, 0]])
+        mesh = geo.Mesh(vertices, quads, None, None, float("nan"))
+        if refused:
+            with pytest.raises(FeasibilityError, match="64 bits"):
+                geo.self_intersection_scan(mesh, 1.4e154)
+        else:
+            with np.errstate(over="raise"):
+                result = geo.self_intersection_scan(mesh, 1.4e154)
+            assert max(result.distances) < math.inf
+
+
 def test_scan_rejects_non_finite_vertices(tmp_path):
     for bad in ("inf", "nan"):
         path = tmp_path / f"{bad}.txt"

@@ -2,7 +2,6 @@
 
 import json
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,7 +9,6 @@ from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
 from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
-from kleinforge.errors import FeasibilityError
 
 
 # -------------------------------------------------------- tensor structure
@@ -40,7 +38,6 @@ def test_factored_product_matches_subset_split_expansion():
     for n, length in cases:
         for r, parts in tz._canonical_multisets(n, length):
             expected = subset_split(n, r, parts)
-            assert tz._expand(r, parts) == expected, (n, r, parts)
             assert tz._nonzero(r, parts) == bool(expected), (n, r, parts)
 
 
@@ -56,7 +53,6 @@ def test_factored_product_matches_subset_split_expansion():
 def test_factored_product_matches_subset_split_on_unsorted_exponents(case):
     n, r, v_powers = case
     expected = subset_split(n, r, v_powers)
-    assert tz._expand(r, tuple(v_powers)) == expected
     assert tz._nonzero(r, tuple(v_powers)) == bool(expected)
 
 
@@ -64,8 +60,10 @@ def test_factored_product_matches_subset_split_on_unsorted_exponents(case):
     st.integers(2, 5).flatmap(
         lambda n: st.tuples(
             st.just(n),
-            st.integers(0, 2),
-            st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1),
+            # Rbar^2 = 0 and Vbar^4 = 0 (test_generator_zero_divisor_relations),
+            # so higher powers give the empty product, which restricts to zero
+            st.integers(0, 1),
+            st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1),
         )
     ).filter(lambda case: case[1] + sum(case[2]) > 0)  # the empty product is 1 (x) 1
 )
@@ -75,8 +73,8 @@ def test_zero_divisors_restrict_to_zero_on_the_diagonal(case):
     n, r, v_powers = case
     generators = [(1, ())] + [(0, (0,) * (i - 1) + (1,)) for i in range(1, n)]
     for g in generators:
-        assert not diagonal_restriction(tz._expand(*g)), (n, g)
-    assert not diagonal_restriction(tz._expand(r, tuple(v_powers)))
+        assert not diagonal_restriction(subset_split(n, *g)), (n, g)
+    assert not diagonal_restriction(subset_split(n, r, v_powers))
 
 
 def test_generator_zero_divisor_relations():
@@ -85,9 +83,9 @@ def test_generator_zero_divisor_relations():
         assert not tz._nonzero(2, last), "Rbar^2 = 0 since R^2 = 0"
         assert tz._nonzero(0, last + (3,)), "Vbar^3 survives"
         assert not tz._nonzero(0, last + (4,)), "Vbar^4 dies"
-        assert not tz._expand(2, last)
-        assert tz._expand(0, last + (3,))
-        assert not tz._expand(0, last + (4,))
+        assert not subset_split(n, 2, last)
+        assert subset_split(n, 0, last + (3,))
+        assert not subset_split(n, 0, last + (4,))
 
 
 def test_canonical_multiset_count_matches_enumeration():
@@ -176,8 +174,9 @@ def test_canonical_reduction_agrees_with_full_enumeration():
 
 def test_witness_shape_and_anchor_term():
     for n in range(3, 7):
-        factors, value = tz.zcl_witness(n)
-        assert factors.length() == n + 2
+        factors = tz.zcl_exhaustive(n, n + 2).witness
+        assert factors.rbar + sum(factors.v_powers) == n + 2
+        value = subset_split(n, factors.rbar, factors.v_powers)
         assert value
         left = 1 | sum(1 << i for i in range(1, n - 1))  # R V1..V(n-2)
         right = 1 | 1 << 1 | 1 << (n - 1)  # R V1 V(n-1)
@@ -187,21 +186,6 @@ def test_witness_shape_and_anchor_term():
         assert coh.monomial_text(right) == f"R*V1*V{n - 1}"
         assert (left, right) in value, n
         assert not diagonal_restriction(value), n
-
-
-def test_witness_rejects_small_n():
-    with pytest.raises(ValueError):
-        tz.zcl_witness(2)
-
-
-def test_witness_terms_are_bounded_before_expanding(monkeypatch):
-    def fail(*args):
-        raise AssertionError("expanded before the term budget was checked")
-
-    monkeypatch.setattr(tz, "_expand", fail)
-    refusal = "^8388608 possible terms .* over K_23, over the budget of 4194304$"
-    with pytest.raises(FeasibilityError, match=refusal):
-        tz.zcl_witness(23)
 
 
 # ------------------------------------------------------------------ bounds
