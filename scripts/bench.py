@@ -9,7 +9,8 @@ run's own and no cache carries over between runs.  The file records:
 - for each (n, target) of verification.SCAN_SETTINGS: median seconds of
   build_mesh and of self_intersection_scan, with vertex and pair counts,
   and the peak RSS after build_mesh as well as after the scan, so that the
-  scan's own rise shows;
+  scan's own rise shows; then, from a second build and scan under
+  tracemalloc, the traced peak of each stage (STAGES), in MB;
 - for each m from 2 on: median seconds of tensor_zcl.compute_zcl(m) and
   the zcl it returns, or "refused" where a tree exits 3 (a
   FeasibilityError); the sweep ends at the first m every tree refuses;
@@ -29,7 +30,9 @@ run's own and no cache carries over between runs.  The file records:
   around one pole of that degree, with the pair count or "refused";
 - the peak RSS of each of those, the largest of its runs.
 
-Only public API is used, so the same script measures any commit.  With
+Only public API is used, so the same script measures any commit, except
+for the stage peaks of a scan: they wrap geometry's private stage functions
+by name, and a tree that lacks one reports no stage peaks.  With
 `--parent DIR` it times the checkout at DIR too: every job alternates
 between DIR's `src` and this tree's, so the two files come from one
 session under the same load.  The jobs are the ones this tree lists.
@@ -52,6 +55,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 RUNS = 3  # runs of each measurement; the file reports their median
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -83,6 +87,8 @@ RING_CASES = [("manifold_report", n) for n in range(8, 14)] + [("abelianization"
 QUAD_DIMS = (4, 10, 13)
 # pole degrees of the two-fan scans: the neighbour test's cost at high degree
 FAN_DEGREES = (100, 500)
+# the stages of a scan job whose traced peaks it records, build first
+STAGES = ("build", "cell_join", "d2_gather", "neighbour_test")
 
 
 def peak_rss_mb() -> float:
@@ -109,18 +115,67 @@ def job_verify_paper() -> dict:
     }
 
 
+def traced_mb() -> float:
+    """The traced peak since the last reset, in MB; then reset it."""
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    return round(peak / 1e6, 1)
+
+
+def stage_peaks(geo, spec, radius: float) -> dict | None:
+    """The traced peak of each of STAGES in one build and scan of `spec`, in MB.
+
+    Each peak counts all that is live, the mesh included.  The cell join
+    runs from the start of _candidate_pairs to the end of _neighbour_cells
+    (cell hashing and the join), the d^2 gather from there to the end of
+    _candidate_pairs, and the neighbour test is _mesh_near_mask, which a
+    scan with no close pair skips: its peak is then None.
+    """
+    names = ("_candidate_pairs", "_neighbour_cells", "_mesh_near_mask")
+    if not all(hasattr(geo, name) for name in names):
+        return None
+    peaks = {}
+
+    def staged(name: str, reset: bool = False, stage: str | None = None):
+        """Wrap geometry's `name` to reset the traced peak as it starts, or record it as it ends."""
+        inner = getattr(geo, name)
+
+        def wrapper(*args):
+            if reset:
+                traced_mb()
+            out = inner(*args)
+            if stage:
+                peaks[stage] = traced_mb()
+            return out
+
+        setattr(geo, name, wrapper)
+
+    staged("_candidate_pairs", reset=True, stage="d2_gather")
+    staged("_neighbour_cells", stage="cell_join")
+    staged("_mesh_near_mask", reset=True, stage="neighbour_test")
+    tracemalloc.start()
+    try:
+        mesh = geo.build_mesh(spec)
+        peaks["build"] = traced_mb()
+        geo.self_intersection_scan(mesh, radius)
+    finally:
+        tracemalloc.stop()
+    return {stage: peaks.get(stage) for stage in STAGES}
+
+
 def job_scan(n: int, target: str) -> dict:
     from kleinforge import geometry as geo
     from kleinforge.verification import SCAN_SETTINGS
 
     s = SCAN_SETTINGS[n]
+    spec = geo.MeshSpec(n, target, s["res_theta"], s["res_t"])
     start = time.perf_counter()
-    mesh = geo.build_mesh(geo.MeshSpec(n, target, s["res_theta"], s["res_t"]))
+    mesh = geo.build_mesh(spec)
     built = time.perf_counter()
     build_rss = peak_rss_mb()
     result = geo.self_intersection_scan(mesh, s["radius"])
     done = time.perf_counter()
-    return {
+    out = {
         "build_s": built - start,
         "scan_s": done - built,
         "vertices": result.num_vertices,
@@ -128,6 +183,9 @@ def job_scan(n: int, target: str) -> dict:
         "build_peak_rss_mb": build_rss,
         "peak_rss_mb": peak_rss_mb(),
     }
+    del mesh, result
+    out["stage_peak_mb"] = stage_peaks(geo, spec, s["radius"])
+    return out
 
 
 def job_zcl(m: int) -> dict:
@@ -367,7 +425,7 @@ def main() -> int:
     for n in sorted(SCAN_SETTINGS):
         for target in ("immersion", "embedding"):
             record("scans", f"n{n}-{target}", ("scan", str(n), target),
-                   ("build_s", "scan_s"), ("vertices", "pairs"))
+                   ("build_s", "scan_s"), ("vertices", "pairs", "stage_peak_mb"))
     for m in itertools.count(2):
         record("compute_zcl", f"m{m}", ("zcl", str(m)), ("zcl_s",), ("zcl",))
         if all(report["compute_zcl"][f"m{m}"]["zcl"] == "refused" for report in reports.values()):

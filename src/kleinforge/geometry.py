@@ -42,10 +42,16 @@ import numpy as np
 
 from .errors import FeasibilityError, check_budget
 
+# Vertex, quad and hash-cell ids are int32 everywhere: build_mesh makes at
+# most MESH_ENTRY_BUDGET entries, a scan of more than 2^22 vertices is refused,
+# and a file's ids are checked against its vertex count.  int64 is kept only
+# where two ids are packed into one key, where counts are summed, and in the
+# index arrays of one gather block, since numpy gathers fastest by intp.
+
 # vertex coordinates plus quad corners (2n(n - 1) a vertex) one mesh may
 # hold, checked before sampling.  Building peaks (numpy's allocations) at
-# about 16 bytes per entry at n = 2, 13 at n = 3 and 10 at n = 8, so at about
-# 135 MB at the budget.  verify-paper's largest mesh, the n = 3 embedding, has
+# about 15 bytes per entry at n = 2, 9 at n = 3 and 6 at n = 8, so at about
+# 125 MB at the budget.  verify-paper's largest mesh, the n = 3 embedding, has
 # 3,720,960 entries.
 MESH_ENTRY_BUDGET = 1 << 23
 # raw candidate pairs (every point pair of two neighbouring cells, a cell with
@@ -227,8 +233,9 @@ class MeshSpec:
 class Mesh:
     """Vertex/quad sampling of the immersion or embedding.
 
-    vertices: (N, dim) float array.  faces: (F, 4) int array of quads, one
-    per axis pair of the parameter grid, wrapped in theta and welded in t.
+    vertices: (N, dim) float array.  faces: (F, 4) array of quads, one per
+    axis pair of the parameter grid, wrapped in theta and welded in t, held
+    as int32 whatever integer type it is given in.
     t_values: per-vertex sweep parameter (None for meshes loaded without it).
     weld_error: max distance between the t = pi row and its flipped t = 0
     image, measured before the row was identified away.  A mesh read from a
@@ -240,6 +247,9 @@ class Mesh:
     t_values: np.ndarray | None
     spec: MeshSpec | None
     weld_error: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "faces", np.asarray(self.faces, dtype=np.int32))
 
     @property
     def dim(self) -> int:
@@ -314,9 +324,9 @@ def _grid_faces(n: int, A: int, T: int) -> np.ndarray:
     acts on the theta_1 the a step has already moved.
     """
     kept = (A,) * (n - 1) + (T - 1,)
-    ids = np.arange(A ** (n - 1) * (T - 1), dtype=np.int64).reshape(kept)
+    ids = np.arange(A ** (n - 1) * (T - 1), dtype=np.int32).reshape(kept)
     pairs = list(combinations(range(n), 2))
-    quads = np.empty((len(pairs), ids.size, 4), dtype=np.int64)
+    quads = np.empty((len(pairs), ids.size, 4), dtype=np.int32)
     for block, (a, b) in zip(quads, pairs):
         step_b = _step(ids, b)
         for c, corner in enumerate((ids, _step(ids, a), _step(step_b, a), step_b)):
@@ -359,8 +369,7 @@ def _neighbour_cells(cells: np.ndarray, scan: str):
     sort.  Each group is also paired with itself, without an entry; that
     pair extends to its children's own pairs and to siblings one coordinate
     apart, so every pair comes out once.  The pairs of each axis are
-    counted against SCAN_CANDIDATE_BUDGET before they are built.  A scan
-    has no more cells than vertices, which the budget keeps within int32.
+    counted against SCAN_CANDIDATE_BUDGET before they are built.
     """
     # fresh[a, k]: cell a starts a new run of its first k + 1 coordinates
     fresh = np.ones(cells.shape, dtype=bool)
@@ -370,22 +379,29 @@ def _neighbour_cells(cells: np.ndarray, scan: str):
     for k in range(cells.shape[1]):
         child_first = np.flatnonzero(fresh[:, k]).astype(np.int32)
         parent = group[child_first]
-        value = cells[child_first, k].astype(np.int64)
+        value = cells[child_first, k].astype(np.int32)
         same = parent[1:] == parent[:-1]
-        sib = np.flatnonzero(same & (value[1:] == value[:-1] + 1))
-        begin = np.flatnonzero(np.r_[True, ~same])  # first child of each group
-        kids = np.diff(begin, append=len(child_first))[p]
+        sib = np.flatnonzero(same & (value[1:] == value[:-1] + 1)).astype(np.int32)
+        begin = np.flatnonzero(np.r_[True, ~same]).astype(np.int32)  # first child of each group
+        kids = np.diff(begin, append=np.int32(len(child_first)))[p]
         what = f"cell prefix pairs on axis {k} in {scan}"
         check_budget(int(kids.sum()), SCAN_CANDIDATE_BUDGET, what)
         c = _ragged(begin[p], kids)
+        # (parent, coordinate) keys, and the home key of each pair, shifted in
+        # place to the first and then past the last coordinate within 1
         keys = (parent.astype(np.int64) << 32) + value
-        home = (np.repeat(q, kids).astype(np.int64) << 32) + value[c]
-        lo_d = np.searchsorted(keys, home - 1).astype(np.int32)
-        size = np.searchsorted(keys, home + 1, side="right") - lo_d
+        home = np.repeat(q, kids).astype(np.int64)
+        home <<= 32
+        home += value[c]
+        home -= 1
+        lo_d = np.searchsorted(keys, home).astype(np.int32)
+        home += 2
+        size = np.searchsorted(keys, home, side="right").astype(np.int32) - lo_d
+        del home
         check_budget(len(sib) + int(size.sum()), SCAN_CANDIDATE_BUDGET, what)
-        p = np.concatenate([sib, np.repeat(c, size)]).astype(np.int32)
-        q = np.concatenate([sib + 1, _ragged(lo_d, size)]).astype(np.int32)
-        group = (np.cumsum(fresh[:, k]) - 1).astype(np.int32)
+        p = np.concatenate([sib, np.repeat(c, size)])
+        q = np.concatenate([sib + 1, _ragged(lo_d, size)])
+        group = np.cumsum(fresh[:, k], dtype=np.int32) - 1
     return p, q
 
 
@@ -416,14 +432,14 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     extent = max(spans)
     side = max(radius, extent / 2**30)
     coords = np.floor((P - lo) / side).astype(np.min_scalar_type(int(extent / side)))
-    order = np.lexsort(coords.T[::-1])
+    order = np.lexsort(coords.T[::-1]).astype(np.int32)
     coords = coords[order]
-    starts = np.flatnonzero(np.r_[True, (coords[1:] != coords[:-1]).any(axis=1)])
-    counts = np.diff(starts, append=N)
+    starts = np.flatnonzero(np.r_[True, (coords[1:] != coords[:-1]).any(axis=1)]).astype(np.int32)
+    counts = np.diff(starts, append=np.int32(N))
     p, q = _neighbour_cells(coords[starts], scan)
-    each = np.arange(len(starts), dtype=p.dtype)
+    each = np.arange(len(starts), dtype=np.int32)
     a, b = np.concatenate([each, p]), np.concatenate([each, q])
-    raw = counts[a] * counts[b]
+    raw = counts[a].astype(np.int64) * counts[b]
     total = int(raw.sum())
     check_budget(total, SCAN_CANDIDATE_BUDGET, f"candidate pairs in {scan}")
     found = []
@@ -465,24 +481,24 @@ def _mesh_near_mask(
     """
     corners = faces.shape[1]
     flat = faces.ravel()
-    degree = np.bincount(flat, minlength=num_vertices)
+    degree = np.bincount(flat, minlength=num_vertices).astype(np.int32)
     d = np.maximum(np.maximum(degree[I], degree[J]), 1)
     what = f"ball entries in the neighbour test of {len(I)} candidate pairs"
     check_budget(corners * int(d.sum()), SCAN_BALL_BUDGET, what)
     if not len(flat):
         return np.zeros(len(I), dtype=bool)  # every ball is one vertex
-    first = np.cumsum(degree) - degree
-    # the quad of each corner, in order of vertex.  int32 holds every id: a
-    # scan has fewer than 2^22 vertices (the candidate budget), so 2 id + 1
-    # fits, and 2^31 quads would not fit in memory
+    first = np.cumsum(degree, dtype=np.int32) - degree
+    # the quad of each corner, in order of vertex (numpy divides the argsort
+    # in place, as nothing else holds it)
     quad_of = (np.argsort(flat, kind="stable") // corners).astype(np.int32)
-    quads = faces.astype(np.int32, copy=False)
 
     def rows(v: np.ndarray, deg: int) -> np.ndarray:
-        k = np.minimum(np.arange(deg), np.maximum(degree[v], 1)[:, None] - 1)
+        v = v.astype(np.intp)
+        v_deg = degree[v]
+        k = np.minimum(np.arange(deg), np.maximum(v_deg, 1)[:, None] - 1)
         slot = np.minimum(first[v][:, None] + k, len(flat) - 1)
-        out = np.take(quads, quad_of[slot], axis=0).reshape(len(v), corners * deg)
-        lonely = degree[v] == 0
+        out = np.take(faces, quad_of[slot], axis=0).reshape(len(v), corners * deg)
+        lonely = v_deg == 0
         out[lonely] = v[lonely, None]
         return out
 
@@ -520,7 +536,7 @@ def self_intersection_scan(mesh: Mesh, radius: float) -> ScanResult:
         near = _mesh_near_mask(mesh.faces, N, I, J)
         I, J = I[~near], J[~near]
     # each pair is found once; one int64 key per pair sorts them by (low, high)
-    lo, hi = np.divmod(np.sort(np.minimum(I, J) * N + np.maximum(I, J)), N)
+    lo, hi = np.divmod(np.sort(np.minimum(I, J).astype(np.int64) * N + np.maximum(I, J)), N)
     dists = np.sqrt(np.sum((P[lo] - P[hi]) ** 2, axis=1))
     t_pairs = reach = None
     if mesh.t_values is not None:

@@ -39,8 +39,9 @@ The exhaustive search therefore enumerates one canonical representative per
 multiset: Rbar^r * Vbar_1^(e1) * ... with e1 >= e2 >= ...  It is the only
 route to zcl.
 
-The search answers to one budget: SEARCH_BUDGET caps the canonical
-multisets of one length, counted before any product is formed.
+The search answers to one budget, SEARCH_BUDGET, on canonical multisets
+counted before any product is formed: those of one length for one search,
+and those of every length reached so far for compute_zcl's scan.
 """
 
 from __future__ import annotations
@@ -184,9 +185,13 @@ def count_canonical_multisets(n: int, length: int) -> int:
     return total
 
 
-def _check_search_budget(n: int, length: int) -> None:
-    what = f"or more exponent multisets of length {length} over K_{n}"  # the count stops early
-    check_budget(count_canonical_multisets(n, length), SEARCH_BUDGET, what)
+def _check_search_budget(n: int, length: int, earlier: int = 0) -> int:
+    """Charge the multisets of `length`, on top of `earlier` ones, to SEARCH_BUDGET; return the sum."""
+    total = earlier + count_canonical_multisets(n, length)
+    lengths = f"lengths 1..{length}" if earlier else f"length {length}"
+    what = f"or more exponent multisets of {lengths} over K_{n}"  # the count stops early
+    check_budget(total, SEARCH_BUDGET, what)
+    return total
 
 
 @dataclass(frozen=True)
@@ -234,18 +239,20 @@ def compute_zcl(m: int) -> int:
     Scans lengths upward until every product vanishes (monotone: any longer
     product contains a vanishing sub-product).  The scan ends by length
     2m + 1, since K_m x K_m has dimension 2m and so every product of 2m + 1
-    degree-one classes vanishes.  Raises FeasibilityError up front when that
-    longest length has more multisets than SEARCH_BUDGET; no shorter length
-    has more.
+    degree-one classes vanishes.  As each length starts, its multisets are
+    added to those of the lengths before and the sum is checked against
+    SEARCH_BUDGET, so a scan is refused (FeasibilityError) before it tests
+    more than the budget, and only for the lengths it reaches.
     """
     _check_dimension(m)
     if m < 2:
         raise ValueError("zcl needs m >= 2")
-    _check_search_budget(m, 2 * m + 1)
-    length = 1
-    while not zcl_exhaustive(m, length).all_zero:
+    length, total = 1, 0
+    while True:
+        total = _check_search_budget(m, length, total)
+        if zcl_exhaustive(m, length).all_zero:
+            return length - 1
         length += 1
-    return length - 1
 
 
 def tc_bounds(m: int) -> TcBounds:

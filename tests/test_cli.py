@@ -622,8 +622,8 @@ def test_scan_rejects_non_finite_t_values(tmp_path, capsys, bad):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("zcl", "--n", "30"),
-        ("tc", "--m", "30"),
+        ("zcl", "--n", "30", "--max-len", "61"),  # 1,083,479 multisets of length 61
+        ("manifold", "--n", "20"),  # 2^20 basis monomials
         ("zcl", "--n", "10", "--max-len", "1000"),
         ("zcl", "--n", "3", "--max-len", "100000"),
         ("zcl", "--n", "3", "--max-len", "1000000000"),
@@ -631,8 +631,8 @@ def test_scan_rejects_non_finite_t_values(tmp_path, capsys, bad):
         ("cohomology", "--n", "30"),  # 2^30 basis monomials
         ("zcl", "--n", "63", "--max-len", "64"),  # over 10^6 multisets of length 64
         ("verify-paper", "--max-n", "14"),  # the degree-7 pairing has 3432^2 entries
-        ("zcl", "--n", "24"),  # 1,050,355 multisets of length 49
-        ("tc", "--m", "24"),
+        ("zcl", "--n", "24", "--max-len", "49"),  # 1,050,355 multisets of length 49
+        ("cohomology", "--n", "20"),
     ],
 )
 def test_zcl_basis_and_pairing_guards_exit_3_before_any_work(argv, capsys, monkeypatch):
@@ -763,6 +763,34 @@ def test_search_budget_alone_bounds_the_zcl_search(argv, expect, capsys):
     assert time.perf_counter() - start < 10.0
     assert (code, err) == (0, "")
     assert expect(out)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # the search stops at length m + 3, so only lengths 1..m + 3 are charged
+        (("zcl", "--n", "24"), "zcl(K_24) = 26 (exhaustive-search)\n"),
+        (("tc", "--m", "30"), "TC(K_30) in [33, 61] (zcl 32; lower: zcl+1 (exhaustive-search); "
+         "upper: cited dimension bound)\n"),
+    ],
+    ids=["zcl-24", "tc-30"],
+)
+def test_zcl_scans_past_the_old_up_front_check_exit_0(argv, expected, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv", [("zcl", "--n", "63"), ("tc", "--m", "50")])
+def test_zcl_scan_over_the_budget_exits_3_within_a_second(argv, capsys):
+    # lengths 1..40 have over 10^6 multisets for every m >= 37; the scan
+    # reaches length 40 in about 0.45 s (2-vCPU VM)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.5
+    assert (code, out) == (3, "")
+    assert err.startswith("feasibility guard: ") and "lengths 1..40" in err
 
 
 def test_guards_admit_the_workload_sizes(capsys):
@@ -1138,6 +1166,9 @@ def test_scripts_run_on_the_public_api():
     data = json.loads(bench.stdout)
     assert (data["vertices"], data["pairs"]) == (79800, 73)
     assert 0 < data["build_peak_rss_mb"] <= data["peak_rss_mb"]
+    stages = data["stage_peak_mb"]  # traced peaks of a second build and scan
+    assert list(stages) == ["build", "cell_join", "d2_gather", "neighbour_test"]
+    assert all(peak > 0 for peak in stages.values())
 
     bench = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "mesh-io", "k2-coarse.obj"],
@@ -1162,7 +1193,7 @@ def test_scripts_run_on_the_public_api():
     assert bench.returncode == 0, bench.stderr
     assert json.loads(bench.stdout)["pairs"] == 24601
 
-    for m, zcl in (("3", 5), ("24", "refused")):
+    for m, zcl in (("3", 5), ("24", 26), ("37", "refused")):
         bench = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "zcl", m],
             capture_output=True, text=True, env=_src_env(), timeout=120,

@@ -215,7 +215,7 @@ def per_corner_faces(n, A, T):
             t = np.where(at_weld, 0, idx[-1])
             corners.append(np.ravel_multi_index((*thetas, t), kept))
         quads.append(np.stack(corners, axis=1))
-    return np.concatenate(quads, axis=0).astype(np.int64)
+    return np.concatenate(quads, axis=0).astype(np.int32)
 
 
 def test_grid_faces_match_the_per_corner_formula():
@@ -225,7 +225,7 @@ def test_grid_faces_match_the_per_corner_formula():
     for n, A, T in small + used:
         got = geo._grid_faces(n, A, T)
         expected = per_corner_faces(n, A, T)
-        assert got.dtype == expected.dtype == np.int64
+        assert got.dtype == expected.dtype == np.int32
         assert np.array_equal(got, expected), (n, A, T)
 
 
@@ -319,6 +319,36 @@ def test_scan_matches_kdtree_oracle():
     result = geo.self_intersection_scan(mesh, radius)
     got = {(int(i), int(j)) for i, j in result.pairs}
     assert got == kdtree_oracle_pairs(mesh, radius)
+
+
+@pytest.mark.parametrize("radius", [1e-2, 2e-2])
+def test_pair_keys_past_int32_match_the_kdtree_oracle(radius):
+    # 79,800 vertices: the sort key i * N + j of a pair passes 2^31 once
+    # i > 26,911, so it must be formed in int64 from the int32 ids
+    mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", 200, 400))
+    result = geo.self_intersection_scan(mesh, radius)
+    assert max(i for i, _ in result.pairs) * mesh.num_vertices > 2**31
+    assert list(result.pairs) == sorted(kdtree_oracle_pairs(mesh, radius))
+
+
+def test_meshes_built_and_read_hold_int32_ids(tmp_path):
+    mesh = geo.build_mesh(geo.MeshSpec(3, "embedding", 8, 6))
+    text, obj = str(tmp_path / "mesh.txt"), str(tmp_path / "mesh.obj")
+    geo.write_mesh_text(mesh, text)
+    geo.write_obj(mesh, obj, axes=(0, 1, 2))
+    assert mesh.faces.dtype == np.int32
+    for back in (geo.read_mesh_text(text), geo.read_obj(obj)):
+        assert back.faces.dtype == np.int32
+        assert np.array_equal(back.faces, mesh.faces)
+    # a file with no faces reads as an empty int32 quad array too
+    (tmp_path / "points.txt").write_text(SQUARE_VERTICES)
+    (tmp_path / "points.obj").write_text(SQUARE_VERTICES)
+    for name in ("points.txt", "points.obj"):
+        faces = geo.load_mesh(str(tmp_path / name)).faces
+        assert (faces.shape, faces.dtype) == ((0, 4), np.int32)
+    # a mesh made from int64 ids holds them as int32
+    wide = geo.Mesh(mesh.vertices, mesh.faces.astype(np.int64), None, None, float("nan"))
+    assert wide.faces.dtype == np.int32 and np.array_equal(wide.faces, mesh.faces)
 
 
 def obj_round_trip(mesh, tmp_path):
@@ -519,18 +549,20 @@ def test_near_mask_matches_the_one_shot_balls(tmp_path, monkeypatch, make, radiu
 
 
 def test_scan_working_memory_stays_bounded():
-    # tracemalloc counts numpy's buffers, so the peak is exact: about 54 MB
-    # with ball rows gathered a block of pairs at a time
+    # tracemalloc counts numpy's buffers, so the peak is exact: about 38.2 MB
+    # for either n = 3 mesh of verify-paper, with int32 ids and ball rows
+    # gathered a block of pairs at a time
     s = vf.SCAN_SETTINGS[3]
-    mesh = geo.build_mesh(geo.MeshSpec(3, "immersion", s["res_theta"], s["res_t"]))
-    tracemalloc.start()
-    try:
-        result = geo.self_intersection_scan(mesh, s["radius"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.num_pairs == 216
-    assert peak < 100e6, peak
+    for target, pairs in (("immersion", 216), ("embedding", 0)):
+        mesh = geo.build_mesh(geo.MeshSpec(3, target, s["res_theta"], s["res_t"]))
+        tracemalloc.start()
+        try:
+            result = geo.self_intersection_scan(mesh, s["radius"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.num_pairs == pairs
+        assert peak < 44e6, (target, peak)
 
 
 def test_scan_distances_below_radius():

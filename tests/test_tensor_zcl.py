@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
 from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
+from kleinforge.errors import FeasibilityError
 
 
 # -------------------------------------------------------- tensor structure
@@ -150,8 +152,24 @@ def test_search_records_of_the_exhaustive_route_at_m18():
 
 
 def test_compute_zcl_is_m_plus_2_up_to_the_search_budget():
-    # m = 23 has 738,853 multisets of length 2m + 1; m = 24 is refused
-    assert [tz.compute_zcl(m) for m in range(3, 24)] == list(range(5, 26))
+    # m = 36 reaches length 39 with 963,294 multisets charged; m = 37 would
+    # pass 10^6 at length 40
+    ms = [*range(3, 24), 30, 36]
+    assert [tz.compute_zcl(m) for m in ms] == [m + 2 for m in ms]
+    with pytest.raises(FeasibilityError, match="^1178602 or more exponent multisets of lengths 1..40 over K_37,"):
+        tz.compute_zcl(37)
+
+
+def test_compute_zcl_charges_the_lengths_it_reaches(monkeypatch):
+    # zcl(K_10) = 12, so the scan ends at length 13: lengths 1..13 together
+    # hold fewer multisets than length 2m + 1 = 21 alone
+    reached = sum(tz.count_canonical_multisets(10, length) for length in range(1, 14))
+    assert reached == 1237 < tz.count_canonical_multisets(10, 21) == 2889
+    monkeypatch.setattr(tz, "SEARCH_BUDGET", reached)
+    assert tz.compute_zcl(10) == 12
+    monkeypatch.setattr(tz, "SEARCH_BUDGET", reached - 1)
+    with pytest.raises(FeasibilityError, match="^1237 or more exponent multisets of lengths 1..13 over K_10,"):
+        tz.compute_zcl(10)
 
 
 def test_canonical_reduction_agrees_with_full_enumeration():
