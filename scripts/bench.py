@@ -11,9 +11,10 @@ run's own and no cache carries over between runs.  The file records:
   and the peak RSS after build_mesh as well as after the scan, so that the
   scan's own rise shows; then, from a second build and scan under
   tracemalloc, the traced peak of each stage (STAGES), in MB;
-- for each m from 2 on: median seconds of tensor_zcl.compute_zcl(m) and
-  the zcl it returns, or "refused" where a tree exits 3 (a
-  FeasibilityError); the sweep ends at the first m every tree refuses;
+- for each m = 2..cohomology_f2.MAX_DIMENSION: median seconds of
+  tensor_zcl.compute_zcl(m) and the zcl it returns, or "refused" where a
+  tree exits 3 (a FeasibilityError), as an older tree's budgeted search
+  does from m = 37 on;
 - for each file of the mesh-files perfbench workload (mesh_io_files): median
   seconds to write it (write_obj or write_mesh_text) and to read it back
   (load_mesh), its size in bytes and SHA-256, and the peak RSS after the
@@ -44,7 +45,6 @@ Usage:
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import platform
@@ -391,6 +391,7 @@ def main() -> int:
 
     import numpy
 
+    from kleinforge.cohomology_f2 import MAX_DIMENSION
     from kleinforge.verification import SCAN_SETTINGS
 
     trees = {args.label: os.path.join(ROOT, "src")}
@@ -426,10 +427,8 @@ def main() -> int:
         for target in ("immersion", "embedding"):
             record("scans", f"n{n}-{target}", ("scan", str(n), target),
                    ("build_s", "scan_s"), ("vertices", "pairs", "stage_peak_mb"))
-    for m in itertools.count(2):
+    for m in range(2, MAX_DIMENSION + 1):
         record("compute_zcl", f"m{m}", ("zcl", str(m)), ("zcl_s",), ("zcl",))
-        if all(report["compute_zcl"][f"m{m}"]["zcl"] == "refused" for report in reports.values()):
-            break
     for name in [*mesh_io_files(), *EXPORTED_OBJ]:
         record("mesh_io", name, ("mesh-io", name), ("write_s", "read_s"), ("bytes", "sha256", "vertices"))
     for name, n in RING_CASES:

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, help="only test products of this exact length")
     p.add_argument(
         "--exhaustive", action="store_true",
-        help="accepted and ignored: the exhaustive search is the only route",
+        help="accepted and ignored: the count scan already covers every product",
     )
 
     p = add("tc", cmd_tc, "topological-complexity bounds for K_m", json_opt)

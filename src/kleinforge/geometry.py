@@ -431,7 +431,11 @@ def _candidate_pairs(P: np.ndarray, radius: float):
         raise FeasibilityError(f"the squared extent of a scan in R^{dim} does not fit in 64 bits")
     extent = max(spans)
     side = max(radius, extent / 2**30)
-    coords = np.floor((P - lo) / side).astype(np.min_scalar_type(int(extent / side)))
+    x = P - lo  # hashed in place: one N x dim float array at a time
+    x /= side
+    np.floor(x, out=x)
+    coords = x.astype(np.min_scalar_type(int(extent / side)))
+    del x
     order = np.lexsort(coords.T[::-1]).astype(np.int32)
     coords = coords[order]
     starts = np.flatnonzero(np.r_[True, (coords[1:] != coords[:-1]).any(axis=1)]).astype(np.int32)

@@ -35,18 +35,21 @@ coefficients, at most 15, without ever listing the choices.
 Permuting the V indices is a ring automorphism (the defining relations are
 symmetric in i) and extends to the tensor square, so whether a product of
 generator zero divisors vanishes depends only on the multiset of exponents.
-The exhaustive search therefore enumerates one canonical representative per
-multiset: Rbar^r * Vbar_1^(e1) * ... with e1 >= e2 >= ...  It is the only
-route to zcl.
+The exhaustive search of one length, zcl_exhaustive, therefore enumerates
+one canonical representative per multiset: Rbar^r * Vbar_1^(e1) * ... with
+e1 >= e2 >= ...  It answers to one budget, SEARCH_BUDGET, on the canonical
+multisets of that length, counted before any product is formed.
 
-The search answers to one budget, SEARCH_BUDGET, on canonical multisets
-counted before any product is formed: those of one length for one search,
-and those of every length reached so far for compute_zcl's scan.
+compute_zcl needs no such budget: the structure of `_nonzero` narrows every
+product down to a handful of count vectors (see its docstring), and it
+tests each of them with `_nonzero`, the one evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import count, takewhile
 
 from .cohomology_f2 import _check_dimension
 from .errors import check_budget
@@ -185,15 +188,6 @@ def count_canonical_multisets(n: int, length: int) -> int:
     return total
 
 
-def _check_search_budget(n: int, length: int, earlier: int = 0) -> int:
-    """Charge the multisets of `length`, on top of `earlier` ones, to SEARCH_BUDGET; return the sum."""
-    total = earlier + count_canonical_multisets(n, length)
-    lengths = f"lengths 1..{length}" if earlier else f"length {length}"
-    what = f"or more exponent multisets of {lengths} over K_{n}"  # the count stops early
-    check_budget(total, SEARCH_BUDGET, what)
-    return total
-
-
 @dataclass(frozen=True)
 class ZclSearchResult:
     n: int
@@ -213,7 +207,8 @@ def zcl_exhaustive(n: int, length: int) -> ZclSearchResult:
     _check_dimension(n)
     if length < 1:
         raise ValueError("product length must be >= 1")
-    _check_search_budget(n, length)
+    what = f"or more exponent multisets of length {length} over K_{n}"  # the count stops early
+    check_budget(count_canonical_multisets(n, length), SEARCH_BUDGET, what)
     checked = 0
     witness = None
     for r, parts in _canonical_multisets(n, length):
@@ -234,25 +229,41 @@ class TcBounds:
 
 
 def compute_zcl(m: int) -> int:
-    """Zero-divisor cup length of K_m by exhaustive search.
+    """Zero-divisor cup length of K_m, exhaustively, from counts of exponents.
 
-    Scans lengths upward until every product vanishes (monotone: any longer
-    product contains a vanishing sub-product).  The scan ends by length
-    2m + 1, since K_m x K_m has dimension 2m and so every product of 2m + 1
-    degree-one classes vanishes.  As each length starts, its multisets are
-    added to those of the lengths before and the sum is checked against
-    SEARCH_BUDGET, so a scan is refused (FeasibilityError) before it tests
-    more than the budget, and only for the lengths it reaches.
+    Three facts of `_nonzero` make a few count vectors stand for every
+    product of generator zero divisors:
+
+    - `_VBAR_POWERS` has four entries, so any exponent >= 4 gives zero.
+    - So whether a product vanishes depends only on r and the counts
+      (c1, c2, c3) of the exponents 1, 2 and 3.
+    - Vbar's first power has unit coefficients, so a factor Vbar_j on a
+      generator not yet used never turns a nonzero product into zero.  A
+      longest nonzero product therefore uses all m - 1 generators:
+      c1 = m - 1 - c2 - c3.
+
+    The scan grows r, then c3, then c2 from 0 until the product is zero or
+    c2 + c3 would pass m - 1.  Each step multiplies the product by one more
+    factor (Rbar, Vbar_j^2 or Vbar_j), so once a product is zero, so is
+    every product with a larger count: the scan reaches every nonzero count
+    vector, and no bound on a count is needed.
     """
     _check_dimension(m)
     if m < 2:
         raise ValueError("zcl needs m >= 2")
-    length, total = 1, 0
-    while True:
-        total = _check_search_budget(m, length, total)
-        if zcl_exhaustive(m, length).all_zero:
-            return length - 1
-        length += 1
+
+    def exponents(c3: int, c2: int) -> tuple[int, ...]:
+        return (3,) * c3 + (2,) * c2 + (1,) * (m - 1 - c3 - c2)
+
+    def nonzero(r: int, c3: int = 0, c2: int = 0) -> bool:
+        return c3 + c2 < m and _nonzero(r, exponents(c3, c2))
+
+    return max(
+        r + sum(exponents(c3, c2))
+        for r in takewhile(nonzero, count())
+        for c3 in takewhile(partial(nonzero, r), count())
+        for c2 in takewhile(partial(nonzero, r, c3), count())
+    )
 
 
 def tc_bounds(m: int) -> TcBounds:

@@ -342,13 +342,22 @@ def check_tensor_witness(max_n: int = 8) -> CheckResult:
 
 
 def check_zcl_vanishing(max_n: int = 6) -> CheckResult:
-    """Every length-(n+3) zero-divisor product vanishes, 3 <= n <= max_n."""
+    """zcl(K_n) = n + 2 by both routes, 3 <= n <= max_n.
+
+    The exhaustive search finds every length-(n+3) zero-divisor product zero
+    and some length-(n+2) one nonzero, and compute_zcl's count scan gives
+    n + 2.
+    """
     def body():
         counts = []
         for n in range(3, max_n + 1):
             res = tz.zcl_exhaustive(n, n + 3)
             if not res.all_zero:
                 return False, f"nonzero product of {n + 3} zero divisors at n={n}: {res.witness}"
+            if tz.zcl_exhaustive(n, n + 2).all_zero:
+                return False, f"every product of {n + 2} zero divisors vanishes at n={n}"
+            if (zcl := tz.compute_zcl(n)) != n + 2:
+                return False, f"compute_zcl({n}) = {zcl}, expected {n + 2}"
             counts.append(res.checked)
         return True, f"all-zero at length n+3 for 3<=n<={max_n} (checked {counts})"
     return _run("zcl-vanishing", body)

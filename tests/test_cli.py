@@ -768,7 +768,7 @@ def test_search_budget_alone_bounds_the_zcl_search(argv, expect, capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        # the search stops at length m + 3, so only lengths 1..m + 3 are charged
+        # the count scan has no search budget
         (("zcl", "--n", "24"), "zcl(K_24) = 26 (exhaustive-search)\n"),
         (("tc", "--m", "30"), "TC(K_30) in [33, 61] (zcl 32; lower: zcl+1 (exhaustive-search); "
          "upper: cited dimension bound)\n"),
@@ -782,15 +782,21 @@ def test_zcl_scans_past_the_old_up_front_check_exit_0(argv, expected, capsys):
     assert (code, out, err) == (0, expected, "")
 
 
-@pytest.mark.parametrize("argv", [("zcl", "--n", "63"), ("tc", "--m", "50")])
+OVER_THE_BUDGET = {
+    ("zcl", "--n", "63"): "zcl(K_63) = 65 (exhaustive-search)\n",
+    ("tc", "--m", "50"): "TC(K_50) in [53, 101] (zcl 52; lower: zcl+1 (exhaustive-search); "
+    "upper: cited dimension bound)\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(OVER_THE_BUDGET))
 def test_zcl_scan_over_the_budget_exits_3_within_a_second(argv, capsys):
-    # lengths 1..40 have over 10^6 multisets for every m >= 37; the scan
-    # reaches length 40 in about 0.45 s (2-vCPU VM)
+    # lengths 1..40 hold over 10^6 exponent multisets for every m >= 37, and
+    # the count scan answers without a search budget
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.5
-    assert (code, out) == (3, "")
-    assert err.startswith("feasibility guard: ") and "lengths 1..40" in err
+    assert (code, out, err) == (0, OVER_THE_BUDGET[argv], "")
 
 
 def test_guards_admit_the_workload_sizes(capsys):
@@ -975,6 +981,20 @@ def _embedding_without_separator(n, thetas, t):
             lambda r, v: True,
             "nonzero product of 6 zero divisors at n=3",
             id="zcl-vanishing",
+        ),
+        pytest.param(
+            lambda: vf.check_zcl_vanishing(max_n=4),
+            "tensor_zcl._nonzero",
+            lambda r, v: False,
+            "every product of 5 zero divisors vanishes at n=3",
+            id="zcl-vanishing-always-zero",
+        ),
+        pytest.param(
+            lambda: vf.check_zcl_vanishing(max_n=4),
+            "tensor_zcl.compute_zcl",
+            lambda m: m + 1,
+            "compute_zcl(3) = 4, expected 5",
+            id="zcl-vanishing-count-scan",
         ),
         pytest.param(
             lambda: vf.check_relators_and_h1(max_n=4),
@@ -1193,7 +1213,7 @@ def test_scripts_run_on_the_public_api():
     assert bench.returncode == 0, bench.stderr
     assert json.loads(bench.stdout)["pairs"] == 24601
 
-    for m, zcl in (("3", 5), ("24", 26), ("37", "refused")):
+    for m, zcl in (("3", 5), ("24", 26), ("37", 39)):
         bench = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "zcl", m],
             capture_output=True, text=True, env=_src_env(), timeout=120,

@@ -119,9 +119,9 @@ def files(tmp_path_factory):
 @given(argv=argvs())
 @example(argv=["genes", "--lengths", "1e30000000,1,1,1"])
 @example(argv=["genes", "--lengths", "0,1,1,1", "--epsilon", "1e-30000000"])
-# the largest zcl scan the search budget admits, and the smallest it refuses
-@example(argv=["tc", "--m", "36"])
-@example(argv=["zcl", "--n", "37"])
+# the largest zcl scan, and the smallest dimension the bit masks refuse (exit 2)
+@example(argv=["tc", "--m", "63"])
+@example(argv=["zcl", "--n", "64"])
 def test_every_argv_ends_in_a_documented_exit_code(files, argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()

@@ -1,5 +1,6 @@
 """Zero-divisor cup length in H*(K_n x K_n) and the TC bounds built on it."""
 
+import inspect
 import json
 
 import pytest
@@ -10,7 +11,6 @@ from kleinforge import cli
 from kleinforge import cohomology_f2 as coh
 from kleinforge import tensor_zcl as tz
 from kleinforge import verification as vf
-from kleinforge.errors import FeasibilityError
 
 
 # -------------------------------------------------------- tensor structure
@@ -151,25 +151,38 @@ def test_search_records_of_the_exhaustive_route_at_m18():
     assert vanished.checked == 3492
 
 
-def test_compute_zcl_is_m_plus_2_up_to_the_search_budget():
-    # m = 36 reaches length 39 with 963,294 multisets charged; m = 37 would
-    # pass 10^6 at length 40
-    ms = [*range(3, 24), 30, 36]
+def zcl_by_length_search(m):
+    """zcl(K_m) by the exhaustive search of each length in turn, until all vanish."""
+    length = 1
+    while not tz.zcl_exhaustive(m, length).all_zero:
+        length += 1
+    return length - 1
+
+
+SEARCHED = range(2, 13)  # where the count scan is compared with the length search
+
+
+def test_compute_zcl_is_m_plus_2_up_to_the_bit_mask_limit():
+    ms = range(3, coh.MAX_DIMENSION + 1)
     assert [tz.compute_zcl(m) for m in ms] == [m + 2 for m in ms]
-    with pytest.raises(FeasibilityError, match="^1178602 or more exponent multisets of lengths 1..40 over K_37,"):
-        tz.compute_zcl(37)
+    assert [tz.compute_zcl(m) for m in SEARCHED] == [zcl_by_length_search(m) for m in SEARCHED]
 
 
-def test_compute_zcl_charges_the_lengths_it_reaches(monkeypatch):
-    # zcl(K_10) = 12, so the scan ends at length 13: lengths 1..13 together
-    # hold fewer multisets than length 2m + 1 = 21 alone
-    reached = sum(tz.count_canonical_multisets(10, length) for length in range(1, 14))
-    assert reached == 1237 < tz.count_canonical_multisets(10, 21) == 2889
-    monkeypatch.setattr(tz, "SEARCH_BUDGET", reached)
-    assert tz.compute_zcl(10) == 12
-    monkeypatch.setattr(tz, "SEARCH_BUDGET", reached - 1)
-    with pytest.raises(FeasibilityError, match="^1237 or more exponent multisets of lengths 1..13 over K_10,"):
-        tz.compute_zcl(10)
+SCAN_MUTATIONS = {
+    "c1-fixed-at-0": ("(1,) * (m - 1 - c3 - c2)", "()"),
+    "c2-never-above-0": ("for c2 in takewhile(partial(nonzero, r, c3), count())", "for c2 in (0,)"),
+    "c3-never-above-0": ("for c3 in takewhile(partial(nonzero, r), count())", "for c3 in (0,)"),
+}
+
+
+@pytest.mark.parametrize("old, new", SCAN_MUTATIONS.values(), ids=SCAN_MUTATIONS)
+def test_each_scan_mutation_breaks_the_length_search_comparison(old, new):
+    source = inspect.getsource(tz.compute_zcl)
+    assert source.count(old) == 1
+    namespace = dict(vars(tz))
+    exec(source.replace(old, new), namespace)
+    mutant = namespace["compute_zcl"]
+    assert [mutant(m) for m in SEARCHED] != [zcl_by_length_search(m) for m in SEARCHED]
 
 
 def test_canonical_reduction_agrees_with_full_enumeration():
