@@ -4,8 +4,9 @@ Every measurement runs in a fresh interpreter, so each peak RSS is that
 run's own and no cache carries over between runs.  The file records:
 
 - a machine line: nproc, Python version, numpy version;
-- verify-paper (max_n = 8) wall time, the median of RUNS runs, and the
-  median seconds of each of its checks;
+- verify-paper wall time at max_n = 8 and at max_n = 13 (`verify_paper`
+  and `verify_paper_max13`), the median of RUNS runs, and the median
+  seconds of each of its checks;
 - for each (n, target) of verification.SCAN_SETTINGS: median seconds of
   build_mesh and of self_intersection_scan, with vertex and pair counts,
   and the peak RSS after build_mesh as well as after the scan, so that the
@@ -95,14 +96,14 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def job_verify_paper() -> dict:
-    """Time each check as it is drawn."""
+def job_verify_paper(max_n: int) -> dict:
+    """Time each check of verify_paper(max_n) as it is drawn."""
     from kleinforge.verification import verify_paper
 
     checks = {}
     passed = True
     start = last = time.perf_counter()
-    for c in verify_paper(8):
+    for c in verify_paper(max_n):
         now = time.perf_counter()
         checks[c.name] = now - last
         passed = passed and c.passed
@@ -313,7 +314,7 @@ def job_fan_scan(quads: int) -> dict:
 
 
 JOBS = {
-    "verify-paper": job_verify_paper,
+    "verify-paper": lambda max_n="8": job_verify_paper(int(max_n)),
     "scan": lambda n, target: job_scan(int(n), target),
     "zcl": lambda m: job_zcl(int(m)),
     "mesh-io": job_mesh_io,
@@ -407,6 +408,7 @@ def main() -> int:
             },
             "runs": RUNS,
             "verify_paper": {},
+            "verify_paper_max13": {},
             "scans": {},
             "compute_zcl": {},
             "mesh_io": {},
@@ -421,8 +423,9 @@ def main() -> int:
         for label, runs in measure(trees, *argv).items():
             reports[label][section][key] = summary(runs, medians, facts)
 
-    for label, runs in measure(trees, "verify-paper").items():
-        reports[label]["verify_paper"] = verify_paper_summary(runs)
+    for section, max_n in (("verify_paper", "8"), ("verify_paper_max13", "13")):
+        for label, runs in measure(trees, "verify-paper", max_n).items():
+            reports[label][section] = verify_paper_summary(runs)
     for n in sorted(SCAN_SETTINGS):
         for target in ("immersion", "embedding"):
             record("scans", f"n{n}-{target}", ("scan", str(n), target),

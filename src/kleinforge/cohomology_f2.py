@@ -13,9 +13,14 @@ Vi^2 = R*Vi (each index shared by S and T contributes one R) and R^2 = 0.
 A monomial is packed into one int key, (mask << 1) | eps, with bit i-1 of
 the mask holding V_i; the keys of K_n are exactly 0 .. 2^n - 1.  A class is
 the frozen set of the keys of its terms (coefficients live in F2, so sets
-with symmetric difference as addition).  A monomial's text, JSON and
-canonical order (degree, then eps, then variables) are read off its key.
-Everything here is exact integer arithmetic.
+with symmetric difference as addition), held as Python ints.  A monomial's
+text, JSON and canonical order (degree, then eps, then variables) are read
+off its key.
+
+Every product of keys goes through one rule on uint64 key arrays,
+`_key_products`, and every product of classes through one batched product
+over many classes at once, `_class_products`; `cup` is that batch with a
+single class on each side.  Everything here is exact integer arithmetic.
 
 The unique top-degree basis monomial is R * V1 ... V_{n-1}, key 2^n - 1;
 evaluating the coefficient of the top monomial gives the pairing used for
@@ -28,6 +33,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .errors import CapacityError, check_budget
 
 # Variable subsets sit in a machine word: bit i-1 holds V_i.
@@ -35,6 +42,8 @@ MAX_DIMENSION = 63
 # Work budgets, checked from n alone before anything is enumerated.
 BASIS_BUDGET = 1 << 19  # basis monomials of the whole ring, 2^n
 PAIRING_BUDGET = 4_000_000  # entries of one duality pairing matrix
+# entries of a product table formed at once: 256 KB per uint64 temporary
+_TABLE_BLOCK = 1 << 15
 
 
 def _check_dimension(n: int) -> None:
@@ -55,14 +64,70 @@ def _check_keys(n: int, keys) -> None:
 
 # ---------------------------------------------------------------------------
 # key-level arithmetic: a monomial of K_n is packed as (mask << 1) | eps.
-# These run in inner loops (tensor products, long searches); keep them lean.
+# Products run on uint64 key arrays, a batch of classes per call: a scalar
+# product through numpy costs far more than the work, so callers batch.
 
-def _key_mul(k1: int, k2: int) -> int | None:
-    """Product of two packed monomials; None when the product is zero."""
-    e = (k1 & 1) + (k2 & 1) + ((k1 >> 1) & (k2 >> 1)).bit_count()
-    if e >= 2:
-        return None
-    return ((k1 | k2) >> 1 << 1) | e
+# the key of a vanishing product; keys of K_n stay below 2^63, so it is no monomial
+_ZERO = np.uint64(2**64 - 1)
+
+
+def _key_products(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Products of packed monomials, elementwise (broadcast); _ZERO where one vanishes.
+
+    The R-exponent of the product is e = eps1 + eps2 + |S & T|, its variables
+    S | T, and it vanishes for e >= 2.
+    """
+    e = (k1 & 1) + (k2 & 1) + np.bitwise_count((k1 >> 1) & (k2 >> 1))
+    return np.where(e < 2, ((k1 | k2) >> 1 << 1) | e, _ZERO)
+
+
+def _distinct(*columns: np.ndarray, odd: bool = False) -> tuple[np.ndarray, ...]:
+    """The distinct rows of `columns`, sorted with the first column most significant.
+
+    With odd=True only the rows that occur an odd number of times are kept,
+    which is their sum over F2.  A lexsort, so no column is packed into
+    another and keys of every n up to 63 fit.
+    """
+    order = np.lexsort(columns[::-1])
+    cols = [c[order] for c in columns]
+    start = np.zeros(len(order), dtype=bool)
+    start[:1] = True
+    for c in cols:
+        start[1:] |= c[1:] != c[:-1]
+    first = np.flatnonzero(start)
+    if odd:
+        first = first[np.diff(first, append=len(order)) % 2 == 1]
+    return tuple(c[first] for c in cols)
+
+
+def _pairs(owner_a: np.ndarray, owner_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of every pair of rows with owner_a[i] == owner_b[j].
+
+    owner_b must be ascending; the pairs come in the order of i, then j.
+    """
+    size = int(max(owner_a.max(initial=-1), owner_b.max(initial=-1))) + 1
+    per_b = np.bincount(owner_b, minlength=size)
+    reps = per_b[owner_a]
+    i = np.repeat(np.arange(len(owner_a)), reps)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
+    return i, (np.cumsum(per_b) - per_b)[owner_a[i]] + offset
+
+
+def _class_products(
+    owner_a: np.ndarray, keys_a: np.ndarray, owner_b: np.ndarray, keys_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Products of many pairs of classes at once.
+
+    Class a of owner o has the keys keys_a[owner_a == o], and likewise for b;
+    owner_b is ascending and no key repeats within a class.  Every key pair
+    of each owner is multiplied, and the keys that occur an odd number of
+    times per owner are kept.  Returns the (owner, key) rows of the products,
+    ascending, in the same form, so a product can be multiplied again.
+    """
+    i, j = _pairs(owner_a, owner_b)
+    keys = _key_products(keys_a[i], keys_b[j])
+    live = keys != _ZERO
+    return _distinct(owner_a[i][live], keys[live], odd=True)
 
 
 def _key_degree(key: int) -> int:
@@ -182,13 +247,12 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Cup product of two classes."""
     if a.n != b.n:
         raise ValueError("cannot multiply classes of different dimension")
-    acc: set[int] = set()
-    for ka in a.keys:
-        for kb in b.keys:
-            k = _key_mul(ka, kb)
-            if k is not None:
-                acc.symmetric_difference_update({k})
-    return CohomologyClass(a.n, frozenset(acc))
+    keys_a = np.fromiter(a.keys, np.uint64, len(a.keys))
+    keys_b = np.fromiter(b.keys, np.uint64, len(b.keys))
+    _, keys = _class_products(
+        np.zeros(len(keys_a), np.intp), keys_a, np.zeros(len(keys_b), np.intp), keys_b
+    )
+    return CohomologyClass(a.n, frozenset(keys.tolist()))
 
 
 def sq(j: int, a: CohomologyClass) -> CohomologyClass:
@@ -232,27 +296,38 @@ def cup_length(n: int) -> tuple[int, list[CohomologyClass]]:
     finds the exact maximum.  Returns (length, [factors]) where the factors
     multiply to a nonzero class.  The search stops after products of n + 1
     generators, which vanish in degree n + 1 > dim K_n, so a cup product
-    that is not nilpotent cannot keep it running.
+    that is not nilpotent cannot keep it running.  Each level is formed
+    about _TABLE_BLOCK products at a time and keeps one back-pointer per
+    monomial, not its chain of factors.
     """
-    gens = basis(n, 1)
-    # reachable product monomial -> factor chain (first hit wins; generators
-    # are scanned in canonical order so the witness is deterministic)
-    level: dict[int, tuple[int, ...]] = {g: (g,) for g in gens}
-    length = 1
-    while length <= n:
-        nxt: dict[int, tuple[int, ...]] = {}
-        for prod, chain in sorted(level.items()):
-            for g in gens:
-                k = _key_mul(prod, g)
-                if k is not None and k not in nxt:
-                    nxt[k] = chain + (g,)
-        if not nxt:
+    gens = np.array(basis(n, 1), dtype=np.uint64)
+    # one level per product length: its keys ascending, and for each the flat
+    # index (level-before position * n + generator) of its first hit; the
+    # products are scanned in ascending order and the generators in canonical
+    # order for each, so the witness is deterministic
+    levels = [(np.sort(gens), None)]
+    step = max(1, _TABLE_BLOCK // n)
+    while len(levels) <= n:
+        prods = levels[-1][0]
+        keys, at = [], []
+        for start in range(0, len(prods), step):
+            block = _key_products(prods[start : start + step, None], gens).ravel()
+            hits = np.flatnonzero(block != _ZERO)
+            # np.unique sorts stably for return_index, so each index is a first hit
+            found, first = np.unique(block[hits], return_index=True)
+            keys.append(found)
+            at.append(hits[first] + start * n)
+        found, first = np.unique(np.concatenate(keys), return_index=True)
+        if not len(found):
             break
-        level = nxt
-        length += 1
-    witness_chain = level[min(level)]
-    witness = [CohomologyClass(n, frozenset({k})) for k in witness_chain]
-    return length, witness
+        levels.append((found, np.concatenate(at)[first]))
+    # back from the smallest key of the longest level to its generators
+    factors, i = [], 0
+    for _, at in reversed(levels[1:]):
+        i, g = divmod(int(at[i]), n)
+        factors.append(int(gens[g]))
+    factors.append(int(levels[0][0][i]))
+    return len(levels), [CohomologyClass(n, frozenset({k})) for k in reversed(factors)]
 
 
 def duality_pairing(n: int, d: int) -> list[int]:
@@ -261,14 +336,19 @@ def duality_pairing(n: int, d: int) -> list[int]:
     One GF(2) bit row per basis(n, d)[a], as in `linalg`: bit b is the
     top-monomial coefficient of basis(n, d)[a] * basis(n, n-d)[b].
     Nonsingular in every degree (Poincare duality for a closed manifold).
+    The matrix is formed a block of rows at a time, about _TABLE_BLOCK
+    entries each.
     """
     _check_dimension(n)
     if d < 0 or d > n:
         raise ValueError(f"degree {d} out of range for n={n}")
     _check_pairing_budget(n, d)
-    cols = basis(n, n - d)
-    top = (1 << n) - 1
-    return [
-        sum(1 << b for b, kb in enumerate(cols) if _key_mul(ka, kb) == top)
-        for ka in basis(n, d)
-    ]
+    rows = np.array(basis(n, d), dtype=np.uint64)
+    cols = np.array(basis(n, n - d), dtype=np.uint64)
+    top = np.uint64((1 << n) - 1)
+    step = max(1, _TABLE_BLOCK // len(cols))
+    out: list[int] = []
+    for block in np.split(rows, range(step, len(rows), step)):
+        bits = np.packbits(_key_products(block[:, None], cols) == top, axis=1, bitorder="little")
+        out += [int.from_bytes(row.tobytes(), "little") for row in bits]
+    return out

@@ -20,6 +20,7 @@ tests call the same functions with their default ranges.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import product
 
 import numpy as np
 
@@ -140,31 +141,34 @@ def expand_zero_divisor_product(n: int, factors) -> frozenset[tuple[int, int]]:
     """Product of zero divisors by splitting factors between the sides.
 
     Each factor x gives x(x)1 + 1(x)x; distributing the product sends a
-    subset S of factor positions to (prod_S x) (x) (prod_notS x).  XOR over
-    all 2^len subsets, multiplying each side with the public cup product.
+    subset S of factor positions to (prod_S x) (x) (prod_notS x).  All 2^len
+    subsets are carried at once, one class per subset and side: factor i
+    multiplies the left side of the subsets that hold i and the right side
+    of the others.  The (u, v) pairs of all subsets are then summed over F2.
     Returns the packed key pairs (u, v) of the terms u (x) v of the product.
     """
-    one = coh.CohomologyClass.one(n)
-    terms: set = set()
-    L = len(factors)
-    for s in range(1 << L):
-        left = one
-        right = one
-        for i, x in enumerate(factors):
-            if s >> i & 1:
-                left = left * x
-            else:
-                right = right * x
-        if left.is_zero() or right.is_zero():
-            continue
-        for kl in left.keys:
-            for kr in right.keys:
-                pair = (kl, kr)
-                if pair in terms:
-                    terms.remove(pair)
-                else:
-                    terms.add(pair)
-    return frozenset(terms)
+    subsets = np.arange(1 << len(factors))
+    units = np.zeros(len(subsets), np.uint64)
+
+    def times(side, x_owner, x_keys, takes_x):
+        """side * x for the subsets in takes_x, side * 1 for the others."""
+        on = takes_x[x_owner]
+        return coh._class_products(
+            np.concatenate([x_owner[on], subsets[~takes_x]]),
+            np.concatenate([x_keys[on], units[~takes_x]]),
+            *side,
+        )
+
+    left = right = (subsets, units)
+    for i, x in enumerate(factors):
+        keys = np.fromiter(x.keys, np.uint64, len(x.keys))
+        x_owner, x_keys = np.repeat(subsets, len(keys)), np.tile(keys, len(subsets))
+        held = (subsets >> i & 1).astype(bool)
+        left = times(left, x_owner, x_keys, held)
+        right = times(right, x_owner, x_keys, ~held)
+    i, j = coh._pairs(left[0], right[0])
+    u, v = coh._distinct(left[1][i], right[1][j], odd=True)
+    return frozenset(zip(u.tolist(), v.tolist()))
 
 
 # ------------------------------------------------------- cohomology table
@@ -226,19 +230,32 @@ def check_cohomology_table() -> CheckResult:
 def check_ring_oracle(max_n: int = 8, triples: int = 10_000) -> CheckResult:
     """Cup vs the free-reduction oracle, plus ring laws on random classes.
 
-    Oracle agreement on every basis pair for n <= 4; associativity and
-    commutativity on `triples` seeded random triples spread over n <= max_n.
-    Each n draws its class sizes (1 to 4 keys) and then all its keys at once.
+    Oracle agreement on every basis pair for n <= 4, one batched table per n;
+    associativity and commutativity on `triples` seeded random triples spread
+    over n <= max_n.  Each n draws its class sizes (1 to 4 keys) and then all
+    its keys at once, and multiplies all its triples in five batched
+    products: ab, (ab)c, bc, a(bc) and ba.
     """
     def body():
         pair_count = 0
         for n in range(1, min(4, max_n) + 1):
+            keys = np.arange(1 << n, dtype=np.uint64)
+            pairs = np.arange(1 << 2 * n)
+            owner, prod = coh._class_products(
+                pairs, np.repeat(keys, 1 << n), pairs, np.tile(keys, 1 << n)
+            )
+            table = dict(zip(owner.tolist(), prod.tolist()))
             classes = [coh.CohomologyClass(n, frozenset({k})) for k in range(1 << n)]
-            for a in classes:
-                for b in classes:
-                    if a * b != cup_free_reduction(a, b):
-                        return False, f"oracle mismatch at n={n}: {a.text()} * {b.text()}"
-                    pair_count += 1
+            for p, (a, b) in enumerate(product(classes, repeat=2)):
+                got = frozenset({table[p]} if p in table else ())
+                if got != cup_free_reduction(a, b).keys:
+                    return False, f"oracle mismatch at n={n}: {a.text()} * {b.text()}"
+                pair_count += 1
+        def first_unequal(x, y, none):
+            """The first triple whose classes differ between x and y, or `none`."""
+            owner, _ = coh._distinct(*map(np.concatenate, zip(x, y)), odd=True)
+            return owner.min(initial=none)
+
         rng = np.random.default_rng(RNG_SEED)
         ns = list(range(1, max_n + 1))
         per = triples // len(ns)
@@ -246,21 +263,21 @@ def check_ring_oracle(max_n: int = 8, triples: int = 10_000) -> CheckResult:
         for n in ns:
             budget = per if n != ns[-1] else triples - per * (len(ns) - 1)
             sizes = rng.integers(1, 5, size=3 * budget)
-            keys = rng.integers(0, 1 << n, size=int(sizes.sum()), dtype=np.uint64).tolist()
-            starts = (np.cumsum(sizes) - sizes).tolist()
-            # one generator zipped with itself yields the classes three at a
-            # time, so only the classes of one triple are alive at once
-            cls = (
-                coh.CohomologyClass(n, frozenset(keys[start : start + size]))
-                for start, size in zip(starts, sizes.tolist())
-            )
-            for a, b, c in zip(cls, cls, cls):
-                ab = a * b
-                if ab * c != a * (b * c):
-                    return False, f"associativity broke at n={n}"
-                if ab != b * a:
-                    return False, f"commutativity broke at n={n}"
-                done += 1
+            keys = rng.integers(0, 1 << n, size=int(sizes.sum()), dtype=np.uint64)
+            # class 3t + r is a (r = 0), b or c of triple t; a key drawn
+            # twice in one class counts once
+            cls, keys = coh._distinct(np.repeat(np.arange(3 * budget), sizes), keys)
+            role = cls % 3
+            a, b, c = ((cls[role == r] // 3, keys[role == r]) for r in range(3))
+            ab = coh._class_products(*a, *b)
+            abc = coh._class_products(*ab, *c)
+            a_bc = coh._class_products(*a, *coh._class_products(*b, *c))
+            ba = coh._class_products(*b, *a)
+            assoc, comm = first_unequal(abc, a_bc, budget), first_unequal(ab, ba, budget)
+            if min(assoc, comm) < budget:
+                law = "associativity" if assoc <= comm else "commutativity"
+                return False, f"{law} broke at n={n}"
+            done += budget
         return True, f"{pair_count} oracle basis pairs, {done} random triples to n={max_n}"
     return _run("cup-ring-oracle", body)
 

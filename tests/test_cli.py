@@ -905,29 +905,24 @@ def test_broken_sq_is_caught(monkeypatch):
 
 
 def test_broken_cup_is_caught(monkeypatch):
-    real = coh.cup
-    r3 = coh.CohomologyClass.r(3)
+    real = coh._key_products
 
-    def broken(a, b):
-        out = real(a, b)
-        if a.degree() == b.degree() == 1 and not out.is_zero():
-            return coh.CohomologyClass.zero(a.n)
-        return out
+    def broken(k1, k2):  # every product of two degree-one monomials vanishes
+        degree_one = (np.bitwise_count(k1) == 1) & (np.bitwise_count(k2) == 1)
+        return np.where(degree_one, coh._ZERO, real(k1, k2))
 
-    monkeypatch.setattr(coh, "cup", broken)
+    monkeypatch.setattr(coh, "_key_products", broken)
     assert not vf.check_ring_oracle(max_n=3, triples=50).passed
 
 
 def test_ring_oracle_samples_reach_the_last_dimension(monkeypatch):
-    real = coh.cup
+    real = coh._key_products
 
-    def broken(a, b):  # not commutative, and only at n = 5
-        if a.n == 5 and min(a.keys, default=0) < min(b.keys, default=0):
-            return coh.CohomologyClass.zero(5)
-        return real(a, b)
+    def broken(k1, k2):  # not commutative, and only on keys with V4, so at n = 5
+        return np.where((k1 < k2) & (k2 >= 1 << 4), coh._ZERO, real(k1, k2))
 
     assert vf.check_ring_oracle(max_n=5, triples=200).passed
-    monkeypatch.setattr(coh, "cup", broken)
+    monkeypatch.setattr(coh, "_key_products", broken)
     check = vf.check_ring_oracle(max_n=5, triples=200)
     assert not check.passed
     # a sample block that ran dry would fail with StopIteration instead
@@ -1037,6 +1032,27 @@ def test_ring_oracle_draws_keys_up_to_the_bit_mask_limit():
     check = vf.check_ring_oracle(max_n=63, triples=2000)
     assert check.passed, check.detail
     assert check.detail == "340 oracle basis pairs, 2000 random triples to n=63"
+
+
+def test_checks_that_grow_with_max_n_pass_at_13():
+    # 13 is the largest max_n whose duality pairings the budget admits
+    checks = [
+        vf.check_ring_oracle(max_n=13),
+        vf.check_cup_length_duality(max_n=13),
+        vf.check_stiefel_whitney(max_n=13),
+        vf.check_integral_consistency(max_n=13),
+        vf.check_relators_and_h1(max_n=13),
+    ]
+    assert all(c.passed for c in checks), checks
+    assert {c.name: c.detail for c in checks} == {
+        "cup-ring-oracle": "340 oracle basis pairs, 10000 random triples to n=13",
+        "cup-length-and-duality": "cup_length(n)=n and nonsingular pairing for n<=13",
+        "stiefel-whitney": "w_1 = R for even n, all else zero, n<=13",
+        "integral-consistency": (
+            "all consistency identities for n<=13; n=2 gives (Z, Z, Z/2), H1 = Z + Z/2"
+        ),
+        "abelianization-h1": "relators trivial and abelianization = H_1 for n <= 13",
+    }
 
 
 # ------------------------------------------------------------ file round trip

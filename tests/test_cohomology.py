@@ -6,14 +6,20 @@ on the reduced basis, so agreement is meaningful.
 """
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kleinforge import cohomology_f2 as coh
 from kleinforge.errors import CapacityError, FeasibilityError
-from kleinforge.verification import check_cup_length_duality, cup_free_reduction
+from kleinforge.verification import (
+    check_cup_length_duality,
+    check_ring_oracle,
+    cup_free_reduction,
+)
 
 
 def klass(n, *texts):
@@ -71,6 +77,84 @@ def test_enumeration_budgets_are_checked_before_any_work():
         coh.duality_pairing(16, 8)  # C(16, 8)^2 entries
     with pytest.raises(CapacityError):
         coh.basis(64, 1)
+
+
+# ------------------------------------------------------- the product rule
+
+def scalar_key_mul(k1, k2):
+    """The closed form on two packed monomials, one pair at a time; None for zero."""
+    e = (k1 & 1) + (k2 & 1) + ((k1 >> 1) & (k2 >> 1)).bit_count()
+    return None if e >= 2 else ((k1 | k2) >> 1 << 1) | e
+
+
+def idempotent_products(k1, k2):
+    """The rule without its |S & T| term, so V^2 = V and products of V's never vanish."""
+    e = (k1 & 1) + (k2 & 1)
+    return np.where(e < 2, ((k1 | k2) >> 1 << 1) | e, coh._ZERO)
+
+
+def test_key_products_match_the_scalar_rule_on_every_pair_to_n8():
+    # the keys of K_8 hold those of every smaller n
+    keys = np.arange(1 << 8, dtype=np.uint64)
+    got = coh._key_products(keys[:, None], keys[None, :])
+    expected = [
+        [coh._ZERO if k is None else k for k in (scalar_key_mul(a, b) for b in range(256))]
+        for a in range(256)
+    ]
+    assert got.dtype == np.uint64
+    assert got.tolist() == np.array(expected, dtype=np.uint64).tolist()
+
+
+def test_key_products_at_the_largest_dimension():
+    top = (1 << coh.MAX_DIMENSION) - 1  # R * V1 ... V62
+    v_all = top - 1
+    k1 = np.array([top, top, v_all, v_all, 1, 1 << 62], dtype=np.uint64)
+    k2 = np.array([0, top, 1, v_all, 1 << 62, 1 << 62], dtype=np.uint64)
+    expected = [scalar_key_mul(a, b) for a, b in zip(k1.tolist(), k2.tolist())]
+    assert expected == [top, None, top, None, 1 | 1 << 62, 1 | 1 << 62]
+    got = coh._key_products(k1, k2).tolist()
+    assert got == [coh._ZERO if k is None else k for k in expected]
+    assert int(coh._ZERO) > top, "the zero sentinel is no key of any K_n"
+
+
+def big_class(keys):
+    return coh.CohomologyClass(coh.MAX_DIMENSION, frozenset(keys))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.integers(0, 2**63 - 1), max_size=4),
+            st.sets(st.integers(0, 2**63 - 1), max_size=4),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_class_products_are_cups_per_owner_up_to_n63(pairs):
+    def rows(side):
+        owned = [(o, k) for o, pair in enumerate(pairs) for k in pair[side]]
+        return np.array([o for o, _ in owned], np.intp), np.array([k for _, k in owned], np.uint64)
+
+    # the a side need not be in owner order, so it comes reversed
+    owner, keys = coh._class_products(*(r[::-1] for r in rows(0)), *rows(1))
+    got = {}
+    for o, k in zip(owner.tolist(), keys.tolist()):
+        got.setdefault(o, set()).add(k)
+    for o, (a, b) in enumerate(pairs):
+        expected = cup_free_reduction(big_class(a), big_class(b))
+        assert coh.cup(big_class(a), big_class(b)) == expected
+        assert frozenset(got.get(o, ())) == expected.keys, o
+
+
+def test_idempotent_rule_fails_both_ring_checks(monkeypatch):
+    assert check_ring_oracle(max_n=4, triples=200).passed
+    assert check_cup_length_duality(max_n=4).passed
+    monkeypatch.setattr(coh, "_key_products", idempotent_products)
+    oracle = check_ring_oracle(max_n=4, triples=200)
+    assert not oracle.passed
+    assert oracle.detail.startswith("oracle mismatch at n=2: V1 * V1")
+    assert not check_cup_length_duality(max_n=4).passed
 
 
 # ------------------------------------------------------------ cup product
@@ -144,12 +228,7 @@ def test_top_class_and_cup_length():
 
 
 def test_cup_length_stops_when_the_product_is_not_nilpotent(monkeypatch, time_limit):
-    # drop the |S & T| term, so V^2 = V and products of V's never vanish
-    def idempotent_mul(k1, k2):
-        e = (k1 & 1) + (k2 & 1)
-        return None if e >= 2 else ((k1 | k2) >> 1 << 1) | e
-
-    monkeypatch.setattr(coh, "_key_mul", idempotent_mul)
+    monkeypatch.setattr(coh, "_key_products", idempotent_products)
     with time_limit(1.0):
         assert coh.cup_length(4)[0] == 5
         check = check_cup_length_duality(max_n=4)
@@ -219,3 +298,17 @@ def test_duality_pairing_nonsingular():
         for d in range(n + 1):
             rows = coh.duality_pairing(n, d)
             assert f2_is_invertible(rows, len(rows)), (n, d)
+
+
+def test_duality_pairing_is_formed_in_bounded_memory():
+    # unblocked, the degree-6 pairing of K_13 holds several 1716 x 1716
+    # uint64 temporaries of 23.5 MB each; its 1716 rows of 1716 bits take 0.4 MB
+    coh.basis(13, 6)  # anything cached on first use is not the pairing's
+    tracemalloc.start()
+    try:
+        rows = coh.duality_pairing(13, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1716
+    assert peak < 3e6, peak

@@ -3,6 +3,7 @@
 import inspect
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,13 +17,11 @@ from kleinforge import verification as vf
 # -------------------------------------------------------- tensor structure
 
 def diagonal_restriction(pairs):
-    """Pull key pairs back along the diagonal: u (x) v -> u * v."""
-    acc = set()
-    for a, b in pairs:
-        k = coh._key_mul(a, b)
-        if k is not None:
-            acc ^= {k}
-    return acc
+    """Pull key pairs back along the diagonal: u (x) v -> u * v, summed over F2."""
+    u, v = np.array(list(pairs), dtype=np.uint64).reshape(-1, 2).T
+    keys = coh._key_products(u, v)
+    (keys,) = coh._distinct(keys[keys != coh._ZERO], odd=True)
+    return set(keys.tolist())
 
 
 def subset_split(n, r, v_powers):
