@@ -23,8 +23,9 @@ run's own and no cache carries over between runs.  The file records:
   the files are byte-identical and which of the two set the peak; the same
   for each OBJ file of EXPORTED_OBJ, one of those files rewritten as other
   tools write OBJ, whose write time is that of the file it is rewritten from;
-- for each case of RING_CASES: median seconds of char_classes.manifold_report(n)
-  or fundamental_group.abelianization(n), with the category or group it gives;
+- for each case of RING_CASES: median seconds of char_classes.manifold_report(n),
+  verification.cohomology_table(n) or fundamental_group.abelianization(n), with
+  the category, the number of Sq1 pairings or the group it gives;
 - for each dimension of QUAD_DIMS: median seconds to scan one unit square,
   padded with zero coordinates and read back from a mesh text file, with its
   pair count, or "refused" where the scan exits 3 (a FeasibilityError);
@@ -82,8 +83,14 @@ def mesh_io_files() -> dict:
 # from the mesh-files file it names
 EXPORTED_OBJ = {"k2-exported.obj": "k2-immersion.obj"}
 # (function, n) cases of the ring job: the Wu and Stiefel-Whitney solves
-# behind `manifold`, and the Smith form behind `pi1` and `check` at n = 63
-RING_CASES = [("manifold_report", n) for n in range(8, 14)] + [("abelianization", 63)]
+# behind `manifold` up to the basis budget, the Sq1 table behind `cohomology`
+# at the largest n of perfbench's algebra-queries, and the Smith form behind
+# `pi1` and `check` at n = 63
+RING_CASES = [
+    *(("manifold_report", n) for n in range(8, 20)),
+    ("cohomology_table", 13),
+    ("abelianization", 63),
+]
 # dimensions of the one-square scans: the cost of a scan that is not its pairs
 QUAD_DIMS = (4, 10, 13)
 # pole degrees of the two-fan scans: the neighbour test's cost at high degree
@@ -259,10 +266,13 @@ def job_mesh_io(name: str) -> dict:
 def job_ring(name: str, n: int) -> dict:
     from kleinforge.char_classes import manifold_report
     from kleinforge.fundamental_group import abelianization
+    from kleinforge.verification import cohomology_table
 
     start = time.perf_counter()
     if name == "manifold_report":
         answer = manifold_report(n).category
+    elif name == "cohomology_table":
+        answer = len(cohomology_table(n)["sq1"])
     else:
         answer = abelianization(n).text()
     return {"seconds": time.perf_counter() - start, "answer": answer, "peak_rss_mb": peak_rss_mb()}

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import cohomology_f2 as coh
 from .cohomology_f2 import CohomologyClass
 from .linalg import f2_solve
@@ -23,15 +25,14 @@ def wu_classes(n: int) -> list[CohomologyClass]:
     coefficients of the Sq^j values.  The pairing matrix is square, as
     C(n, j) = C(n, n-j), and invertible by Poincare duality, so the solution
     exists and is unique; a zero right-hand side gives v_j = 0, and only a
-    nonzero one is solved.
+    nonzero one is solved.  Bit b of the right-hand side is set where one call
+    of the square rule `_key_squares` maps basis key b to the top monomial.
     """
     out = [CohomologyClass.one(n)]
+    top = np.uint64((1 << n) - 1)
     for j in range(1, n + 1):
-        rhs = 0
-        for bi, kb in enumerate(coh.basis(n, n - j)):
-            sqb = coh.sq(j, CohomologyClass(n, frozenset({kb})))
-            if coh.top_coefficient(sqb):
-                rhs |= 1 << bi
+        images = coh._key_squares(j, np.array(coh.basis(n, n - j), dtype=np.uint64))
+        rhs = int.from_bytes(np.packbits(images == top, bitorder="little").tobytes(), "little")
         if not rhs:
             out.append(CohomologyClass.zero(n))
             continue

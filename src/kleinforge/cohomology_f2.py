@@ -20,7 +20,9 @@ off its key.
 Every product of keys goes through one rule on uint64 key arrays,
 `_key_products`, and every product of classes through one batched product
 over many classes at once, `_class_products`; `cup` is that batch with a
-single class on each side.  Everything here is exact integer arithmetic.
+single class on each side.  Every Steenrod square of keys goes through one
+rule on the same arrays, `_key_squares`; `sq` is that rule on one class's
+keys.  Everything here is exact integer arithmetic.
 
 The unique top-degree basis monomial is R * V1 ... V_{n-1}, key 2^n - 1;
 evaluating the coefficient of the top monomial gives the pairing used for
@@ -64,10 +66,10 @@ def _check_keys(n: int, keys) -> None:
 
 # ---------------------------------------------------------------------------
 # key-level arithmetic: a monomial of K_n is packed as (mask << 1) | eps.
-# Products run on uint64 key arrays, a batch of classes per call: a scalar
-# product through numpy costs far more than the work, so callers batch.
+# Products and squares run on uint64 key arrays, a batch of keys per call: a
+# scalar step through numpy costs far more than the work, so callers batch.
 
-# the key of a vanishing product; keys of K_n stay below 2^63, so it is no monomial
+# the key of a zero product or square; keys of K_n stay below 2^63, so it is no monomial
 _ZERO = np.uint64(2**64 - 1)
 
 
@@ -79,6 +81,20 @@ def _key_products(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """
     e = (k1 & 1) + (k2 & 1) + np.bitwise_count((k1 >> 1) & (k2 >> 1))
     return np.where(e < 2, ((k1 | k2) >> 1 << 1) | e, _ZERO)
+
+
+def _key_squares(j: int, keys: np.ndarray) -> np.ndarray:
+    """Sq^j of packed monomials, elementwise; _ZERO where a square vanishes.
+
+    Sq^0 is the identity.  Sq^1(V_{i1} ... V_{ir}) = R V_{i1} ... V_{ir} for
+    odd r, and Sq^1 kills every monomial that already carries R or has evenly
+    many variables.  Sq^j vanishes for j >= 2.  Distinct keys have distinct
+    nonzero images, so the square of a class needs no parity pass.
+    """
+    if j == 0:
+        return keys
+    live = (j == 1) & ((keys & 1) == 0) & (np.bitwise_count(keys >> 1) % 2 == 1)
+    return np.where(live, keys | 1, _ZERO)
 
 
 def _distinct(*columns: np.ndarray, odd: bool = False) -> tuple[np.ndarray, ...]:
@@ -132,19 +148,6 @@ def _class_products(
 
 def _key_degree(key: int) -> int:
     return (key & 1) + (key >> 1).bit_count()
-
-
-def _key_sq1(key: int) -> int | None:
-    """Sq^1 of a packed basis monomial; None when it vanishes.
-
-    Sq^1(V_{i1} ... V_{ir}) = R V_{i1} ... V_{ir} for odd r, and Sq^1 kills
-    every monomial that already carries R or has evenly many variables.
-    """
-    if key & 1:
-        return None
-    if (key >> 1).bit_count() % 2 == 0:
-        return None
-    return key | 1
 
 
 def _key_variables(key: int) -> tuple[int, ...]:
@@ -256,24 +259,16 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
 
 
 def sq(j: int, a: CohomologyClass) -> CohomologyClass:
-    """Steenrod square Sq^j.
+    """Steenrod square Sq^j, by the rule `_key_squares` on the keys of a.
 
     On this ring Sq^0 is the identity, Sq^1 is determined by Sq^1(V_i) = R*V_i
-    and the derivation rule (which collapses to the parity rule in _key_sq1),
-    and Sq^j vanishes for j >= 2 because every indecomposable has degree one.
+    and the derivation rule (which collapses to the parity rule there), and
+    Sq^j vanishes for j >= 2 because every indecomposable has degree one.
     """
     if j < 0:
         raise ValueError(f"Sq^{j} undefined")
-    if j == 0:
-        return a
-    if j >= 2:
-        return CohomologyClass.zero(a.n)
-    acc: set[int] = set()
-    for key in a.keys:
-        k = _key_sq1(key)
-        if k is not None:
-            acc.symmetric_difference_update({k})
-    return CohomologyClass(a.n, frozenset(acc))
+    keys = _key_squares(j, np.fromiter(a.keys, np.uint64, len(a.keys)))
+    return CohomologyClass(a.n, frozenset(keys[keys != _ZERO].tolist()))
 
 
 def poincare_polynomial(n: int) -> list[int]:

@@ -190,18 +190,16 @@ TABLE_N4_SQ1 = (
 
 
 def cohomology_table(n: int) -> dict:
-    """Basis per degree plus the Sq1 pairings, ready for rendering."""
+    """Basis per degree plus the Sq1 pairings, one square-rule call per degree."""
     coh._check_dimension(n)
     basis = []
     sq1 = []
     for d in range(n + 1):
-        row = []
-        for key in coh.basis(n, d):
-            row.append(coh.monomial_text(key))
-            image = coh.sq(1, coh.CohomologyClass(n, frozenset({key})))
-            if not image.is_zero():
-                sq1.append((row[-1], image.text()))
-        basis.append(tuple(row))
+        keys = coh.basis(n, d)
+        images = coh._key_squares(1, np.array(keys, dtype=np.uint64)).tolist()
+        row = tuple(map(coh.monomial_text, keys))
+        sq1 += [(t, coh.monomial_text(k)) for t, k in zip(row, images) if k != coh._ZERO]
+        basis.append(row)
     return {
         "n": n,
         "dims": tuple(len(r) for r in basis),

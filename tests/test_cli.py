@@ -374,10 +374,12 @@ def test_feasibility_exit_3(capsys):
 
 
 def test_manifold_answers_every_n_the_basis_budget_admits(capsys):
-    # only v_1 has a nonzero right-hand side, so no large pairing is built
-    code, out, err = run(capsys, "manifold", "--n", "14", "--json")
+    # 2^19 basis monomials, the most the budget admits; only v_1 has a
+    # nonzero right-hand side, so no large pairing is built
+    code, out, err = run(capsys, "manifold", "--n", "19", "--json")
     assert (code, err) == (0, "")
-    assert json.loads(out)["category"] == 14
+    report = json.loads(out)
+    assert (report["orientable"], report["category"]) == (True, 19)
     code, out, err = run(capsys, "manifold", "--n", "20")
     assert (code, out) == (3, "")
     assert "1048576 basis monomials in H^*(K_20), over the budget of 524288" in err
@@ -892,16 +894,29 @@ def test_removed_threads_option_is_a_usage_error(capsys):
 # ---------------------------------------------------------- mutation probe
 
 def test_broken_sq_is_caught(monkeypatch):
-    # the table check must actually exercise sq, not a cached copy
-    real = coh.sq
+    # the table check must actually exercise the square rule, not a cached copy
+    real = coh._key_squares
 
-    def broken(j, a):
-        if j == 1:
-            return coh.CohomologyClass.zero(a.n)
-        return real(j, a)
+    def broken(j, keys):  # Sq^1 vanishes everywhere
+        return np.full_like(keys, coh._ZERO) if j == 1 else real(j, keys)
 
-    monkeypatch.setattr(coh, "sq", broken)
+    monkeypatch.setattr(coh, "_key_squares", broken)
     assert not vf.check_cohomology_table().passed
+
+
+def test_sq1_on_even_monomials_is_caught(monkeypatch):
+    real = coh._key_squares
+
+    def broken(j, keys):  # Sq^1 also squares monomials with evenly many variables
+        return np.where((keys & 1) == 0, keys | 1, coh._ZERO) if j == 1 else real(j, keys)
+
+    monkeypatch.setattr(coh, "_key_squares", broken)
+    table = vf.check_cohomology_table()
+    assert (table.passed, table.detail) == (
+        False, "dims (1, 4, 6, 4, 1), 16 basis elements, 8 Sq1 pairings"
+    )
+    sw = vf.check_stiefel_whitney()
+    assert (sw.passed, sw.detail) == (False, "w_1 wrong at n=2: 0")
 
 
 def test_broken_cup_is_caught(monkeypatch):

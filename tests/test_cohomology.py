@@ -238,6 +238,58 @@ def test_cup_length_stops_when_the_product_is_not_nilpotent(monkeypatch, time_li
 
 # ------------------------------------------------------- Steenrod squares
 
+def scalar_key_sq(j, key):
+    """Sq^j of one packed monomial by the parity rule; None for zero.
+
+    Sq^1 adds R to a monomial without R and with oddly many variables, and
+    kills every other one; Sq^0 is the identity and Sq^j, j >= 2, is zero.
+    """
+    if j == 0:
+        return key
+    if j >= 2 or key & 1 or (key >> 1).bit_count() % 2 == 0:
+        return None
+    return key | 1
+
+
+def test_key_squares_match_the_scalar_rule_on_every_key_to_n12():
+    # the keys of K_12 hold those of every smaller n
+    keys = np.arange(1 << 12, dtype=np.uint64)
+    for j in range(4):
+        got = coh._key_squares(j, keys)
+        assert got.dtype == np.uint64
+        expected = [scalar_key_sq(j, k) for k in range(1 << 12)]
+        assert got.tolist() == [coh._ZERO if k is None else k for k in expected], j
+
+
+def test_key_squares_at_the_largest_dimension():
+    top = (1 << coh.MAX_DIMENSION) - 1  # R * V1 ... V62
+    keys = np.arange(top - 4096, top + 1, dtype=np.uint64)
+    # V1 ... V62 has evenly many variables, V2 ... V62 oddly many
+    assert scalar_key_sq(1, top - 1) is None
+    assert scalar_key_sq(1, top - 3) == top - 2
+    for j in range(4):
+        expected = [scalar_key_sq(j, k) for k in keys.tolist()]
+        got = coh._key_squares(j, keys).tolist()
+        assert got == [coh._ZERO if k is None else k for k in expected], j
+
+
+@given(
+    st.integers(1, coh.MAX_DIMENSION).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(0, 3), st.sets(st.integers(0, 2**n - 1), max_size=40)
+        )
+    )
+)
+def test_sq_of_a_class_is_the_sum_of_its_terms_images(args):
+    n, j, keys = args
+    expected = set()
+    for key in keys:
+        image = scalar_key_sq(j, key)
+        if image is not None:
+            expected ^= {image}
+    assert coh.sq(j, coh.CohomologyClass(n, frozenset(keys))).keys == expected
+
+
 def test_sq1_on_generators():
     n = 4
     assert coh.sq(1, coh.CohomologyClass.v(n, 1)).text() == "R*V1"
