@@ -24,8 +24,10 @@ run's own and no cache carries over between runs.  The file records:
   for each OBJ file of EXPORTED_OBJ, one of those files rewritten as other
   tools write OBJ, whose write time is that of the file it is rewritten from;
 - for each case of RING_CASES: median seconds of char_classes.manifold_report(n),
-  verification.cohomology_table(n) or fundamental_group.abelianization(n), with
-  the category, the number of Sq1 pairings or the group it gives;
+  verification.cohomology_table(n), fundamental_group.abelianization(n) or
+  the parse and reduction of the `pi1` word at n of perfbench's
+  algebra-queries (seed 0), with the category, the number of Sq1 pairings,
+  the group or the normal form it gives;
 - for each dimension of QUAD_DIMS: median seconds to scan one unit square,
   padded with zero coordinates and read back from a mesh text file, with its
   pair count, or "refused" where the scan exits 3 (a FeasibilityError);
@@ -84,12 +86,14 @@ def mesh_io_files() -> dict:
 EXPORTED_OBJ = {"k2-exported.obj": "k2-immersion.obj"}
 # (function, n) cases of the ring job: the Wu and Stiefel-Whitney solves
 # behind `manifold` up to the basis budget, the Sq1 table behind `cohomology`
-# at the largest n of perfbench's algebra-queries, and the Smith form behind
-# `pi1` and `check` at n = 63
+# at the largest n of perfbench's algebra-queries, the Smith form behind
+# `pi1` and `check` at n = 63, and `pi1 --word` on algebra-queries' longest
+# word, 50,000 letters at n = 16
 RING_CASES = [
     *(("manifold_report", n) for n in range(8, 20)),
     ("cohomology_table", 13),
     ("abelianization", 63),
+    ("reduce_word", 16),
 ]
 # dimensions of the one-square scans: the cost of a scan that is not its pairs
 QUAD_DIMS = (4, 10, 13)
@@ -263,16 +267,28 @@ def job_mesh_io(name: str) -> dict:
     }
 
 
+def algebra_queries_word(n: int) -> str:
+    """The first `pi1 --word` at n of the algebra-queries workload, seed 0."""
+    workloads = runpy.run_path(os.path.join(ROOT, "perfbench", "workloads.py"))
+    return next(
+        op.argv[4] for op in workloads["algebra_queries_ops"](0)
+        if op.argv[:4] == ("pi1", "--n", str(n), "--word")
+    )
+
+
 def job_ring(name: str, n: int) -> dict:
     from kleinforge.char_classes import manifold_report
-    from kleinforge.fundamental_group import abelianization
+    from kleinforge.fundamental_group import GroupWord, abelianization, reduce_word
     from kleinforge.verification import cohomology_table
 
+    word = algebra_queries_word(n) if name == "reduce_word" else ""
     start = time.perf_counter()
     if name == "manifold_report":
         answer = manifold_report(n).category
     elif name == "cohomology_table":
         answer = len(cohomology_table(n)["sq1"])
+    elif name == "reduce_word":
+        answer = reduce_word(GroupWord.parse(n, word)).text()
     else:
         answer = abelianization(n).text()
     return {"seconds": time.perf_counter() - start, "answer": answer, "peak_rss_mb": peak_rss_mb()}

@@ -32,7 +32,7 @@ duality checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -238,11 +238,14 @@ def basis(n: int, d: int) -> list[int]:
         k = d - eps
         if not 0 <= k <= n - 1:
             continue
-        for vs in combinations(range(1, n), k):
-            key = eps
-            for i in vs:
-                key |= 1 << i
-            out.append(key)
+        if k == 0:  # one empty V-part; there is no column to reduce over
+            out.append(eps)
+            continue
+        # one row of variable indices per subset, in combinations' order
+        count = comb(n - 1, k)
+        idx = np.fromiter(chain.from_iterable(combinations(range(1, n), k)), np.uint64, count * k)
+        keys = np.bitwise_or.reduce(np.uint64(1) << idx.reshape(count, k), axis=1)
+        out += (keys | np.uint64(eps)).tolist()
     return out
 
 

@@ -39,7 +39,8 @@ class GroupWord:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        for g, e in self.letters:
+        # first-occurrence order, so the first bad syllable is the one named
+        for g, e in dict.fromkeys(self.letters):
             if not 1 <= g <= self.n:
                 raise ValueError(f"generator a_{g} out of range for n={self.n}")
             if e == 0:
@@ -50,11 +51,15 @@ class GroupWord:
         """Parse words like ``"a1 an a1^-1 a2^3"`` (an = a_n).
 
         Each token becomes one syllable; a ``^0`` token is dropped once its
-        generator has been checked.
+        generator has been checked.  Each distinct token is matched and
+        checked once, in order of first occurrence, so the first bad token in
+        the text is the one the ``ValueError`` names; every letter is then
+        looked up in that table.
         """
         _check_dimension(n)
-        letters: list[tuple[int, int]] = []
-        for tok in text.replace("*", " ").split():
+        tokens = text.replace("*", " ").split()
+        table: dict[str, tuple[int, int] | None] = {}
+        for tok in dict.fromkeys(tokens):
             m = _TOKEN.match(tok)
             if not m:
                 raise ValueError(f"cannot parse letter {tok!r}")
@@ -62,9 +67,9 @@ class GroupWord:
             if not 1 <= g <= n:
                 raise ValueError(f"generator a_{g} out of range for n={n}")
             e = int(m.group(2)) if m.group(2) else 1
-            if e:
-                letters.append((g, e))
-        return cls(n, tuple(letters))
+            table[tok] = (g, e) if e else None
+        # a syllable is a nonempty tuple, so filter(None, ...) drops only ^0
+        return cls(n, tuple(filter(None, map(table.__getitem__, tokens))))
 
     def inverse(self) -> "GroupWord":
         return GroupWord(self.n, tuple((g, -e) for g, e in reversed(self.letters)))

@@ -8,6 +8,7 @@ print no traceback and finish within a per-case time bound.
 import contextlib
 import io
 import os
+import random
 import time
 
 import pytest
@@ -43,6 +44,15 @@ RATIONAL = mostly(st.sampled_from(("0", "1", "2", "3", "1/24", "3/2", "0.5", "2e
 LETTER = mostly(st.sampled_from(
     ("a1", "a2", "a3", "a4", "an", "a1^-1", "a2^3", "a3^0", "a13", "a0", "a1^99999999999", "b", "^")
 ))
+# long words over a handful of tokens, valid and not, so that tokens repeat;
+# a seeded choice spells each word, since drawing hundreds of list entries
+# one by one is slow to generate
+LONG_WORD = st.builds(
+    lambda tokens, length, seed: " ".join(random.Random(seed).choices(tokens, k=length)),
+    st.lists(LETTER, min_size=1, max_size=5),
+    st.integers(0, 300),
+    st.integers(0, 2**32),
+)
 TARGET = mostly(st.sampled_from(("immersion", "embedding")))
 
 # relative paths, resolved in the directory the `files` fixture prepares
@@ -52,7 +62,7 @@ COMMANDS = {
     "integral": {"--n": SIZE},
     "splitting": {"--n": SIZE},
     "check": {"--n": SIZE},
-    "pi1": {"--n": SIZE, "--word": st.lists(LETTER, max_size=6).map(" ".join)},
+    "pi1": {"--n": SIZE, "--word": st.one_of(st.lists(LETTER, max_size=6).map(" ".join), LONG_WORD)},
     "zcl": {"--n": SIZE, "--max-len": mostly(st.integers(0, 30).map(str))},
     "tc": {"--m": SIZE},
     "genes": {
@@ -133,3 +143,13 @@ def test_every_argv_ends_in_a_documented_exit_code(files, argv):
     assert code != 1 or argv[0] in ("check", "verify-paper"), argv
     assert "Traceback" not in err.getvalue(), argv
     assert elapsed < CASE_SECONDS, (argv, elapsed)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(n=SIZE, word=LONG_WORD)
+def test_long_words_with_repeats_exit_0_or_2(n, word):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["pi1", "--n", n, "--word", word, "--json"])
+    assert code in (0, 2), (n, word, code)
+    assert "Traceback" not in err.getvalue(), (n, word)

@@ -5,6 +5,7 @@ and only then rewrites with R^2 = 0 and V_i^2 = R V_i; cup works directly
 on the reduced basis, so agreement is meaningful.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -61,6 +62,30 @@ def test_basis_order_is_v_block_then_r_block():
     assert [coh.monomial_text(k) for k in coh.basis(4, 4)] == ["R*V1*V2*V3"]
     degree_2 = coh.CohomologyClass(4, frozenset(coh.basis(4, 2)))
     assert degree_2.sorted_keys() == coh.basis(4, 2)
+
+
+def loop_basis(n, d):
+    """basis(n, d) built a key at a time over itertools.combinations, kept as
+    the reference for the array build."""
+    out = []
+    for eps in (0, 1):
+        k = d - eps
+        if not 0 <= k <= n - 1:
+            continue
+        for vs in itertools.combinations(range(1, n), k):
+            key = eps
+            for i in vs:
+                key |= 1 << i
+            out.append(key)
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 19])
+def test_basis_matches_the_combinations_loop(n):
+    for d in range(-1, n + 2):
+        keys = coh.basis(n, d)
+        assert keys == loop_basis(n, d), (n, d)
+        assert all(type(k) is int for k in keys)
 
 
 def test_class_keys_must_be_monomials_of_k_n():

@@ -37,6 +37,81 @@ def test_parse_rejects_garbage():
         fg.GroupWord(3, ((1, 0),))
 
 
+def per_token_parse(n, text):
+    """The letters of ``GroupWord.parse(n, text)``, matching and checking
+    every token in text order: the reference for the parser's table of
+    distinct tokens."""
+    letters = []
+    for tok in text.replace("*", " ").split():
+        m = fg._TOKEN.match(tok)
+        if not m:
+            raise ValueError(f"cannot parse letter {tok!r}")
+        g = n if m.group(1) == "n" else int(m.group(1))
+        if not 1 <= g <= n:
+            raise ValueError(f"generator a_{g} out of range for n={n}")
+        e = int(m.group(2)) if m.group(2) else 1
+        if e:
+            letters.append((g, e))
+    return tuple(letters)
+
+
+def parse_outcome(parse, n, text):
+    try:
+        return parse(n, text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# repeats come from the small set; a01 is a second spelling of a1's syllable
+PARSE_TOKENS = (
+    "a1", "a2", "a3", "an", "a01", "a1^-1", "a2^3", "an^-2", "a2^0", "an^0",
+    "a1^99999999999999999999", "a2^-12345678901234567890",
+    "a0", "a5", "a9^-1", "a0^0", "a12",
+    "b1", "a", "a1^", "a1^x", "^2", "a1^+2", "an^--1", "a१",
+)
+SEPARATORS = (" ", "  ", "\t", "*", " * ", "\t*\n")
+
+parse_texts = st.tuples(
+    st.integers(1, 4),
+    st.lists(st.tuples(st.sampled_from(PARSE_TOKENS), st.sampled_from(SEPARATORS)), max_size=40),
+).map(lambda c: (c[0], "".join(tok + sep for tok, sep in c[1])))
+
+
+@given(parse_texts)
+def test_parse_matches_the_per_token_reference(case):
+    n, text = case
+    got = parse_outcome(lambda n, text: fg.GroupWord.parse(n, text).letters, n, text)
+    assert got == parse_outcome(per_token_parse, n, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    # the first bad token in the text is the one named, whatever its kind
+    ("a1 a7 a1 b2 a7", "generator a_7 out of range for n=3"),
+    ("a1 b2 a1 a7 b2", "cannot parse letter 'b2'"),
+    ("a1^0 a7^0 a2 a1^0 x", "generator a_7 out of range for n=3"),
+    ("a2*a1^ a9 a1^", "cannot parse letter 'a1^'"),
+])
+def test_parse_names_the_first_bad_token(text, message):
+    assert parse_outcome(per_token_parse, 3, text) == (ValueError, message)
+    with pytest.raises(ValueError) as exc:
+        fg.GroupWord.parse(3, text)
+    assert str(exc.value) == message
+
+
+@given(st.integers(1, 4), st.lists(st.tuples(st.integers(-1, 6), st.integers(-2, 2)), max_size=12))
+def test_word_construction_names_the_first_bad_syllable(n, letters):
+    def per_letter(n, letters):
+        for g, e in letters:
+            if not 1 <= g <= n:
+                return ValueError, f"generator a_{g} out of range for n={n}"
+            if e == 0:
+                return ValueError, "syllable power must be nonzero"
+        return tuple(letters)
+
+    got = parse_outcome(lambda n, ls: fg.GroupWord(n, ls).letters, n, tuple(letters))
+    assert got == per_letter(n, letters)
+
+
 def test_huge_power_is_one_syllable_and_reduces_exactly():
     big = 99999999999999999999
     w = fg.GroupWord.parse(3, f"a1^-{big} an a1^5 a2^10000000000")

@@ -966,14 +966,15 @@ def test_writers_match_per_row_repr(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("write", [geo.write_mesh_text, geo.write_obj], ids=["text", "obj"])
-def test_writer_working_memory_stays_bounded(tmp_path, write):
-    # a block of rows at a time, about 3.5 MB traced at either size: a table
+def test_writer_working_memory_stays_bounded(tmp_path, write, monkeypatch):
+    # a block of rows at a time, about 0.4 MB traced at either size: a table
     # of the whole array's distinct values, or a projected copy of the whole
-    # array (2.3 MB, then 4.3 MB), grows with the mesh.  Tracing slows the
-    # writers about ninefold, so the larger mesh has 80,000 vertices, ten
-    # blocks.
+    # array (0.45 MB, then 0.66 MB), grows with the mesh.  Tracing slows the
+    # writers about ninefold, so blocks are 1,024 rows and the meshes have
+    # 2,484 and 10,008 vertices, two and a half blocks and ten.
+    monkeypatch.setattr(geo, "_IO_ROWS", 1024)
     peaks = []
-    for res in ((100, 200), (200, 400)):
+    for res in ((36, 70), (72, 140)):
         mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", *res))
         tracemalloc.start()
         try:
@@ -981,7 +982,8 @@ def test_writer_working_memory_stays_bounded(tmp_path, write):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 1.2 * peaks[0] and peaks[1] < 6e6, peaks
+    # 6e6 bytes at 8,192 rows a block, scaled to the block size
+    assert peaks[1] < 1.2 * peaks[0] and peaks[1] < 6e6 * geo._IO_ROWS / 8192, peaks
 
 def test_obj_export_3d(tmp_path):
     mesh = geo.build_mesh(geo.MeshSpec(2, "immersion", 8, 6))
