@@ -26,8 +26,9 @@ run's own and no cache carries over between runs.  The file records:
 - for each case of RING_CASES: median seconds of char_classes.manifold_report(n),
   verification.cohomology_table(n), fundamental_group.abelianization(n) or
   the parse and reduction of the `pi1` word at n of perfbench's
-  algebra-queries (seed 0), with the category, the number of Sq1 pairings,
-  the group or the normal form it gives;
+  algebra-queries (seed 0), with the category, the SHA-256 of the table's
+  JSON (so a wrong basis or Sq1 text shows, not only a wrong count), the
+  group or the normal form it gives;
 - for each dimension of QUAD_DIMS: median seconds to scan one unit square,
   padded with zero coordinates and read back from a mesh text file, with its
   pair count, or "refused" where the scan exits 3 (a FeasibilityError);
@@ -86,12 +87,14 @@ def mesh_io_files() -> dict:
 EXPORTED_OBJ = {"k2-exported.obj": "k2-immersion.obj"}
 # (function, n) cases of the ring job: the Wu and Stiefel-Whitney solves
 # behind `manifold` up to the basis budget, the Sq1 table behind `cohomology`
-# at the largest n of perfbench's algebra-queries, the Smith form behind
-# `pi1` and `check` at n = 63, and `pi1 --word` on algebra-queries' longest
-# word, 50,000 letters at n = 16
+# at the largest n of perfbench's algebra-queries, at 16 and at the basis
+# budget's edge, 19, the Smith form behind `pi1` and `check` at n = 63, and
+# `pi1 --word` on algebra-queries' longest word, 50,000 letters at n = 16
 RING_CASES = [
     *(("manifold_report", n) for n in range(8, 20)),
     ("cohomology_table", 13),
+    ("cohomology_table", 16),
+    ("cohomology_table", 19),
     ("abelianization", 63),
     ("reduce_word", 16),
 ]
@@ -286,7 +289,7 @@ def job_ring(name: str, n: int) -> dict:
     if name == "manifold_report":
         answer = manifold_report(n).category
     elif name == "cohomology_table":
-        answer = len(cohomology_table(n)["sq1"])
+        answer = hashlib.sha256(json.dumps(cohomology_table(n)).encode()).hexdigest()
     elif name == "reduce_word":
         answer = reduce_word(GroupWord.parse(n, word)).text()
     else:

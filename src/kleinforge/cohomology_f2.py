@@ -15,7 +15,8 @@ the mask holding V_i; the keys of K_n are exactly 0 .. 2^n - 1.  A class is
 the frozen set of the keys of its terms (coefficients live in F2, so sets
 with symmetric difference as addition), held as Python ints.  A monomial's
 text, JSON and canonical order (degree, then eps, then variables) are read
-off its key.
+off its key: `monomial_text` renders one key, and `monomial_texts` the
+whole ring at once, one table indexed by key and built by doubling.
 
 Every product of keys goes through one rule on uint64 key arrays,
 `_key_products`, and every product of classes through one batched product
@@ -161,6 +162,21 @@ def monomial_text(key: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def monomial_texts(n: int) -> list[str]:
+    """Every monomial's text, indexed by key: texts[key] == monomial_text(key).
+
+    Built by doubling: the keys with a generator's bit set are the keys
+    below that bit with the generator appended, so each pass over R, V1,
+    ..., V_{n-1} copies the table so far once.  Guarded from n before
+    anything is built.
+    """
+    _check_basis_budget(n)
+    texts = ["1"]
+    for name in ["R", *(f"V{i}" for i in range(1, n))]:
+        texts += [name] + [t + "*" + name for t in texts[1:]]
+    return texts
+
+
 @dataclass(frozen=True)
 class CohomologyClass:
     """An element of H^*(K_n; Z2): the packed keys of its terms (F2 coefficients)."""
@@ -223,14 +239,18 @@ def _check_pairing_budget(n: int, d: int) -> None:
     check_budget(entries, PAIRING_BUDGET, f"entries in the degree-{d} duality pairing of K_{n}")
 
 
+def _check_basis_budget(n: int) -> None:
+    _check_dimension(n)
+    check_budget(1 << n, BASIS_BUDGET, f"basis monomials in H^*(K_{n})")
+
+
 def basis(n: int, d: int) -> list[int]:
     """Packed keys of the canonical basis of H^d(K_n; Z2), in canonical order.
 
     Size C(n-1, d) + C(n-1, d-1): the V-only monomials then the R-carrying
     ones.
     """
-    _check_dimension(n)
-    check_budget(1 << n, BASIS_BUDGET, f"basis monomials in H^*(K_{n})")
+    _check_basis_budget(n)
     if d < 0 or d > n:
         return []
     out: list[int] = []

@@ -20,7 +20,7 @@ tests call the same functions with their default ranges.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
@@ -190,15 +190,20 @@ TABLE_N4_SQ1 = (
 
 
 def cohomology_table(n: int) -> dict:
-    """Basis per degree plus the Sq1 pairings, one square-rule call per degree."""
-    coh._check_dimension(n)
+    """Basis per degree plus the Sq1 pairings, one square-rule call per degree.
+
+    Every text is read by key from one whole-ring table, `monomial_texts(n)`,
+    built by doubling.
+    """
+    texts = coh.monomial_texts(n)
     basis = []
     sq1 = []
     for d in range(n + 1):
         keys = coh.basis(n, d)
-        images = coh._key_squares(1, np.array(keys, dtype=np.uint64)).tolist()
-        row = tuple(map(coh.monomial_text, keys))
-        sq1 += [(t, coh.monomial_text(k)) for t, k in zip(row, images) if k != coh._ZERO]
+        images = coh._key_squares(1, np.array(keys, dtype=np.uint64))
+        row = tuple(map(texts.__getitem__, keys))
+        live = images != coh._ZERO
+        sq1 += zip(compress(row, live), map(texts.__getitem__, images[live].tolist()))
         basis.append(row)
     return {
         "n": n,

@@ -104,6 +104,38 @@ def test_enumeration_budgets_are_checked_before_any_work():
         coh.basis(64, 1)
 
 
+# ------------------------------------------------------- monomial texts
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_monomial_texts_match_the_one_key_formatter(n):
+    assert coh.monomial_texts(n) == [coh.monomial_text(k) for k in range(1 << n)]
+
+
+def test_monomial_texts_at_the_basis_budget():
+    n = 19  # 2^19 keys, the largest ring the basis budget admits
+    texts = coh.monomial_texts(n)
+    assert len(texts) == 1 << n
+    rng = np.random.default_rng(0)
+    keys = {0, (1 << n) - 1, *(1 << i for i in range(n)), *rng.integers(0, 1 << n, 10_000).tolist()}
+    for key in keys:
+        assert texts[key] == coh.monomial_text(key), key
+    assert texts[(1 << n) - 1] == "R*" + "*".join(f"V{i}" for i in range(1, n))
+
+
+def test_monomial_texts_are_refused_before_any_are_built():
+    with pytest.raises(FeasibilityError) as basis_error:
+        coh.basis(20, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FeasibilityError) as texts_error:
+            coh.monomial_texts(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(texts_error.value) == str(basis_error.value)
+    assert peak < 1e6, peak
+
+
 # ------------------------------------------------------- the product rule
 
 def scalar_key_mul(k1, k2):
