@@ -12,6 +12,11 @@ run's own and no cache carries over between runs.  The file records:
   and the peak RSS after build_mesh as well as after the scan, so that the
   scan's own rise shows; then, from a second build and scan under
   tracemalloc, the traced peak of each stage (STAGES), in MB;
+- for each n of verification.SCAN_SETTINGS: median seconds of the
+  embedding's full self_intersection_scan and of lifted_scan, which reads
+  it off the immersion's scan as verify-paper does, with the pair count and
+  whether the two results are equal (a tree without lifted_scan reports
+  None for both);
 - for each m = 2..cohomology_f2.MAX_DIMENSION: median seconds of
   tensor_zcl.compute_zcl(m) and the zcl it returns, or "refused" where a
   tree exits 3 (a FeasibilityError), as an older tree's budgeted search
@@ -203,6 +208,31 @@ def job_scan(n: int, target: str) -> dict:
     return out
 
 
+def job_lift(n: int) -> dict:
+    """The embedding's full scan against lifted_scan off the immersion's scan."""
+    from kleinforge import geometry as geo
+    from kleinforge.verification import SCAN_SETTINGS
+
+    s = SCAN_SETTINGS[n]
+    base, lift = (
+        geo.build_mesh(geo.MeshSpec(n, target, s["res_theta"], s["res_t"]))
+        for target in ("immersion", "embedding")
+    )
+    scan = geo.self_intersection_scan(base, s["radius"])
+    start = time.perf_counter()
+    full = geo.self_intersection_scan(lift, s["radius"])
+    scanned = time.perf_counter()
+    lifted = geo.lifted_scan(base, scan, lift) if hasattr(geo, "lifted_scan") else None
+    done = time.perf_counter()
+    return {
+        "full_scan_s": scanned - start,
+        "lifted_scan_s": None if lifted is None else done - scanned,
+        "pairs": full.num_pairs,
+        "lifted_equal": None if lifted is None else lifted == full,
+        "peak_rss_mb": peak_rss_mb(),
+    }
+
+
 def job_zcl(m: int) -> dict:
     from kleinforge.errors import FeasibilityError
     from kleinforge.tensor_zcl import compute_zcl
@@ -345,6 +375,7 @@ def job_fan_scan(quads: int) -> dict:
 JOBS = {
     "verify-paper": lambda max_n="8": job_verify_paper(int(max_n)),
     "scan": lambda n, target: job_scan(int(n), target),
+    "lift": lambda n: job_lift(int(n)),
     "zcl": lambda m: job_zcl(int(m)),
     "mesh-io": job_mesh_io,
     "ring": lambda name, n: job_ring(name, int(n)),
@@ -376,8 +407,10 @@ def measure(trees: dict, *argv: str) -> dict:
     return runs
 
 
-def median_of(runs: list[dict], key: str) -> float:
-    return round(statistics.median(r[key] for r in runs), 3)
+def median_of(runs: list[dict], key: str) -> float | None:
+    """The median of `key` over the runs, or None where a run has none."""
+    values = [r[key] for r in runs]
+    return None if None in values else round(statistics.median(values), 3)
 
 
 def peak_of(runs: list[dict], key: str = "peak_rss_mb") -> float:
@@ -439,6 +472,7 @@ def main() -> int:
             "verify_paper": {},
             "verify_paper_max13": {},
             "scans": {},
+            "lift_scans": {},
             "compute_zcl": {},
             "mesh_io": {},
             "ring": {},
@@ -459,6 +493,9 @@ def main() -> int:
         for target in ("immersion", "embedding"):
             record("scans", f"n{n}-{target}", ("scan", str(n), target),
                    ("build_s", "scan_s"), ("vertices", "pairs", "stage_peak_mb"))
+    for n in sorted(SCAN_SETTINGS):
+        record("lift_scans", f"n{n}", ("lift", str(n)),
+               ("full_scan_s", "lifted_scan_s"), ("pairs", "lifted_equal"))
     for m in range(2, MAX_DIMENSION + 1):
         record("compute_zcl", f"m{m}", ("zcl", str(m)), ("zcl_s",), ("zcl",))
     for name in [*mesh_io_files(), *EXPORTED_OBJ]:

@@ -16,7 +16,10 @@ flip theta_1 -> pi - theta_1.  Concretely, with D = 1/(2^(n+1) - 5):
 The result is an immersion of K_n in R^(n+1); the two branches of the
 figure-eight overlap near the crossing, so genuine double points remain.
 Appending sin(2t) as one extra coordinate separates the branches and
-gives an embedding in R^(n+2).
+gives an embedding in R^(n+2).  So the embedding is a lift of the
+immersion: its first n + 1 coordinates are the immersion's, bit for bit,
+and its mesh has the same faces, which lets `lifted_scan` read the
+embedding's scan off the immersion's without hashing a cell again.
 
 Meshes sample the parameter grid, welding the t = pi row onto the t = 0
 row through the flip (this needs an even theta resolution).  Quad corners
@@ -27,7 +30,8 @@ side `radius`, joins neighbouring cells one axis at a time, and reports
 close pairs that are not mesh neighbours, where "neighbour" means graph
 distance at most 2 in the share-a-quad adjacency; each vertex's ball is
 read straight off the quads around it.  Both stages are array code over any
-quad mesh: grid metadata is never used.
+quad mesh: grid metadata is never used.  `lifted_scan` keeps, of a
+mesh's reported pairs, those still close in a lift of it.
 """
 
 from __future__ import annotations
@@ -52,13 +56,13 @@ from .errors import FeasibilityError, check_budget
 # hold, checked before sampling.  Building peaks (numpy's allocations) at
 # about 15 bytes per entry at n = 2, 9 at n = 3 and 6 at n = 8, so at about
 # 125 MB at the budget.  verify-paper's largest mesh, the n = 3 embedding, has
-# 3,720,960 entries.
+# 3,720,960 entries; it is built but not scanned in full (see lifted_scan).
 MESH_ENTRY_BUDGET = 1 << 23
 # raw candidate pairs (every point pair of two neighbouring cells, a cell with
 # c points counting c^2 with itself) one self-intersection scan may gather, and
 # cell prefix pairs its join may build on one axis, each counted before its
-# arrays exist.  The largest scan in use, verify-paper's n = 3 immersion, has
-# 1,760,184 raw candidates and at most 591,322 prefix pairs on an axis;
+# arrays exist.  The largest scan verify-paper runs, of the n = 3 immersion,
+# has 1,760,184 raw candidates and at most 591,322 prefix pairs on an axis;
 # `scan --n 2 --res 200x400 --radius 1e6` would have about 3.2e9.  When the
 # radius exceeds the mesh, nearly every candidate is reported, at about 340
 # bytes per pair as a ScanResult.
@@ -66,9 +70,9 @@ SCAN_CANDIDATE_BUDGET = 1 << 22
 # ball ids the neighbour test may gather (4 * max(deg i, deg j, 1) for each
 # candidate pair (i, j)), counted before any is gathered.  It gathers them a
 # block of _NEAR_BLOCK ids at a time, so the blocks bound its memory and the
-# budget its time.  The largest count in use, verify-paper's n = 3 immersion,
-# is 15,542,688 (the embedding 15,287,040); a vertex of degree 1,000 in a
-# mesh file costs 4,000 for each pair it is in.
+# budget its time.  The largest count verify-paper gathers, for the n = 3
+# immersion, is 15,542,688; a vertex of degree 1,000 in a mesh file costs
+# 4,000 for each pair it is in.
 SCAN_BALL_BUDGET = 1 << 25
 _NEAR_BLOCK = 1 << 20  # ball ids gathered per block of the neighbour test
 _GATHER_BLOCK = 1 << 15  # raw candidates gathered per block of the d^2 test
@@ -194,7 +198,10 @@ def embedding_point(n: int, thetas, t):
     """K_n -> R^(n+2): the immersion with sin(2t) appended.
 
     sin(2t) has opposite signs on the two branches t and pi - t, which
-    is what pushes the overlapping tubes apart.
+    is what pushes the overlapping tubes apart.  The first n + 1
+    coordinates are immersion_point's own values, copied, so an embedding
+    mesh is a lift of the immersion mesh on the same grid, and
+    verify-paper scans it with `lifted_scan`.
     """
     imm = immersion_point(n, thetas, t)
     t = np.asarray(t, dtype=float)
@@ -405,6 +412,34 @@ def _neighbour_cells(cells: np.ndarray, scan: str):
     return p, q
 
 
+def _points(mesh: Mesh) -> np.ndarray:
+    """The mesh's vertices as one contiguous float64 array, each checked finite."""
+    P = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
+    if not np.isfinite(P).all():
+        raise ValueError("mesh vertices must have finite coordinates")
+    return P
+
+
+def _extent(P: np.ndarray):
+    """Each axis's lowest coordinate and its span, refusing a squared extent past the float range."""
+    lo = P.min(axis=0)
+    # Python floats, so a span or square beyond the float range is inf without
+    # a warning; with a finite sum of squared spans no squared distance overflows
+    spans = [h - l for h, l in zip(P.max(axis=0).tolist(), lo.tolist())]
+    if not np.isfinite(sum(s * s for s in spans)):
+        raise FeasibilityError(f"the squared extent of a scan in R^{P.shape[1]} does not fit in 64 bits")
+    return lo, spans
+
+
+def _sq_distances(P: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The squared distance of each vertex pair (I[k], J[k]).
+
+    numpy sums a row of fewer than 8 entries left to right, one addition
+    per coordinate (test_row_sums_run_left_to_right); lifted_scan relies on it.
+    """
+    return np.sum((np.take(P, I, axis=0) - np.take(P, J, axis=0)) ** 2, axis=1)
+
+
 def _candidate_pairs(P: np.ndarray, radius: float):
     """All vertex pairs within `radius`, via a uniform spatial hash.
 
@@ -420,15 +455,10 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     against the budget before any is gathered; they then go through the
     exact d^2 test a block at a time.
     """
-    N, dim = P.shape
+    N = len(P)
     scan = f"a scan of {N} vertices at radius {radius!r}"
     check_budget(N, SCAN_CANDIDATE_BUDGET, f"or more candidate pairs in {scan}")
-    lo = P.min(axis=0)
-    # Python floats, so a span or square beyond the float range is inf without
-    # a warning; with a finite sum of squared spans no squared distance overflows
-    spans = [h - l for h, l in zip(P.max(axis=0).tolist(), lo.tolist())]
-    if not np.isfinite(sum(s * s for s in spans)):
-        raise FeasibilityError(f"the squared extent of a scan in R^{dim} does not fit in 64 bits")
+    lo, spans = _extent(P)
     extent = max(spans)
     side = max(radius, extent / 2**30)
     x = P - lo  # hashed in place: one N x dim float array at a time
@@ -457,8 +487,7 @@ def _candidate_pairs(P: np.ndarray, radius: float):
         J = order[starts[b][pair] + within % width]
         keep = (a != b)[pair] | (I < J)
         I, J = I[keep], J[keep]
-        d2 = np.sum((np.take(P, I, axis=0) - np.take(P, J, axis=0)) ** 2, axis=1)
-        close = d2 <= radius * radius
+        close = _sq_distances(P, I, J) <= radius * radius
         found.append((I[close], J[close]))
     return tuple(map(np.concatenate, zip(*found)))
 
@@ -531,9 +560,7 @@ def self_intersection_scan(mesh: Mesh, radius: float) -> ScanResult:
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
-    P = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
-    if not np.isfinite(P).all():
-        raise ValueError("mesh vertices must have finite coordinates")
+    P = _points(mesh)
     N = len(P)
     I, J = _candidate_pairs(P, radius)
     if len(I):
@@ -541,7 +568,40 @@ def self_intersection_scan(mesh: Mesh, radius: float) -> ScanResult:
         I, J = I[~near], J[~near]
     # each pair is found once; one int64 key per pair sorts them by (low, high)
     lo, hi = np.divmod(np.sort(np.minimum(I, J).astype(np.int64) * N + np.maximum(I, J)), N)
-    dists = np.sqrt(np.sum((P[lo] - P[hi]) ** 2, axis=1))
+    return _scan_result(mesh, P, radius, lo, hi)
+
+
+def lifted_scan(base: Mesh, scan: ScanResult, lift: Mesh) -> ScanResult:
+    """self_intersection_scan(lift, scan.radius), read off `scan`, the scan of `base`.
+
+    `lift` must have base's faces and base's vertices as its leading
+    columns, in fewer than 8 columns in all, as the embedding has the
+    immersion's; anything else is refused with ValueError.  Then a lift
+    pair's d^2 is the base pair's with non-negative squares added after it,
+    since numpy sums a row of fewer than 8 entries left to right, and
+    rounding is monotone, so it is never smaller: every close lift pair is
+    a close base pair.  The faces, hence the neighbour test, are the same.
+    So the lift's pairs are the base's reported pairs whose lift d^2, by
+    the scan's own expression, is at most radius^2, and no cell is hashed
+    again.  The lift's vertices get the full scan's checks.
+    """
+    if not (
+        lift.dim < 8
+        and scan.num_vertices == base.num_vertices
+        and np.array_equal(lift.faces, base.faces)
+        and np.array_equal(lift.vertices[:, : base.dim], base.vertices)
+    ):
+        raise ValueError("a lifted scan needs base's faces and vertices as the leading columns of fewer than 8")
+    P = _points(lift)
+    _extent(P)
+    lo, hi = np.array(scan.pairs, dtype=np.int64).reshape(-1, 2).T
+    close = _sq_distances(P, lo, hi) <= scan.radius * scan.radius
+    return _scan_result(lift, P, scan.radius, lo[close], hi[close])
+
+
+def _scan_result(mesh: Mesh, P: np.ndarray, radius: float, lo: np.ndarray, hi: np.ndarray) -> ScanResult:
+    """The ScanResult of the pairs (lo[k], hi[k]) of `mesh`, whose vertices are P."""
+    dists = np.sqrt(_sq_distances(P, lo, hi))
     t_pairs = reach = None
     if mesh.t_values is not None:
         tv = mesh.t_values
@@ -552,7 +612,7 @@ def self_intersection_scan(mesh: Mesh, radius: float) -> ScanResult:
             )
     return ScanResult(
         radius=float(radius),
-        num_vertices=N,
+        num_vertices=len(P),
         num_pairs=len(lo),
         pairs=tuple(zip(lo.tolist(), hi.tolist())),
         distances=tuple(dists.tolist()),

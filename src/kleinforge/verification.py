@@ -137,7 +137,7 @@ def word_exponents(n: int, word) -> tuple[tuple[int, ...], int]:
     return tuple(k), m
 
 
-def expand_zero_divisor_product(n: int, factors) -> frozenset[tuple[int, int]]:
+def expand_zero_divisor_product(factors) -> frozenset[tuple[int, int]]:
     """Product of zero divisors by splitting factors between the sides.
 
     Each factor x gives x(x)1 + 1(x)x; distributing the product sends a
@@ -355,7 +355,7 @@ def check_tensor_witness(max_n: int = 8) -> CheckResult:
                 classes += [coh.CohomologyClass.v(n, idx)] * power
             # R V_1 ... V_(n-2) (x) R V_1 V_(n-1), packed
             anchor = (((1 << (n - 2)) - 1) << 1 | 1, (1 | (1 << (n - 2))) << 1 | 1)
-            if anchor not in expand_zero_divisor_product(n, classes):
+            if anchor not in expand_zero_divisor_product(classes):
                 return False, f"anchor term missing at n={n}"
         return True, f"witness nonzero with anchor term for 3<=n<={max_n}"
     return _run("tensor-witness", body)
@@ -569,7 +569,10 @@ def check_self_intersection(n: int = 2) -> CheckResult:
 
     The immersed tubes genuinely overlap on a band around t = 0 and
     t = pi, so the immersion must report pairs and every pair must sit
-    within the seam band; the embedding must report none.
+    within the seam band; the embedding must report none.  The embedding
+    is the immersion with one coordinate appended, on the same faces, so
+    its scan is read off the immersion's by `lifted_scan`; a mesh that is
+    not such a lift makes the check fail.
     """
     s = SCAN_SETTINGS[n]
     def body():
@@ -582,11 +585,10 @@ def check_self_intersection(n: int = 2) -> CheckResult:
         reach = scan.seam_confinement
         if reach >= SEAM_BAND * np.pi:
             return False, f"collisions reach min(t,pi-t) = {reach!r}, beyond {SEAM_BAND}*pi"
-        del mesh  # one mesh alive at a time: the embedding scan sets the peak
         emesh = geo.build_mesh(geo.MeshSpec(n, "embedding", s["res_theta"], s["res_t"]))
         if emesh.weld_error > WELD_TOL:
             return False, f"embedding weld error {emesh.weld_error!r}"
-        escan = geo.self_intersection_scan(emesh, s["radius"])
+        escan = geo.lifted_scan(mesh, scan, emesh)
         if escan.num_pairs:
             return False, f"embedding scan found {escan.num_pairs} pairs"
         return True, (

@@ -510,7 +510,7 @@ def test_only_the_budget_check_raises_feasibility_errors():
                 exc = exc.func if isinstance(exc, ast.Call) else exc
                 if getattr(exc, "id", getattr(exc, "attr", None)) == "FeasibilityError":
                     raises.append(f"{path.stem}.{func.name}")
-    assert raises == ["errors.check_budget", "geometry._candidate_pairs"]
+    assert raises == ["errors.check_budget", "geometry._extent"]
 
 
 @pytest.mark.parametrize("dim", [13, 40])
@@ -954,6 +954,13 @@ def _embedding_without_separator(n, thetas, t):
     return np.concatenate([imm, np.zeros(imm.shape[:-1] + (1,))], axis=-1)
 
 
+def _embedding_off_the_immersion(n, thetas, t, real=geo.embedding_point):
+    # the embedding moved 1e-9 along e_1: no longer the immersion plus one coordinate
+    out = real(n, thetas, t)
+    out[..., 0] += 1e-9
+    return out
+
+
 @pytest.mark.parametrize(
     "check, target, broken, prefix",
     [
@@ -1026,6 +1033,20 @@ def _embedding_without_separator(n, thetas, t):
             _embedding_without_separator,
             "embedding scan found",
             id="self-intersection-scan-n2",
+        ),
+        pytest.param(
+            lambda: vf.check_self_intersection(3),
+            "geometry.embedding_point",
+            _embedding_without_separator,
+            "embedding scan found 216 pairs",
+            id="self-intersection-scan-n3",
+        ),
+        pytest.param(
+            lambda: vf.check_self_intersection(2),
+            "geometry.embedding_point",
+            _embedding_off_the_immersion,
+            "ValueError: a lifted scan needs",
+            id="self-intersection-scan-not-a-lift",
         ),
         pytest.param(
             vf.check_genetic_codes,
@@ -1220,6 +1241,15 @@ def test_scripts_run_on_the_public_api():
     stages = data["stage_peak_mb"]  # traced peaks of a second build and scan
     assert list(stages) == ["build", "cell_join", "d2_gather", "neighbour_test"]
     assert all(peak > 0 for peak in stages.values())
+
+    bench = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "lift", "2"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert bench.returncode == 0, bench.stderr
+    data = json.loads(bench.stdout)
+    assert (data["pairs"], data["lifted_equal"]) == (0, True)
+    assert data["full_scan_s"] > 0 and data["lifted_scan_s"] > 0
 
     bench = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job", "mesh-io", "k2-coarse.obj"],

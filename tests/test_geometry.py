@@ -282,6 +282,88 @@ def test_embedding_scan_clean():
     assert result.seam_confinement is None
 
 
+def test_row_sums_run_left_to_right():
+    # lifted_scan's premise: a row of fewer than 8 entries is summed one
+    # entry at a time from the left, so appending a column adds one square last
+    rng = np.random.default_rng(5)
+    for width in range(1, 8):
+        rows = rng.random((20000, width)) * 10.0 ** rng.integers(-8, 9, (20000, width))
+        left = rows[:, 0].copy()
+        for k in range(1, width):
+            left += rows[:, k]
+        assert np.array_equal(np.sum(rows, axis=1), left), width
+        if width >= 3:  # the rows are ones whose sum depends on the order
+            right = rows[:, -1].copy()
+            for k in range(width - 2, -1, -1):
+                right += rows[:, k]
+            assert not np.array_equal(left, right), width
+
+
+@pytest.mark.parametrize(
+    "n, res_theta, res_t, radius, pairs",
+    [(2, 200, 400, 1e-2, 0), (2, 100, 200, 0.08, 7659), (3, 16, 32, 0.1, 0), (3, 16, 32, 0.12, 2560)],
+)
+def test_lifted_scan_matches_the_full_scan(n, res_theta, res_t, radius, pairs):
+    base = geo.build_mesh(geo.MeshSpec(n, "immersion", res_theta, res_t))
+    lift = geo.build_mesh(geo.MeshSpec(n, "embedding", res_theta, res_t))
+    scan = geo.self_intersection_scan(base, radius)
+    assert scan.num_pairs > 0
+    full = geo.self_intersection_scan(lift, radius)
+    assert full.num_pairs == pairs
+    assert geo.lifted_scan(base, scan, lift) == full
+
+
+def _moved(mesh, vertices=None, faces=None):
+    return geo.Mesh(
+        mesh.vertices if vertices is None else vertices,
+        mesh.faces if faces is None else faces,
+        mesh.t_values, mesh.spec, mesh.weld_error,
+    )
+
+
+def _padded(mesh, columns):
+    return np.concatenate([mesh.vertices, np.zeros((mesh.num_vertices, columns))], axis=1)
+
+
+@pytest.mark.parametrize(
+    "lift",
+    [
+        pytest.param(lambda lift: _moved(lift, faces=lift.faces[:, ::-1]), id="different-faces"),
+        pytest.param(
+            lambda lift: _moved(lift, vertices=lift.vertices + np.eye(lift.dim)[0] * 1e-12),
+            id="perturbed-leading-column",
+        ),
+        pytest.param(lambda lift: _moved(lift, vertices=lift.vertices[:, 1:]), id="fewer-columns"),
+        pytest.param(lambda lift: _moved(lift, vertices=_padded(lift, 4)), id="eight-columns"),
+    ],
+)
+def test_lifted_scan_refuses_a_mesh_that_is_not_a_lift(lift):
+    base = geo.build_mesh(geo.MeshSpec(2, "immersion", 16, 12))
+    embedding = geo.build_mesh(geo.MeshSpec(2, "embedding", 16, 12))
+    scan = geo.self_intersection_scan(base, 0.5)
+    with pytest.raises(ValueError, match="a lifted scan needs"):
+        geo.lifted_scan(base, scan, lift(embedding))
+
+
+def test_lifted_scan_takes_a_lift_of_seven_columns():
+    base = geo.build_mesh(geo.MeshSpec(2, "immersion", 16, 12))
+    seven = _moved(base, vertices=_padded(base, 4))
+    scan = geo.self_intersection_scan(base, 0.5)
+    assert geo.lifted_scan(base, scan, seven) == geo.self_intersection_scan(seven, 0.5) == scan
+
+
+@pytest.mark.parametrize("value, error", [(np.nan, ValueError), (1e300, FeasibilityError)])
+def test_lifted_scan_checks_the_lift_as_the_full_scan_does(value, error):
+    base = geo.build_mesh(geo.MeshSpec(2, "immersion", 16, 12))
+    vertices = _padded(base, 1)
+    vertices[0, -1] = value
+    lift = _moved(base, vertices=vertices)
+    scan = geo.self_intersection_scan(base, 0.5)
+    for route in (lambda: geo.self_intersection_scan(lift, 0.5), lambda: geo.lifted_scan(base, scan, lift)):
+        with pytest.raises(error):
+            route()
+
+
 def test_scan_excludes_quad_neighbours():
     # at a huge radius everything is close; survivors must share no quad
     # and no common quad-neighbour
@@ -550,8 +632,9 @@ def test_near_mask_matches_the_one_shot_balls(tmp_path, monkeypatch, make, radiu
 
 def test_scan_working_memory_stays_bounded():
     # tracemalloc counts numpy's buffers, so the peak is exact: about 38.2 MB
-    # for either n = 3 mesh of verify-paper, with int32 ids and ball rows
-    # gathered a block of pairs at a time
+    # for the full scan of either n = 3 mesh of verify-paper's settings, with
+    # int32 ids and ball rows gathered a block of pairs at a time; verify-paper
+    # itself scans only the immersion and reads the embedding's off it
     s = vf.SCAN_SETTINGS[3]
     for target, pairs in (("immersion", 216), ("embedding", 0)):
         mesh = geo.build_mesh(geo.MeshSpec(3, target, s["res_theta"], s["res_t"]))

@@ -30,7 +30,7 @@ def subset_split(n, r, v_powers):
     classes = [coh.CohomologyClass.r(n)] * r
     for i, e in enumerate(v_powers, start=1):
         classes += [coh.CohomologyClass.v(n, i)] * e
-    return vf.expand_zero_divisor_product(n, classes)
+    return vf.expand_zero_divisor_product(classes)
 
 
 def test_factored_product_matches_subset_split_expansion():
