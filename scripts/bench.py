@@ -11,7 +11,9 @@ run's own and no cache carries over between runs.  The file records:
   build_mesh and of self_intersection_scan, with vertex and pair counts,
   and the peak RSS after build_mesh as well as after the scan, so that the
   scan's own rise shows; then, from a second build and scan under
-  tracemalloc, the traced peak of each stage (STAGES), in MB;
+  tracemalloc, the traced peak of each stage (STAGES), in MB; and the same
+  again with the mesh's faces permuted by SHUFFLE_SEED (`-shuffled` rows),
+  as a mesh file from another tool may order them;
 - for each n of verification.SCAN_SETTINGS: median seconds of the
   embedding's full self_intersection_scan and of lifted_scan, which reads
   it off the immersion's scan as verify-paper does, with the pair count and
@@ -109,6 +111,7 @@ QUAD_DIMS = (4, 10, 13)
 FAN_DEGREES = (100, 500)
 # the stages of a scan job whose traced peaks it records, build first
 STAGES = ("build", "cell_join", "d2_gather", "neighbour_test")
+SHUFFLE_SEED = 38  # seeds the face permutation of the `-shuffled` scan rows
 
 
 def peak_rss_mb() -> float:
@@ -142,7 +145,15 @@ def traced_mb() -> float:
     return round(peak / 1e6, 1)
 
 
-def stage_peaks(geo, spec, radius: float) -> dict | None:
+def shuffled_faces(geo, mesh):
+    """`mesh` with its faces in the order of a permutation seeded by SHUFFLE_SEED."""
+    import numpy as np
+
+    order = np.random.default_rng(SHUFFLE_SEED).permutation(mesh.num_faces)
+    return geo.Mesh(mesh.vertices, mesh.faces[order], mesh.t_values, mesh.spec, mesh.weld_error)
+
+
+def stage_peaks(geo, spec, radius: float, shuffled: bool = False) -> dict | None:
     """The traced peak of each of STAGES in one build and scan of `spec`, in MB.
 
     Each peak counts all that is live, the mesh included.  The cell join
@@ -177,13 +188,16 @@ def stage_peaks(geo, spec, radius: float) -> dict | None:
     try:
         mesh = geo.build_mesh(spec)
         peaks["build"] = traced_mb()
+        if shuffled:
+            mesh = shuffled_faces(geo, mesh)
         geo.self_intersection_scan(mesh, radius)
     finally:
         tracemalloc.stop()
     return {stage: peaks.get(stage) for stage in STAGES}
 
 
-def job_scan(n: int, target: str) -> dict:
+def job_scan(n: int, target: str, shuffled: bool = False) -> dict:
+    """Build and scan one SCAN_SETTINGS mesh, its faces permuted (untimed) if `shuffled`."""
     from kleinforge import geometry as geo
     from kleinforge.verification import SCAN_SETTINGS
 
@@ -191,20 +205,22 @@ def job_scan(n: int, target: str) -> dict:
     spec = geo.MeshSpec(n, target, s["res_theta"], s["res_t"])
     start = time.perf_counter()
     mesh = geo.build_mesh(spec)
-    built = time.perf_counter()
+    build_s = time.perf_counter() - start
     build_rss = peak_rss_mb()
+    if shuffled:
+        mesh = shuffled_faces(geo, mesh)
+    start = time.perf_counter()
     result = geo.self_intersection_scan(mesh, s["radius"])
-    done = time.perf_counter()
     out = {
-        "build_s": built - start,
-        "scan_s": done - built,
+        "build_s": build_s,
+        "scan_s": time.perf_counter() - start,
         "vertices": result.num_vertices,
         "pairs": result.num_pairs,
         "build_peak_rss_mb": build_rss,
         "peak_rss_mb": peak_rss_mb(),
     }
     del mesh, result
-    out["stage_peak_mb"] = stage_peaks(geo, spec, s["radius"])
+    out["stage_peak_mb"] = stage_peaks(geo, spec, s["radius"], shuffled)
     return out
 
 
@@ -374,7 +390,7 @@ def job_fan_scan(quads: int) -> dict:
 
 JOBS = {
     "verify-paper": lambda max_n="8": job_verify_paper(int(max_n)),
-    "scan": lambda n, target: job_scan(int(n), target),
+    "scan": lambda n, target, shuffled="": job_scan(int(n), target, shuffled == "shuffled"),
     "lift": lambda n: job_lift(int(n)),
     "zcl": lambda m: job_zcl(int(m)),
     "mesh-io": job_mesh_io,
@@ -491,8 +507,9 @@ def main() -> int:
             reports[label][section] = verify_paper_summary(runs)
     for n in sorted(SCAN_SETTINGS):
         for target in ("immersion", "embedding"):
-            record("scans", f"n{n}-{target}", ("scan", str(n), target),
-                   ("build_s", "scan_s"), ("vertices", "pairs", "stage_peak_mb"))
+            for suffix, shuffled in (("", ()), ("-shuffled", ("shuffled",))):
+                record("scans", f"n{n}-{target}{suffix}", ("scan", str(n), target, *shuffled),
+                       ("build_s", "scan_s"), ("vertices", "pairs", "stage_peak_mb"))
     for n in sorted(SCAN_SETTINGS):
         record("lift_scans", f"n{n}", ("lift", str(n)),
                ("full_scan_s", "lifted_scan_s"), ("pairs", "lifted_equal"))

@@ -22,14 +22,18 @@ and its mesh has the same faces, which lets `lifted_scan` read the
 embedding's scan off the immersion's without hashing a cell again.
 
 Meshes sample the parameter grid, welding the t = pi row onto the t = 0
-row through the flip (this needs an even theta resolution).  Quad corners
+row through the flip (this needs an even theta resolution).  The grid is
+sparse: each function of t alone, or of one angle alone, runs on that
+axis's own samples, and only the torus recursion and the final coordinates
+run at full size, with the same floats, bit for bit.  Quad corners
 come from one grid step per axis: theta steps wrap, and the t step from
 the last kept row lands on row 0 through the flip, the one place the weld
 is applied.  The self-intersection scan hashes vertices into cells of
 side `radius`, joins neighbouring cells one axis at a time, and reports
 close pairs that are not mesh neighbours, where "neighbour" means graph
 distance at most 2 in the share-a-quad adjacency; each vertex's ball is
-read straight off the quads around it.  Both stages are array code over any
+read straight off the quads around it, found by one sort of packed
+(vertex, quad) keys.  Both stages are array code over any
 quad mesh: grid metadata is never used.  `lifted_scan` keeps, of a
 mesh's reported pairs, those still close in a lift of it.
 """
@@ -53,10 +57,11 @@ from .errors import FeasibilityError, check_budget
 # index arrays of one gather block, since numpy gathers fastest by intp.
 
 # vertex coordinates plus quad corners (2n(n - 1) a vertex) one mesh may
-# hold, checked before sampling.  Building peaks (numpy's allocations) at
-# about 15 bytes per entry at n = 2, 9 at n = 3 and 6 at n = 8, so at about
-# 125 MB at the budget.  verify-paper's largest mesh, the n = 3 embedding, has
-# 3,720,960 entries; it is built but not scanned in full (see lifted_scan).
+# hold, checked before sampling.  Building peaks (numpy's allocations, under
+# tracemalloc) at about 9 bytes per entry at n = 2, 7 at n = 3 and 4.5 at
+# n = 8, so at about 76 MB at the budget.  verify-paper's largest mesh, the
+# n = 3 embedding, has 3,720,960 entries; it is built but not scanned in
+# full (see lifted_scan).
 MESH_ENTRY_BUDGET = 1 << 23
 # raw candidate pairs (every point pair of two neighbouring cells, a cell with
 # c points counting c^2 with itself) one self-intersection scan may gather, and
@@ -146,44 +151,60 @@ def nesting_margin(radii) -> float:
     return margin
 
 
+def _angles(thetas) -> list[np.ndarray]:
+    """The angles of `thetas` one by one.
+
+    thetas is an array of shape (..., m), split on its last axis, or a
+    tuple of m arrays that broadcast together, one per angle, such as a
+    sparse meshgrid, whose angles each keep their own axis.
+    """
+    if isinstance(thetas, tuple):
+        return [np.asarray(th, dtype=float) for th in thetas]
+    thetas = np.asarray(thetas, dtype=float)
+    return [thetas[..., j] for j in range(thetas.shape[-1])]
+
+
 def torus_point(radii, thetas):
     """Point of the nested torus T^m in R^(m+1), m = len(radii).
 
-    thetas has shape (..., m); radii entries may be scalars or arrays
-    broadcastable against the leading shape.  Built by the recursion
+    thetas has shape (..., m), or is a tuple of m angle arrays (see
+    _angles); radii entries may be scalars or arrays broadcastable against
+    the leading shape.  Built by the recursion
     w_(m-1) = r_(m-1), w_j = r_j + w_(j+1) cos(theta_(j+1)); then
     x_1 = w_0 cos(theta_0) and x_(j+1) = w_j sin(theta_j).
     """
-    thetas = np.asarray(thetas, dtype=float)
-    m = thetas.shape[-1]
+    angles = _angles(thetas)
+    m = len(angles)
     if len(radii) != m:
         raise ValueError("need one radius per angle")
     w = np.asarray(radii[m - 1], dtype=float)
     ws = [w]
     for j in range(m - 2, -1, -1):
-        w = radii[j] + w * np.cos(thetas[..., j + 1])
+        w = radii[j] + w * np.cos(angles[j + 1])
         ws.append(w)
     ws.reverse()
-    shape = np.broadcast_shapes(thetas.shape[:-1], np.shape(ws[0]))
+    shape = np.broadcast_shapes(*map(np.shape, angles), np.shape(ws[0]))
     x = np.empty(shape + (m + 1,))
-    x[..., 0] = ws[0] * np.cos(thetas[..., 0])
+    x[..., 0] = ws[0] * np.cos(angles[0])
     for j in range(m):
-        x[..., j + 1] = ws[j] * np.sin(thetas[..., j])
+        x[..., j + 1] = ws[j] * np.sin(angles[j])
     return x
 
 
 def immersion_point(n: int, thetas, t):
     """K_n -> R^(n+1): fibre torus carried along the figure-eight.
 
-    thetas has shape (..., n-1) and t broadcasts against the leading
-    shape.  The first fibre coordinate rides the directrix normal; the
-    remaining ones go to the coordinate axes e_3..e_(n+1).
+    thetas has shape (..., n-1), or is a tuple of n - 1 angle arrays (see
+    _angles), and t broadcasts against the leading shape; on a sparse grid
+    the functions of t run on t's own axis.  The first fibre coordinate
+    rides the directrix normal; the remaining ones go to the coordinate
+    axes e_3..e_(n+1).
     """
-    thetas = np.asarray(thetas, dtype=float)
+    angles = _angles(thetas)
     t = np.asarray(t, dtype=float)
-    if thetas.shape[-1] != n - 1:
+    if len(angles) != n - 1:
         raise ValueError(f"need {n - 1} angles for K_{n}")
-    x = torus_point(nested_torus_radii(n, t), thetas)
+    x = torus_point(nested_torus_radii(n, t), tuple(angles))
     a = directrix(t)
     j = directrix_normal(t)
     shape = np.broadcast_shapes(x.shape[:-1], t.shape)
@@ -293,17 +314,15 @@ def build_mesh(spec: MeshSpec) -> Mesh:
 
     theta = 2 * np.pi * np.arange(A) / A
     tker = np.pi * np.arange(T - 1) / (T - 1)
-    grids = np.meshgrid(*([theta] * (n - 1)), tker, indexing="ij")
-    thetas = np.stack(grids[:-1], axis=-1)
-    tval = grids[-1]
-    pts = point(n, thetas, tval)
+    # a sparse grid: each function of t or of one angle runs on its own axis
+    *angles, tval = np.meshgrid(*([theta] * (n - 1)), tker, indexing="ij", sparse=True)
+    pts = point(n, tuple(angles), tval)
     vertices = pts.reshape(-1, spec.dim)
-    t_values = tval.reshape(-1)
+    t_values = np.broadcast_to(tval, pts.shape[:-1]).reshape(-1)
 
     # how closely the welded row really lands on its image
-    th_end = thetas[..., 0, :]
-    th_start = th_end.copy()
-    th_start[..., 0] = np.pi - th_start[..., 0]
+    th_end = tuple(th[..., 0] for th in angles)
+    th_start = (np.pi - th_end[0], *th_end[1:])
     weld_error = float(
         np.max(np.abs(point(n, th_end, np.pi) - point(n, th_start, 0.0)))
     )
@@ -492,6 +511,26 @@ def _candidate_pairs(P: np.ndarray, radius: float):
     return tuple(map(np.concatenate, zip(*found)))
 
 
+def _vertex_quads(faces: np.ndarray, num_vertices: int):
+    """The quad incidence by vertex, as int32 arrays (first, degree, quad_of).
+
+    Vertex v's quads are quad_of[first[v] : first[v] + degree[v]], in
+    order, a quad as often as v is its corner: the order of a stable
+    argsort of the corners, bit for bit.  Each corner is one int64 key,
+    vertex << 32 | quad, sorted in place; quad_of is the keys' low words,
+    and first and degree are read off the sorted keys by one search of
+    each v << 32.
+    """
+    keys = faces.astype(np.int64)
+    keys <<= 32
+    keys += np.arange(len(faces), dtype=np.int64)[:, None]  # in place, over the (F, corners) view
+    keys = keys.ravel()
+    keys.sort()
+    bounds = np.searchsorted(keys, np.arange(num_vertices + 1, dtype=np.int64) << 32).astype(np.int32)
+    # the cast to int32 keeps the low 32 bits
+    return bounds[:-1], np.diff(bounds), keys.astype(np.int32)
+
+
 def _mesh_near_mask(
     faces: np.ndarray, num_vertices: int, I: np.ndarray, J: np.ndarray
 ) -> np.ndarray:
@@ -499,8 +538,9 @@ def _mesh_near_mask(
 
     Adjacency is "shares a quad".  With ball(v) = {v} + its neighbours,
     distance <= 2 is exactly ball(i) meeting ball(j).  row(v) is the corners
-    of v's quads, read off the vertex-to-quad incidence with repeats left
-    in, so its entries are ball(v); a vertex in no quad reads itself alone.
+    of v's quads, read off the quad incidence of _vertex_quads (one sort of
+    packed corner keys, in any face order) with repeats left in, so its
+    entries are ball(v); a vertex in no quad reads itself alone.
     A pair with d = max(deg i, deg j, 1) reads both rows at width 4d, v's
     last quad repeating past deg v, so a vertex of high degree slows only
     its own pairs.  Pairs go in order of d, a block of about _NEAR_BLOCK
@@ -509,27 +549,22 @@ def _mesh_near_mask(
     The rest tag row(i) as 2 id and row(j) as 2 id + 1 and sort each pair's
     tagged rows: adjacent entries that differ in the tag bit alone are one
     id from both balls, while repeats within a row are equal, so nothing is
-    deduplicated.  The 4d ids a pair are counted against SCAN_BALL_BUDGET
-    before any is gathered.
+    deduplicated.  The 4d ids a pair are counted against SCAN_BALL_BUDGET,
+    from the degrees of the sorted incidence, before any is gathered.
     """
     corners = faces.shape[1]
-    flat = faces.ravel()
-    degree = np.bincount(flat, minlength=num_vertices).astype(np.int32)
+    first, degree, quad_of = _vertex_quads(faces, num_vertices)
     d = np.maximum(np.maximum(degree[I], degree[J]), 1)
     what = f"ball entries in the neighbour test of {len(I)} candidate pairs"
     check_budget(corners * int(d.sum()), SCAN_BALL_BUDGET, what)
-    if not len(flat):
+    if not len(quad_of):
         return np.zeros(len(I), dtype=bool)  # every ball is one vertex
-    first = np.cumsum(degree, dtype=np.int32) - degree
-    # the quad of each corner, in order of vertex (numpy divides the argsort
-    # in place, as nothing else holds it)
-    quad_of = (np.argsort(flat, kind="stable") // corners).astype(np.int32)
 
     def rows(v: np.ndarray, deg: int) -> np.ndarray:
         v = v.astype(np.intp)
         v_deg = degree[v]
         k = np.minimum(np.arange(deg), np.maximum(v_deg, 1)[:, None] - 1)
-        slot = np.minimum(first[v][:, None] + k, len(flat) - 1)
+        slot = np.minimum(first[v][:, None] + k, len(quad_of) - 1)
         out = np.take(faces, quad_of[slot], axis=0).reshape(len(v), corners * deg)
         lonely = v_deg == 0
         out[lonely] = v[lonely, None]

@@ -454,17 +454,20 @@ WELD_SAMPLES = 10_000  # random angle vectors per n for the weld and symmetry id
 
 
 def _min_sq_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min |x - y|^2 over x in a and y in b, as |x|^2 + |y|^2 - 2 x.y.
+    """min |x - y|^2 over x in a and y in b, as |x|^2 + (|y|^2 - 2 x.y).
 
-    Taken over 256 rows of a at a time, so that a 4096-point b needs a
-    block of 8 MB.  Rounding moves the result by about 1e-16 per unit of
-    squared norm; at a shared point it is 0 to that precision.
+    The bracket is one product per block of 128 rows of a,
+    [x | 1] @ [-2 b^T ; |y|^2], so that a 4096-point b needs a block of
+    4 MB.  |x|^2 is added to each row's minimum, which gives the minimum of
+    the sums, as rounding is monotone.  Rounding moves the result by about
+    1e-16 per unit of squared norm; at a shared point it is 0 to that
+    precision, and exactly 0 where every product and sum is exact.
     """
-    b2 = np.sum(b * b, axis=1)
-    return min(
-        float(np.min(np.sum(block * block, axis=1)[:, None] + b2 - 2 * block @ b.T))
-        for block in np.split(a, range(256, len(a), 256))
-    )
+    right = np.vstack([-2 * b.T, np.sum(b * b, axis=1)])
+    left = np.hstack([a, np.ones((len(a), 1))])
+    cuts = range(128, len(a), 128)
+    blocks = zip(np.split(left, cuts), np.split(np.sum(a * a, axis=1), cuts))
+    return min(float(np.min(np.min(block @ right, axis=1) + norms)) for block, norms in blocks)
 
 
 def check_geometry_identities() -> CheckResult:

@@ -7,7 +7,9 @@ fixed grid, so a changed count means changed geometry, not noise.
 import functools
 import itertools
 import math
+import pathlib
 import re
+import runpy
 import tracemalloc
 from unittest import mock
 
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 from kleinforge import geometry as geo
 from kleinforge import verification as vf
 from kleinforge.errors import FeasibilityError
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # ------------------------------------------------------- directrix + frame
@@ -255,6 +259,65 @@ def test_build_mesh_n3_closed():
     assert mesh.num_faces == 3 * V
     assert V - len(edges) + mesh.num_faces == V
     assert V - len(edges) + mesh.num_faces - V == 0
+
+
+def full_grid_samples(spec):
+    """build_mesh's vertices, t values and weld error with every function evaluated at every grid point."""
+    n, A, T = spec.n, spec.res_theta, spec.res_t
+    point = geo.immersion_point if spec.target == "immersion" else geo.embedding_point
+    theta = 2 * np.pi * np.arange(A) / A
+    tker = np.pi * np.arange(T - 1) / (T - 1)
+    grids = np.meshgrid(*([theta] * (n - 1)), tker, indexing="ij")
+    thetas = np.stack(grids[:-1], axis=-1)
+    th_end = thetas[..., 0, :]
+    th_start = th_end.copy()
+    th_start[..., 0] = np.pi - th_start[..., 0]
+    weld = np.max(np.abs(point(n, th_end, np.pi) - point(n, th_start, 0.0)))
+    return point(n, thetas, grids[-1]).reshape(-1, spec.dim), grids[-1].reshape(-1), weld
+
+
+def sampled_specs():
+    """verify-paper's scan grids, perfbench's mesh files, the CLI tests' pinned meshes and a small n = 8 grid."""
+    specs = {
+        geo.MeshSpec(n, target, s["res_theta"], s["res_t"])
+        for n, s in vf.SCAN_SETTINGS.items()
+        for target in ("immersion", "embedding")
+    }
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    for _, tail, _ in workloads["MESH_FILES"]:
+        opts = dict(zip(tail[::2], tail[1::2]))
+        theta, _, t = opts["--res"].partition("x")
+        specs.add(geo.MeshSpec(int(opts["--n"]), opts.get("--target", "immersion"), int(theta), int(t)))
+    for n, target, res in ((2, "immersion", "8x6"), (3, "embedding", "8x6"), (2, "immersion", "36x40"),
+                           (2, "immersion", "20x40"), (2, "immersion", "4x6")):
+        theta, _, t = res.partition("x")
+        specs.add(geo.MeshSpec(n, target, int(theta), int(t)))
+    specs.update(geo.MeshSpec(8, target, 4, 3) for target in ("immersion", "embedding"))
+    return sorted(specs, key=repr)
+
+
+@pytest.mark.parametrize("spec", sampled_specs(), ids=repr)
+def test_build_mesh_on_the_axes_matches_the_full_grid_bit_for_bit(spec):
+    # the sparse grid evaluates functions of t or of one angle on that axis
+    # alone; every float must still be the full grid's, bit for bit
+    mesh = geo.build_mesh(spec)
+    vertices, t_values, weld = full_grid_samples(spec)
+    assert mesh.vertices.shape == vertices.shape
+    assert np.array_equal(mesh.vertices.view(np.uint64), vertices.view(np.uint64))
+    assert np.array_equal(mesh.t_values.view(np.uint64), t_values.view(np.uint64))
+    assert mesh.weld_error == weld
+
+
+def test_point_maps_take_a_sparse_grid_of_angles():
+    theta = 2 * np.pi * np.arange(6) / 6
+    t = np.linspace(0, np.pi, 5)
+    sparse = np.meshgrid(theta, theta, t, indexing="ij", sparse=True)
+    full = np.meshgrid(theta, theta, t, indexing="ij")
+    thetas = np.stack(full[:-1], axis=-1)
+    for point in (geo.immersion_point, geo.embedding_point):
+        assert np.array_equal(point(3, tuple(sparse[:-1]), sparse[-1]), point(3, thetas, full[-1]))
+    with pytest.raises(ValueError, match="need 2 angles"):
+        geo.immersion_point(3, tuple(sparse[:1]), sparse[-1])
 
 
 def test_faces_index_valid_vertices():
@@ -538,6 +601,19 @@ def test_nested_family_gap_matches_the_broadcast_minimum():
     assert abs(vf._min_sq_distance(a, b)) < 1e-12
 
 
+@pytest.mark.parametrize("rows", [1, 127, 128, 129, 300, 4096 + 5])
+def test_nested_family_gap_is_exactly_zero_at_a_shared_point(rows):
+    # coordinates in eighths keep every product and sum exact, so the
+    # minimum is the broadcast one exactly, 0.0 when the last row of a,
+    # in its ragged last block, is also a point of b
+    rng = np.random.default_rng(rows)
+    a = rng.integers(-16, 16, size=(rows, 3)) / 8
+    b = rng.integers(-16, 16, size=(70, 3)) / 8 + 5
+    broadcast = np.min(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
+    assert broadcast > 0 and vf._min_sq_distance(a, b) == broadcast
+    assert vf._min_sq_distance(a, np.concatenate([b, a[-1:]])) == 0.0
+
+
 def test_neighbour_test_over_budget_is_infeasible(monkeypatch):
     mesh = two_fans(100)
     # 4 * max(deg i, deg j, 1) ids for each of the 49,801 candidate pairs
@@ -628,6 +704,60 @@ def test_near_mask_matches_the_one_shot_balls(tmp_path, monkeypatch, make, radiu
     expected = one_shot_near(mesh.faces, V, I, J)
     assert expected.any() and not expected.all()
     assert np.array_equal(near, expected)
+
+
+def a_quad_with_a_repeated_vertex(tmp_path):
+    """Three quads, one with vertex 1 at two corners, and vertex 6 in none."""
+    vertices = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 0, 0], [2, 1, 0], [9, 9, 9]], float)
+    faces = np.array([[0, 1, 2, 3], [1, 4, 5, 1], [5, 2, 1, 4]])
+    return geo.Mesh(vertices, faces, None, None, float("nan"))
+
+
+def permuted_faces(mesh, seed):
+    faces = mesh.faces[np.random.default_rng(seed).permutation(mesh.num_faces)]
+    return geo.Mesh(mesh.vertices, faces, mesh.t_values, mesh.spec, mesh.weld_error)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: permuted_faces(grid_mesh(3, 12, 10), 3),
+        lambda tmp: permuted_faces(grid_mesh(2, 20, 40), 4),
+        lambda tmp: permuted_faces(two_fans(100), 5),
+        mesh_with_isolated_vertices,
+        a_quad_with_a_repeated_vertex,
+        lambda tmp: geo.Mesh(np.zeros((3, 3)), np.empty((0, 4)), None, None, float("nan")),
+    ],
+    ids=["n3-permuted", "n2-permuted", "two-fans-permuted", "isolated-vertices", "repeated-vertex", "no-faces"],
+)
+def test_packed_corner_keys_sort_as_the_stable_argsort(tmp_path, make):
+    mesh = make(tmp_path)
+    flat = mesh.faces.ravel()
+    first, degree, quad_of = geo._vertex_quads(mesh.faces, mesh.num_vertices)
+    expected_degree = np.bincount(flat, minlength=mesh.num_vertices)
+    assert first.dtype == degree.dtype == quad_of.dtype == np.int32
+    assert np.array_equal(quad_of, np.argsort(flat, kind="stable") // 4)
+    assert np.array_equal(degree, expected_degree)
+    assert np.array_equal(first, np.cumsum(expected_degree) - expected_degree)
+
+
+@pytest.mark.parametrize(
+    "make, radius",
+    [
+        (lambda: grid_mesh(3, 48, 96), 3e-2),
+        (lambda: grid_mesh(2, 200, 400), 2e-2),
+        (lambda: two_fans(100), 0.05),
+    ],
+    ids=["n3-grid", "n2-grid", "two-fans"],
+)
+def test_near_mask_does_not_change_when_the_faces_are_permuted(make, radius):
+    mesh = make()
+    I, J = geo._candidate_pairs(np.asarray(mesh.vertices, dtype=float), radius)
+    near = geo._mesh_near_mask(mesh.faces, mesh.num_vertices, I, J)
+    assert near.any() and not near.all()
+    for seed in (1, 2):
+        shuffled = permuted_faces(mesh, seed).faces
+        assert np.array_equal(geo._mesh_near_mask(shuffled, mesh.num_vertices, I, J), near)
 
 
 def test_scan_working_memory_stays_bounded():
