@@ -1,55 +1,14 @@
-"""Time verify-paper, the scans, compute_zcl, mesh I/O and the ring; write BENCH_<label>.json.
+"""Time klein-forge's paper computations in fresh interpreters; write BENCH_<label>.json.
 
-Every measurement runs in a fresh interpreter, so each peak RSS is that
-run's own and no cache carries over between runs.  The file records:
-
-- a machine line: nproc, Python version, numpy version;
-- verify-paper wall time at max_n = 8 and at max_n = 13 (`verify_paper`
-  and `verify_paper_max13`), the median of RUNS runs, and the median
-  seconds of each of its checks;
-- for each (n, target) of verification.SCAN_SETTINGS: median seconds of
-  build_mesh and of self_intersection_scan, with vertex and pair counts,
-  and the peak RSS after build_mesh as well as after the scan, so that the
-  scan's own rise shows; then, from a second build and scan under
-  tracemalloc, the traced peak of each stage (STAGES), in MB; and the same
-  again with the mesh's faces permuted by SHUFFLE_SEED (`-shuffled` rows),
-  as a mesh file from another tool may order them;
-- for each n of verification.SCAN_SETTINGS: median seconds of the
-  embedding's full self_intersection_scan and of lifted_scan, which reads
-  it off the immersion's scan as verify-paper does, with the pair count and
-  whether the two results are equal (a tree without lifted_scan reports
-  None for both);
-- for each m = 2..cohomology_f2.MAX_DIMENSION: median seconds of
-  tensor_zcl.compute_zcl(m) and the zcl it returns, or "refused" where a
-  tree exits 3 (a FeasibilityError), as an older tree's budgeted search
-  does from m = 37 on;
-- for each file of the mesh-files perfbench workload (mesh_io_files): median
-  seconds to write it (write_obj or write_mesh_text) and to read it back
-  (load_mesh), its size in bytes and SHA-256, and the peak RSS after the
-  write as well as after the read, so that a --parent pair shows whether
-  the files are byte-identical and which of the two set the peak; the same
-  for each OBJ file of EXPORTED_OBJ, one of those files rewritten as other
-  tools write OBJ, whose write time is that of the file it is rewritten from;
-- for each case of RING_CASES: median seconds of char_classes.manifold_report(n),
-  verification.cohomology_table(n), fundamental_group.abelianization(n) or
-  the parse and reduction of the `pi1` word at n of perfbench's
-  algebra-queries (seed 0), with the category, the SHA-256 of the table's
-  JSON (so a wrong basis or Sq1 text shows, not only a wrong count), the
-  group or the normal form it gives;
-- for each dimension of QUAD_DIMS: median seconds to scan one unit square,
-  padded with zero coordinates and read back from a mesh text file, with its
-  pair count, or "refused" where the scan exits 3 (a FeasibilityError);
-- for each degree of FAN_DEGREES: median seconds to scan two quad fans, each
-  around one pole of that degree, with the pair count or "refused";
-- the peak RSS of each of those, the largest of its runs.
-
-Only public API is used, so the same script measures any commit, except
-for the stage peaks of a scan: they wrap geometry's private stage functions
-by name, and a tree that lacks one reports no stage peaks.  With
-`--parent DIR` it times the checkout at DIR too: every job alternates
-between DIR's `src` and this tree's, so the two files come from one
-session under the same load.  The jobs are the ones this tree lists.
-Files are written to the current directory.
+Each row of the file is one job (`--job KIND ARG...`, a key of JOBS) run
+RUNS times, each run in a fresh interpreter so that its peak RSS is its own
+and no cache carries over; `summary` reduces the runs to the row.  README's
+"Experiment scripts" describes each section.  The jobs use only public API,
+so the script measures any commit; a scan's stage peaks wrap geometry's
+private stage functions by name, and read None in a tree without them.
+With `--parent DIR` every job alternates between DIR's `src` and this
+tree's, so the two files come from one session under the same load.  Files
+are written to the current directory.
 
 Usage:
     PYTHONPATH=src python scripts/bench.py LABEL [--parent DIR]
@@ -57,6 +16,7 @@ Usage:
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -69,7 +29,7 @@ import tempfile
 import time
 import tracemalloc
 
-RUNS = 3  # runs of each measurement; the file reports their median
+RUNS = 3  # runs of each job in each tree
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -118,7 +78,7 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def job_verify_paper(max_n: int) -> dict:
+def job_verify_paper(max_n: int = 8) -> dict:
     """Time each check of verify_paper(max_n) as it is drawn."""
     from kleinforge.verification import verify_paper
 
@@ -130,12 +90,7 @@ def job_verify_paper(max_n: int) -> dict:
         checks[c.name] = now - last
         passed = passed and c.passed
         last = now
-    return {
-        "wall_s": last - start,
-        "passed": passed,
-        "checks": checks,
-        "peak_rss_mb": peak_rss_mb(),
-    }
+    return {"wall_s": last - start, "passed": passed, "checks": checks, "peak_rss_mb": peak_rss_mb()}
 
 
 def traced_mb() -> float:
@@ -145,15 +100,17 @@ def traced_mb() -> float:
     return round(peak / 1e6, 1)
 
 
-def shuffled_faces(geo, mesh):
-    """`mesh` with its faces in the order of a permutation seeded by SHUFFLE_SEED."""
+def in_order(geo, mesh, order: str):
+    """`mesh` in grid order; in "shuffled" order, its faces permuted as SHUFFLE_SEED seeds."""
+    if order != "shuffled":
+        return mesh
     import numpy as np
 
-    order = np.random.default_rng(SHUFFLE_SEED).permutation(mesh.num_faces)
-    return geo.Mesh(mesh.vertices, mesh.faces[order], mesh.t_values, mesh.spec, mesh.weld_error)
+    perm = np.random.default_rng(SHUFFLE_SEED).permutation(mesh.num_faces)
+    return geo.Mesh(mesh.vertices, mesh.faces[perm], mesh.t_values, mesh.spec, mesh.weld_error)
 
 
-def stage_peaks(geo, spec, radius: float, shuffled: bool = False) -> dict | None:
+def stage_peaks(geo, spec, radius: float, order: str) -> dict | None:
     """The traced peak of each of STAGES in one build and scan of `spec`, in MB.
 
     Each peak counts all that is live, the mesh included.  The cell join
@@ -188,16 +145,14 @@ def stage_peaks(geo, spec, radius: float, shuffled: bool = False) -> dict | None
     try:
         mesh = geo.build_mesh(spec)
         peaks["build"] = traced_mb()
-        if shuffled:
-            mesh = shuffled_faces(geo, mesh)
-        geo.self_intersection_scan(mesh, radius)
+        geo.self_intersection_scan(in_order(geo, mesh, order), radius)
     finally:
         tracemalloc.stop()
     return {stage: peaks.get(stage) for stage in STAGES}
 
 
-def job_scan(n: int, target: str, shuffled: bool = False) -> dict:
-    """Build and scan one SCAN_SETTINGS mesh, its faces permuted (untimed) if `shuffled`."""
+def job_scan(n: int, target: str, order: str = "grid") -> dict:
+    """Build and scan one SCAN_SETTINGS mesh, its faces permuted (untimed) in "shuffled" order."""
     from kleinforge import geometry as geo
     from kleinforge.verification import SCAN_SETTINGS
 
@@ -207,8 +162,7 @@ def job_scan(n: int, target: str, shuffled: bool = False) -> dict:
     mesh = geo.build_mesh(spec)
     build_s = time.perf_counter() - start
     build_rss = peak_rss_mb()
-    if shuffled:
-        mesh = shuffled_faces(geo, mesh)
+    mesh = in_order(geo, mesh, order)
     start = time.perf_counter()
     result = geo.self_intersection_scan(mesh, s["radius"])
     out = {
@@ -220,7 +174,7 @@ def job_scan(n: int, target: str, shuffled: bool = False) -> dict:
         "peak_rss_mb": peak_rss_mb(),
     }
     del mesh, result
-    out["stage_peak_mb"] = stage_peaks(geo, spec, s["radius"], shuffled)
+    out["stage_peak_mb"] = stage_peaks(geo, spec, s["radius"], order)
     return out
 
 
@@ -244,21 +198,29 @@ def job_lift(n: int) -> dict:
         "full_scan_s": scanned - start,
         "lifted_scan_s": None if lifted is None else done - scanned,
         "pairs": full.num_pairs,
+        "base_pairs": scan.num_pairs,
         "lifted_equal": None if lifted is None else lifted == full,
         "peak_rss_mb": peak_rss_mb(),
     }
 
 
-def job_zcl(m: int) -> dict:
+def timed_or_refused(call) -> tuple[float, object]:
+    """The seconds `call()` takes and its value, or "refused" where it raises FeasibilityError."""
     from kleinforge.errors import FeasibilityError
-    from kleinforge.tensor_zcl import compute_zcl
 
     start = time.perf_counter()
     try:
-        zcl = compute_zcl(m)
+        value = call()
     except FeasibilityError:
-        zcl = "refused"
-    return {"zcl_s": time.perf_counter() - start, "zcl": zcl, "peak_rss_mb": peak_rss_mb()}
+        value = "refused"
+    return time.perf_counter() - start, value
+
+
+def job_zcl(m: int) -> dict:
+    from kleinforge.tensor_zcl import compute_zcl
+
+    seconds, zcl = timed_or_refused(lambda: compute_zcl(m))
+    return {"zcl_s": seconds, "zcl": zcl, "peak_rss_mb": peak_rss_mb()}
 
 
 def export_like_other_tools(src: str, dst: str) -> str:
@@ -331,21 +293,17 @@ def job_ring(name: str, n: int) -> dict:
     from kleinforge.verification import cohomology_table
 
     word = algebra_queries_word(n) if name == "reduce_word" else ""
-    start = time.perf_counter()
-    if name == "manifold_report":
-        answer = manifold_report(n).category
-    elif name == "cohomology_table":
-        answer = hashlib.sha256(json.dumps(cohomology_table(n)).encode()).hexdigest()
-    elif name == "reduce_word":
-        answer = reduce_word(GroupWord.parse(n, word)).text()
-    else:
-        answer = abelianization(n).text()
-    return {"seconds": time.perf_counter() - start, "answer": answer, "peak_rss_mb": peak_rss_mb()}
+    seconds, answer = timed_or_refused({
+        "manifold_report": lambda: manifold_report(n).category,
+        "cohomology_table": lambda: hashlib.sha256(json.dumps(cohomology_table(n)).encode()).hexdigest(),
+        "reduce_word": lambda: reduce_word(GroupWord.parse(n, word)).text(),
+        "abelianization": lambda: abelianization(n).text(),
+    }[name])
+    return {"seconds": seconds, "answer": answer, "peak_rss_mb": peak_rss_mb()}
 
 
 def job_quad_scan(dim: int) -> dict:
     from kleinforge import geometry as geo
-    from kleinforge.errors import FeasibilityError
 
     pad = " 0" * (dim - 2)
     corners = "".join(f"v {x} {y}{pad}\n" for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -354,12 +312,8 @@ def job_quad_scan(dim: int) -> dict:
         with open(path, "w") as fh:
             fh.write(corners + "f 0 1 2 3\n")
         mesh = geo.load_mesh(path)
-    start = time.perf_counter()
-    try:
-        pairs = geo.self_intersection_scan(mesh, 0.5).num_pairs
-    except FeasibilityError:
-        pairs = "refused"
-    return {"scan_s": time.perf_counter() - start, "pairs": pairs, "peak_rss_mb": peak_rss_mb()}
+    seconds, pairs = timed_or_refused(lambda: geo.self_intersection_scan(mesh, 0.5).num_pairs)
+    return {"scan_s": seconds, "pairs": pairs, "peak_rss_mb": peak_rss_mb()}
 
 
 def job_fan_scan(quads: int) -> dict:
@@ -371,7 +325,6 @@ def job_fan_scan(quads: int) -> dict:
     import numpy as np
 
     from kleinforge import geometry as geo
-    from kleinforge.errors import FeasibilityError
 
     angle = np.linspace(0, 2 * np.pi, 2 * quads, endpoint=False)
     ring = 0.03 * np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
@@ -380,38 +333,39 @@ def job_fan_scan(quads: int) -> dict:
     faces = np.stack([0 * k + 2 * quads, 2 * k, 2 * k + 1, (2 * k + 2) % (2 * quads)], axis=1)
     vertices = np.concatenate([fan, fan + [0.0, 0.0, 0.01]])
     mesh = geo.Mesh(vertices, np.concatenate([faces, faces + len(fan)]), None, None, float("nan"))
-    start = time.perf_counter()
-    try:
-        pairs = geo.self_intersection_scan(mesh, 0.05).num_pairs
-    except FeasibilityError:
-        pairs = "refused"
-    return {"scan_s": time.perf_counter() - start, "pairs": pairs, "peak_rss_mb": peak_rss_mb()}
+    seconds, pairs = timed_or_refused(lambda: geo.self_intersection_scan(mesh, 0.05).num_pairs)
+    return {"scan_s": seconds, "pairs": pairs, "peak_rss_mb": peak_rss_mb()}
 
 
 JOBS = {
-    "verify-paper": lambda max_n="8": job_verify_paper(int(max_n)),
-    "scan": lambda n, target, shuffled="": job_scan(int(n), target, shuffled == "shuffled"),
-    "lift": lambda n: job_lift(int(n)),
-    "zcl": lambda m: job_zcl(int(m)),
+    "verify-paper": job_verify_paper,
+    "scan": job_scan,
+    "lift": job_lift,
+    "zcl": job_zcl,
     "mesh-io": job_mesh_io,
-    "ring": lambda name, n: job_ring(name, int(n)),
-    "quad-scan": lambda dim: job_quad_scan(int(dim)),
-    "fan-scan": lambda quads: job_fan_scan(int(quads)),
+    "ring": job_ring,
+    "quad-scan": job_quad_scan,
+    "fan-scan": job_fan_scan,
 }
 
 
-def run_job(src: str, *argv: str) -> dict:
-    """Run one job in a fresh interpreter importing kleinforge from `src`; return its JSON."""
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--job", *argv],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    return json.loads(proc.stdout)
+def run_one(argv: list[str]) -> int:
+    """Print the JSON of the job `argv` names, its digit arguments as ints; 2 on a bad argv."""
+    kind, *rest = argv or [""]
+    args = [int(a) if a.isdigit() else a for a in rest]
+    try:
+        inspect.signature(JOBS[kind]).bind(*args)
+    except (KeyError, TypeError) as e:
+        problem = f"{kind}: {e}" if kind in JOBS else f"no job kind {kind!r}"
+        print(f"usage: bench.py --job KIND [ARG ...], KIND one of {', '.join(JOBS)}: {problem}",
+              file=sys.stderr)
+        return 2
+    print(json.dumps(JOBS[kind](*args)))
+    return 0
 
 
 def measure(trees: dict, *argv: str) -> dict:
-    """RUNS runs of one job in each tree, alternating between the trees.
+    """RUNS runs of one job in each tree, each in a fresh interpreter importing its `src`.
 
     Each round runs the job once per tree, and the first tree of a round
     alternates too, so load on the host falls on both trees alike.
@@ -419,46 +373,50 @@ def measure(trees: dict, *argv: str) -> dict:
     runs = {name: [] for name in trees}
     for r in range(RUNS):
         for name in list(trees)[:: 1 if r % 2 == 0 else -1]:
-            runs[name].append(run_job(trees[name], *argv))
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--job", *argv],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": trees[name]},
+            )
+            runs[name].append(json.loads(proc.stdout))
     return runs
 
 
-def median_of(runs: list[dict], key: str) -> float | None:
-    """The median of `key` over the runs, or None where a run has none."""
-    values = [r[key] for r in runs]
-    return None if None in values else round(statistics.median(values), 3)
+def entrywise(combine, values: list):
+    """`combine(values)`, or where the values are dicts, `combine` of each entry's values."""
+    if isinstance(values[0], dict):
+        return {k: combine([v[k] for v in values]) for k in values[0]}
+    return combine(values)
 
 
-def peak_of(runs: list[dict], key: str = "peak_rss_mb") -> float:
-    return round(max(r[key] for r in runs), 1)
+def summary(tree: str, row: str, runs: list[dict]) -> dict:
+    """The runs of one job in one tree as one row of that tree's file.
 
-
-def summary(runs: list[dict], medians: tuple[str, ...], facts: tuple[str, ...]) -> dict:
-    """The median of each timing, the facts of the first run and the largest of each peak RSS."""
-    out = {key: median_of(runs, key) for key in medians}
-    out.update({key: runs[0][key] for key in facts})
-    out.update({key: peak_of(runs, key) for key in runs[0] if key.endswith("peak_rss_mb")})
+    A key ending in _mb is a peak: the largest value over the runs, or None
+    where a run has None.  Any other float is a timing: its median, and
+    under `<key>_runs` its runs in order.  A dict of either is taken entry
+    by entry.  Any other value is a fact, which every run must give alike;
+    where the runs differ the session stops, naming the tree, row and key.
+    """
+    out = {}
+    for key in runs[0]:
+        values = [r[key] for r in runs]
+        leaves = [x for v in values for x in (v.values() if isinstance(v, dict) else [v])]
+        if key.endswith("_mb"):
+            out[key] = entrywise(lambda vs: None if None in vs else round(max(vs), 1), values)
+        elif all(isinstance(x, float) for x in leaves):
+            out[key] = entrywise(lambda vs: round(statistics.median(vs), 3), values)
+            out[f"{key}_runs"] = entrywise(lambda vs: [round(x, 3) for x in vs], values)
+        elif any(v != values[0] for v in values):
+            raise SystemExit(f"{tree}: {row}: the runs disagree on {key!r}: {values}")
+        else:
+            out[key] = values[0]
     return out
 
 
-def verify_paper_summary(runs: list[dict]) -> dict:
-    return {
-        "wall_s": median_of(runs, "wall_s"),
-        "wall_s_runs": [round(r["wall_s"], 3) for r in runs],
-        "passed": all(r["passed"] for r in runs),
-        "peak_rss_mb": peak_of(runs),
-        "checks_s": {
-            name: round(statistics.median(r["checks"][name] for r in runs), 3)
-            for name in runs[0]["checks"]
-        },
-    }
-
-
 def main() -> int:
-    if sys.argv[1:2] == ["--job"]:  # one measurement, in the interpreter run_job starts
-        kind, *rest = sys.argv[2:]
-        print(json.dumps(JOBS[kind](*rest)))
-        return 0
+    if sys.argv[1:2] == ["--job"]:  # one run, in an interpreter that measure starts
+        return run_one(sys.argv[2:])
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label", help="names the output file, BENCH_<label>.json")
     ap.add_argument(
@@ -473,56 +431,32 @@ def main() -> int:
     from kleinforge.cohomology_f2 import MAX_DIMENSION
     from kleinforge.verification import SCAN_SETTINGS
 
+    # (section, row, job argv) of every row of the files, in their order;
+    # a row of None is the whole section
+    table = [
+        ("verify_paper", None, ("verify-paper", "8")),
+        ("verify_paper_max13", None, ("verify-paper", "13")),
+        *(("scans", f"n{n}-{target}{suffix}", ("scan", str(n), target, *order))
+          for n in sorted(SCAN_SETTINGS) for target in ("immersion", "embedding")
+          for suffix, order in (("", ()), ("-shuffled", ("shuffled",)))),
+        *(("lift_scans", f"n{n}", ("lift", str(n))) for n in sorted(SCAN_SETTINGS)),
+        *(("compute_zcl", f"m{m}", ("zcl", str(m))) for m in range(2, MAX_DIMENSION + 1)),
+        *(("mesh_io", name, ("mesh-io", name)) for name in [*mesh_io_files(), *EXPORTED_OBJ]),
+        *(("ring", f"{name}-n{n}", ("ring", name, str(n))) for name, n in RING_CASES),
+        *(("quad_scans", f"R{dim}", ("quad-scan", str(dim))) for dim in QUAD_DIMS),
+        *(("fan_scans", f"degree{quads}", ("fan-scan", str(quads))) for quads in FAN_DEGREES),
+    ]
     trees = {args.label: os.path.join(ROOT, "src")}
     if args.parent:
         trees[f"{args.label}_parent"] = os.path.join(os.path.abspath(args.parent), "src")
-    reports = {
-        label: {
-            "label": label,
-            "machine": {
-                "nproc": os.cpu_count(),
-                "python": platform.python_version(),
-                "numpy": numpy.__version__,
-            },
-            "runs": RUNS,
-            "verify_paper": {},
-            "verify_paper_max13": {},
-            "scans": {},
-            "lift_scans": {},
-            "compute_zcl": {},
-            "mesh_io": {},
-            "ring": {},
-            "quad_scans": {},
-            "fan_scans": {},
-        }
-        for label in trees
-    }
-
-    def record(section: str, key: str, argv: tuple, medians: tuple, facts: tuple) -> None:
+    machine = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__}
+    reports = {label: {"label": label, "machine": machine, "runs": RUNS} for label in trees}
+    for section, row, argv in table:
         for label, runs in measure(trees, *argv).items():
-            reports[label][section][key] = summary(runs, medians, facts)
-
-    for section, max_n in (("verify_paper", "8"), ("verify_paper_max13", "13")):
-        for label, runs in measure(trees, "verify-paper", max_n).items():
-            reports[label][section] = verify_paper_summary(runs)
-    for n in sorted(SCAN_SETTINGS):
-        for target in ("immersion", "embedding"):
-            for suffix, shuffled in (("", ()), ("-shuffled", ("shuffled",))):
-                record("scans", f"n{n}-{target}{suffix}", ("scan", str(n), target, *shuffled),
-                       ("build_s", "scan_s"), ("vertices", "pairs", "stage_peak_mb"))
-    for n in sorted(SCAN_SETTINGS):
-        record("lift_scans", f"n{n}", ("lift", str(n)),
-               ("full_scan_s", "lifted_scan_s"), ("pairs", "lifted_equal"))
-    for m in range(2, MAX_DIMENSION + 1):
-        record("compute_zcl", f"m{m}", ("zcl", str(m)), ("zcl_s",), ("zcl",))
-    for name in [*mesh_io_files(), *EXPORTED_OBJ]:
-        record("mesh_io", name, ("mesh-io", name), ("write_s", "read_s"), ("bytes", "sha256", "vertices"))
-    for name, n in RING_CASES:
-        record("ring", f"{name}-n{n}", ("ring", name, str(n)), ("seconds",), ("answer",))
-    for dim in QUAD_DIMS:
-        record("quad_scans", f"R{dim}", ("quad-scan", str(dim)), ("scan_s",), ("pairs",))
-    for quads in FAN_DEGREES:
-        record("fan_scans", f"degree{quads}", ("fan-scan", str(quads)), ("scan_s",), ("pairs",))
+            if row is None:
+                reports[label][section] = summary(label, section, runs)
+            else:
+                reports[label].setdefault(section, {})[row] = summary(label, f"{section}/{row}", runs)
     for label, report in reports.items():
         path = f"BENCH_{label}.json"
         with open(path, "w") as fh:

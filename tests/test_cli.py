@@ -1290,3 +1290,47 @@ def test_scripts_run_on_the_public_api():
     data = json.loads(bench.stdout)
     assert len(data["checks"]) == 14 and data["passed"] is True
     assert math.fsum(data["checks"].values()) <= data["wall_s"]  # exact: the times telescope
+
+
+def test_bench_summary_reads_each_key_by_its_values():
+    summary = runpy.run_path(str(ROOT / "scripts" / "bench.py"))["summary"]
+    runs = [
+        {"wall_s": 0.5, "passed": True, "checks": {"a": 0.1, "b": 0.2},
+         "stage_peak_mb": {"build": 5.0, "neighbour_test": None}, "peak_rss_mb": 40.0,
+         "lifted_scan_s": None, "new_count": 7},
+        {"wall_s": 0.2, "passed": True, "checks": {"a": 0.4, "b": 0.2},
+         "stage_peak_mb": {"build": 6.1, "neighbour_test": None}, "peak_rss_mb": 41.24,
+         "lifted_scan_s": None, "new_count": 7},
+        {"wall_s": 0.3, "passed": True, "checks": {"a": 0.2, "b": 0.1},
+         "stage_peak_mb": {"build": 5.5, "neighbour_test": None}, "peak_rss_mb": 39.0,
+         "lifted_scan_s": None, "new_count": 7},
+    ]
+    row = summary("tree", "scans/n2", runs)
+    assert row == {
+        "wall_s": 0.3, "wall_s_runs": [0.5, 0.2, 0.3],  # median, then every run in order
+        "passed": True,
+        "checks": {"a": 0.2, "b": 0.2}, "checks_runs": {"a": [0.1, 0.4, 0.2], "b": [0.2, 0.2, 0.1]},
+        "stage_peak_mb": {"build": 6.1, "neighbour_test": None},  # the largest, entry by entry
+        "peak_rss_mb": 41.2,
+        "lifted_scan_s": None,  # not a float: a fact, as a tree without lifted_scan gives
+        "new_count": 7,  # a key no list names reaches the row
+    }
+    assert list(row)[:2] == ["wall_s", "wall_s_runs"]
+
+    runs[1]["new_count"] = 8
+    with pytest.raises(SystemExit, match=r"^tree: scans/n2: the runs disagree on 'new_count'"):
+        summary("tree", "scans/n2", runs)
+
+
+def test_bench_job_forms_and_usage_errors():
+    bench = [sys.executable, str(ROOT / "scripts" / "bench.py"), "--job"]
+    for argv, pairs in ((("quad-scan", "4"), 0), (("scan", "2", "immersion", "shuffled"), 73)):
+        proc = subprocess.run([*bench, *argv], capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pairs"] == pairs  # shuffled faces: as in grid order
+
+    for argv in (("nope",), ("scan",), ("lift", "2", "3"), ()):
+        proc = subprocess.run([*bench, *argv], capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("usage: ")
+        assert "verify-paper, scan, lift, zcl, mesh-io, ring, quad-scan, fan-scan" in proc.stderr
