@@ -199,12 +199,7 @@ def cmd_mesh(args):
 
 
 def cmd_scan(args):
-    if args.infile:
-        mesh = geo.load_mesh(args.infile)
-    elif args.n is not None:
-        mesh = geo.build_mesh(_mesh_spec(args))
-    else:
-        raise ValueError("pass --in FILE or --n/--target/--res")
+    mesh = geo.load_mesh(args.infile) if args.n is None else geo.build_mesh(_mesh_spec(args))
     start = time.perf_counter()
     result = geo.self_intersection_scan(mesh, args.radius)
     print(f"scan took {time.perf_counter() - start:.2f}s", file=sys.stderr)
@@ -291,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axes", help="projection axes for an .obj --out beyond 3D, e.g. 0,1,2")
 
     p = add("scan", cmd_scan, "self-intersection scan of a mesh", target_opt, json_opt)
-    p.add_argument("--in", dest="infile", help="mesh file (.obj or mesh text)")
-    p.add_argument("--n", type=int, help="build the mesh instead of reading one")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="mesh file (.obj or mesh text)")
+    source.add_argument("--n", type=int, help="build the mesh instead of reading one")
     p.add_argument("--res", default="200x400", help="grid as THETAxT when building")
     p.add_argument("--radius", type=float, required=True)
 

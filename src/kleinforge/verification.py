@@ -453,29 +453,14 @@ FRAME_TOL = 1e-12
 WELD_SAMPLES = 10_000  # random angle vectors per n for the weld and symmetry identities
 
 
-def _min_sq_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min |x - y|^2 over x in a and y in b, as |x|^2 + (|y|^2 - 2 x.y).
-
-    The bracket is one product per block of 128 rows of a,
-    [x | 1] @ [-2 b^T ; |y|^2], so that a 4096-point b needs a block of
-    4 MB.  |x|^2 is added to each row's minimum, which gives the minimum of
-    the sums, as rounding is monotone.  Rounding moves the result by about
-    1e-16 per unit of squared norm; at a shared point it is 0 to that
-    precision, and exactly 0 where every product and sum is exact.
-    """
-    right = np.vstack([-2 * b.T, np.sum(b * b, axis=1)])
-    left = np.hstack([a, np.ones((len(a), 1))])
-    cuts = range(128, len(a), 128)
-    blocks = zip(np.split(left, cuts), np.split(np.sum(a * a, axis=1), cuts))
-    return min(float(np.min(np.min(block @ right, axis=1) + norms)) for block, norms in blocks)
-
-
 def check_geometry_identities() -> CheckResult:
     """The sampled identities of the construction, at fixed tolerances.
 
     Covers the directrix frame, the tube-radius band, the fibre-torus
     symmetries and maxima, the weld identity for n in {2,3,4}, and the
-    nested-family disjointness.
+    nested-family disjointness: two sampled members fail as touching if
+    the scan engine's `_candidate_pairs` finds a pair, one point from each,
+    within 0.3 * base_unit(3).
     """
     def body():
         rng = np.random.default_rng(RNG_SEED)
@@ -554,7 +539,8 @@ def check_geometry_identities() -> CheckResult:
         inner = geo.torus_point([4 * unit, 1.2 * unit], grid)
         outer = geo.torus_point([4 * unit, 1.8 * unit], grid)
         # their gap^2 is 0.002975, four times the threshold, far above rounding
-        if _min_sq_distance(inner, outer) <= (0.3 * unit) ** 2:
+        I, J = geo._candidate_pairs(np.concatenate([inner, outer]), 0.3 * unit)
+        if np.any((I < len(inner)) != (J < len(inner))):
             return False, "nested family members touch"
         return True, f"directrix frame, radius band, weld and symmetry identities hold ({WELD_SAMPLES} samples)"
     return _run("geometry-identities", body)

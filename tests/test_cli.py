@@ -671,6 +671,8 @@ def test_zcl_basis_and_pairing_guards_exit_3_before_any_work(argv, capsys, monke
         (("genes", "--lengths", "0,0,0"), 2),  # all side lengths are zero
         (("genes", "--lengths", "1e5x,1,1"), 2),  # "e" that starts no decimal exponent
         (("scan", "--radius", "0.1"), 2),  # neither --in nor --n
+        # --in and --n together: a scan reads one mesh source
+        (("scan", "--in", "k2.txt", "--n", "3", "--target", "embedding", "--radius", "0.2"), 2),
         (("check", "--n", "1"), 2),  # the splitting is stated for n >= 2
     ],
 )
@@ -961,6 +963,15 @@ def _embedding_off_the_immersion(n, thetas, t, real=geo.embedding_point):
     return out
 
 
+def _members_coincide(radii, thetas, real=geo.torus_point):
+    # every two-radius family whose last radius lies strictly between 1.1 and
+    # 1.9 base units at n = 3 gets 1.5 units, so the two sampled members match
+    unit = geo.base_unit(3)
+    if len(radii) == 2 and 1.1 * unit < radii[-1] < 1.9 * unit:
+        radii = [radii[0], 1.5 * unit]
+    return real(radii, thetas)
+
+
 @pytest.mark.parametrize(
     "check, target, broken, prefix",
     [
@@ -1026,6 +1037,13 @@ def _embedding_off_the_immersion(n, thetas, t, real=geo.embedding_point):
             _longer_normal,
             "normal is not unit length",
             id="geometry-identities",
+        ),
+        pytest.param(
+            vf.check_geometry_identities,
+            "geometry.torus_point",
+            _members_coincide,
+            "nested family members touch",
+            id="geometry-identities-members-touch",
         ),
         pytest.param(
             lambda: vf.check_self_intersection(2),

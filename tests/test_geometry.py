@@ -588,32 +588,6 @@ def test_cell_join_moves_no_budget_boundary(monkeypatch):
     assert geo.self_intersection_scan(mesh, s["radius"]).num_pairs == 216
 
 
-def test_nested_family_gap_matches_the_broadcast_minimum():
-    rng = np.random.default_rng(5)
-    for rows, cols in ((1, 1), (300, 70), (513, 257)):
-        a = rng.normal(size=(rows, 3))
-        b = rng.normal(size=(cols, 3)) + 0.5
-        broadcast = np.min(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
-        assert vf._min_sq_distance(a, b) == pytest.approx(broadcast, rel=1e-12, abs=1e-14)
-    # a shared point is a gap of 0, so a touching family fails the check
-    a = rng.normal(size=(600, 3))
-    b = np.concatenate([rng.normal(size=(50, 3)) + 10.0, a[555:556]])
-    assert abs(vf._min_sq_distance(a, b)) < 1e-12
-
-
-@pytest.mark.parametrize("rows", [1, 127, 128, 129, 300, 4096 + 5])
-def test_nested_family_gap_is_exactly_zero_at_a_shared_point(rows):
-    # coordinates in eighths keep every product and sum exact, so the
-    # minimum is the broadcast one exactly, 0.0 when the last row of a,
-    # in its ragged last block, is also a point of b
-    rng = np.random.default_rng(rows)
-    a = rng.integers(-16, 16, size=(rows, 3)) / 8
-    b = rng.integers(-16, 16, size=(70, 3)) / 8 + 5
-    broadcast = np.min(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
-    assert broadcast > 0 and vf._min_sq_distance(a, b) == broadcast
-    assert vf._min_sq_distance(a, np.concatenate([b, a[-1:]])) == 0.0
-
-
 def test_neighbour_test_over_budget_is_infeasible(monkeypatch):
     mesh = two_fans(100)
     # 4 * max(deg i, deg j, 1) ids for each of the 49,801 candidate pairs
