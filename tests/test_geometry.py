@@ -588,6 +588,46 @@ def test_cell_join_moves_no_budget_boundary(monkeypatch):
     assert geo.self_intersection_scan(mesh, s["radius"]).num_pairs == 216
 
 
+def _cross_pairs(a, b, radius):
+    # the nested-family gap test of check_geometry_identities: the scan
+    # engine's close pairs of the two members together, one end in each
+    I, J = geo._candidate_pairs(np.concatenate([a, b]), radius)
+    cross = (I < len(a)) != (J < len(a))
+    return sorted(zip(np.minimum(I, J)[cross].tolist(), (np.maximum(I, J)[cross] - len(a)).tolist()))
+
+
+def test_nested_family_gap_matches_the_broadcast_minimum():
+    rng = np.random.default_rng(5)
+    for rows, cols in ((1, 1), (300, 70), (513, 257)):
+        a = rng.normal(size=(rows, 3))
+        b = rng.normal(size=(cols, 3)) + 0.5
+        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        gap = math.sqrt(np.min(d2))
+        # the members touch just above their gap and not just below it
+        assert _cross_pairs(a, b, gap * (1 - 1e-9)) == []
+        assert _cross_pairs(a, b, gap * (1 + 1e-9)) != []
+        radius = 2 * gap + 0.1
+        expected = sorted(zip(*np.nonzero(d2 <= radius * radius)))
+        assert _cross_pairs(a, b, radius) == [(int(i), int(j)) for i, j in expected]
+    # a shared point is a gap of 0, so a touching family fails the check
+    a = rng.normal(size=(600, 3))
+    b = np.concatenate([rng.normal(size=(50, 3)) + 10.0, a[555:556]])
+    assert _cross_pairs(a, b, 1e-9) == [(555, 50)]
+
+
+@pytest.mark.parametrize("rows", [1, 127, 128, 129, 300, 4096 + 5])
+def test_nested_family_gap_is_exactly_zero_at_a_shared_point(rows):
+    # coordinates in eighths keep every difference and sum exact, so at
+    # radius 0 the scan finds a cross pair exactly where the last row of a
+    # is also a point of b, and none while the members are apart
+    rng = np.random.default_rng(rows)
+    a = rng.integers(-16, 16, size=(rows, 3)) / 8
+    b = rng.integers(-16, 16, size=(70, 3)) / 8 + 5
+    broadcast = np.min(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
+    assert broadcast > 0 and _cross_pairs(a, b, 0.0) == []
+    assert _cross_pairs(a, np.concatenate([b, a[-1:]]), 0.0) == [(rows - 1, 70)]
+
+
 def test_neighbour_test_over_budget_is_infeasible(monkeypatch):
     mesh = two_fans(100)
     # 4 * max(deg i, deg j, 1) ids for each of the 49,801 candidate pairs
